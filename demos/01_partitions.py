@@ -6,7 +6,7 @@ interval rather than a single number.
 """
 import numpy as np
 
-from hit2mtsk import build_partition, firing_strength, membership
+from hit2mtsk import build_partition, fire, membership
 
 rng = np.random.default_rng(7)
 values = rng.gamma(shape=2.0, scale=12.0, size=400)
@@ -28,9 +28,13 @@ for x in (5.0, 20.0, 45.0, 80.0):
         row += f"   {s.name}=[{m.lower:.3f}, {m.upper:.3f}]"
     print(row)
 
-# a conjunction of clauses fires with the t-norm of the memberships
+# a conjunction of clauses fires with the t-norm of the memberships;
+# fire() folds it over membership-matrix columns, one row per input
 other = build_partition(rng.uniform(18, 90, 400), num_sets=3, variable="age")
-clauses = [("dosage", part.sets[1]), ("age", other.sets[0])]
-strength = firing_strength(clauses, {"dosage": 30.0, "age": 25.0})
+memberships = {
+    "dosage": part.membership_matrix([30.0]),
+    "age": other.membership_matrix([25.0]),
+}
+lo, hi = fire(memberships, [("dosage", 1), ("age", 0)], "minimum")
 print(f"\nfiring of (dosage is {part.sets[1].name}) AND (age is {other.sets[0].name})")
-print(f"  at dosage=30, age=25: [{strength.lower:.3f}, {strength.upper:.3f}]")
+print(f"  at dosage=30, age=25: [{lo[0]:.3f}, {hi[0]:.3f}]")

@@ -62,7 +62,7 @@ from .it2 import (
     MembershipInterval,
     Partition,
     build_partition,
-    firing_strength,
+    fire,
     membership,
 )
 from .persist import (

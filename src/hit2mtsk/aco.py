@@ -10,7 +10,7 @@ from its own (seed, iteration, ant) derived stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -60,18 +60,7 @@ class AcoConfig:
             raise AcoConfigError("patience must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "num_ants": self.num_ants,
-            "num_iterations": self.num_iterations,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rho": self.rho,
-            "deposit": self.deposit,
-            "initial_pheromone": self.initial_pheromone,
-            "subset_size_range": list(self.subset_size_range),
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "subset_size_range": list(self.subset_size_range)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "AcoConfig":

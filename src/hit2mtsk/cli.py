@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .evaluate import (
     reference_for,
     run_cv,
 )
-from .inference import NotTrainedError, predict, predict_values
+from .inference import Model, NotTrainedError, predict, predict_values
 from .persist import (
     dumps,
     load_model,
@@ -74,16 +75,10 @@ def _load_config(args) -> TrainConfig:
         cfg = TrainConfig.from_dict(base)
         if getattr(args, "variant", None):
             degree = int(args.variant.lower().lstrip("d"))
-            from dataclasses import replace
-
             cfg = replace(cfg, generation=replace(cfg.generation, degree=degree))
         if getattr(args, "sets", None):
-            from dataclasses import replace
-
             cfg = replace(cfg, num_sets=args.sets)
         if getattr(args, "seed", None) is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=args.seed)
         return cfg
     except (TypeError, ValueError) as exc:
@@ -102,6 +97,17 @@ def _load_dataset(args) -> Dataset:
         return load_csv(path, args.target)
     except ParseError as exc:
         raise CliError(EXIT_DATA, str(exc))
+
+
+def _load_model(args) -> Model:
+    model_path = Path(args.model)
+    if not model_path.exists():
+        raise CliError(EXIT_DATA, f"model file not found: {model_path}")
+    try:
+        return load_model(model_path)
+    except (ValueError, LookupError, TypeError) as exc:
+        # a malformed or inconsistent document surfaces as any of these
+        raise CliError(EXIT_DATA, f"cannot load model: {type(exc).__name__}: {exc}")
 
 
 def _outdir(args) -> Path:
@@ -143,13 +149,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise CliError(EXIT_DATA, f"model file not found: {model_path}")
-    try:
-        model = load_model(model_path)
-    except (ValueError, KeyError) as exc:
-        raise CliError(EXIT_DATA, f"cannot load model: {exc}")
+    model = _load_model(args)
     dataset = _load_dataset(args)
     try:
         values, fired_counts, fallback = predict_values(model, dataset)
@@ -231,10 +231,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise CliError(EXIT_DATA, f"model file not found: {model_path}")
-    model = load_model(model_path)
+    model = _load_model(args)
     if not model.rules:
         raise CliError(EXIT_TRAIN, "model has no rules to explain")
     dataset = _load_dataset(args)

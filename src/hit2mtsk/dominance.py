@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .it2 import Partition, TNORMS
+from .it2 import Partition, fire
 
 
 class ZeroSupportError(ValueError):
@@ -83,19 +83,15 @@ def combine_dominance(
 
 
 def _firing_and_target(rule, dataset: Dataset, partitions, tnorm):
-    if tnorm not in TNORMS:
-        raise ValueError(f"unknown t-norm {tnorm!r}")
-    f_lo = np.ones(dataset.n_rows)
-    f_hi = np.ones(dataset.n_rows)
-    for var, set_name in rule.antecedent:
-        part: Partition = partitions[var]
-        lo, hi = part.set_named(set_name).membership_arrays(dataset.column(var))
-        if tnorm == "minimum":
-            f_lo = np.minimum(f_lo, lo)
-            f_hi = np.minimum(f_hi, hi)
-        else:
-            f_lo = f_lo * lo
-            f_hi = f_hi * hi
+    mems = {
+        var: partitions[var].membership_matrix(dataset.column(var))
+        for var, _ in rule.antecedent
+    }
+    f_lo, f_hi = fire(
+        mems,
+        [(var, partitions[var].index_of(name)) for var, name in rule.antecedent],
+        tnorm,
+    )
     target_part: Partition = partitions[dataset.target_name]
     t_lo, t_hi = target_part.set_named(rule.consequent_set).membership_arrays(
         dataset.y

@@ -8,12 +8,12 @@ target mean with an explicit flag, never silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .it2 import Partition, TNORMS
+from .it2 import TNORMS, Partition, fire
 from .rules import HybridRule, clamp
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
@@ -73,6 +73,22 @@ class Model:
             )
         if not np.isfinite(self.fallback_value):
             raise ValueError("fallback_value must be finite")
+        sets = {
+            p.variable: {s.name for s in p.sets} for p in self.feature_partitions
+        }
+        targets = {s.name for s in self.target_partition.sets}
+        for i, rule in enumerate(self.rules):
+            for var, name in rule.antecedent:
+                if name not in sets.get(var, ()):
+                    raise ValueError(
+                        f"rule {i} clause {var} is {name} names no set of "
+                        "the model's feature partitions"
+                    )
+            if rule.consequent_set not in targets:
+                raise ValueError(
+                    f"rule {i} consequent {rule.consequent_set} names no set "
+                    "of the target partition"
+                )
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -103,8 +119,10 @@ def _column_table(
         else:
             if p.variable not in data:
                 raise ValueError(f"input lacks model feature {p.variable!r}")
-            col = np.asarray(data[p.variable], dtype=float)
+            col = data[p.variable]
         col = np.atleast_1d(np.asarray(col, dtype=float))
+        if not np.all(np.isfinite(col)):
+            raise ValueError(f"input for {p.variable!r} is non-finite")
         if length is None:
             length = col.size
         elif col.size != length:
@@ -123,41 +141,26 @@ def rule_matrices(
 
     Returns (F_lo, F_hi, Y), each shaped (num_rules, num_rows).
     Memberships are computed once per partition and shared across rules.
+    Every rule must reference only variables and sets of
+    ``feature_partitions`` that have a column (`Model` guarantees this).
     """
-    if tnorm not in TNORMS:
-        raise ValueError(f"unknown t-norm {tnorm!r}")
     parts = {p.variable: p for p in feature_partitions}
     mems = {
         name: parts[name].membership_matrix(col) for name, col in columns.items()
     }
-    n = next(iter(columns.values())).size if columns else 0
-    m = len(rules)
-    F_lo = np.ones((m, n))
-    F_hi = np.ones((m, n))
+    m, n = len(rules), next(iter(columns.values())).size
+    F_lo = np.empty((m, n))
+    F_hi = np.empty((m, n))
     Y = np.empty((m, n))
     for i, rule in enumerate(rules):
-        lo = np.ones(n)
-        hi = np.ones(n)
-        for var, set_name in rule.antecedent:
-            if var not in mems:
-                raise ValueError(f"no column for antecedent variable {var!r}")
-            s = parts[var].index_of(set_name)
-            m_lo = mems[var][0][:, s]
-            m_hi = mems[var][1][:, s]
-            if tnorm == "minimum":
-                lo = np.minimum(lo, m_lo)
-                hi = np.minimum(hi, m_hi)
-            else:
-                lo = lo * m_lo
-                hi = hi * m_hi
-        F_lo[i] = lo
-        F_hi[i] = hi
+        F_lo[i], F_hi[i] = fire(
+            mems,
+            [(var, parts[var].index_of(name)) for var, name in rule.antecedent],
+            tnorm,
+        )
         fn = rule.consequent_fn
-        if fn.variables:
-            Xr = np.stack([columns[v] for v in fn.variables], axis=1)
-            raw = fn.evaluate(Xr)
-        else:
-            raw = np.full(n, fn.coefficients[0])
+        cols = np.array([columns[v] for v in fn.variables])
+        raw = fn.evaluate(cols.reshape(len(fn.variables), n).T)
         Y[i] = clamp(raw, rule.clamp_bounds)
     return F_lo, F_hi, Y
 
@@ -175,61 +178,68 @@ def reduce_firing(
     raise ValueError(f"unknown firing reduction {reduction!r}")
 
 
-def predict_values(
-    model: Model, data: Dataset | Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fast path: (values, fired_counts, fallback_mask) arrays."""
+class _Weighed(NamedTuple):
+    """One pass of inference: (rules, rows) matrices and per-row results."""
+
+    F_lo: np.ndarray
+    F_hi: np.ndarray
+    Y: np.ndarray
+    W: np.ndarray
+    values: np.ndarray
+    fired_counts: np.ndarray
+    fallback: np.ndarray
+
+    def itemize(self, row: int) -> Prediction:
+        fired = tuple(
+            FiredRule(
+                index=int(i),
+                firing=(float(self.F_lo[i, row]), float(self.F_hi[i, row])),
+                output=float(self.Y[i, row]),
+                weight=float(self.W[i, row]),
+            )
+            for i in np.flatnonzero(self.F_hi[:, row] > 0.0)
+        )
+        return Prediction(
+            value=float(self.values[row]),
+            fired_rules=fired,
+            fallback_used=bool(self.fallback[row]),
+        )
+
+
+def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
+    """The prediction path every public predict function is a view of."""
     if not model.rules:
         raise NotTrainedError("model has no rules")
     columns = _column_table(model.feature_partitions, data)
     F_lo, F_hi, Y = rule_matrices(
         model.rules, model.feature_partitions, columns, model.tnorm
     )
+    fired_counts = np.count_nonzero(F_hi > 0.0, axis=0)
     dom = np.array([r.error_dominance for r in model.rules])
     W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None]
-    fired_counts = np.count_nonzero(F_hi > 0.0, axis=0)
     wsum = W.sum(axis=0)
     psum = (W * Y).sum(axis=0)
     fallback = wsum <= 0.0
     values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))
-    return values, fired_counts, fallback
+    return _Weighed(F_lo, F_hi, Y, W, values, fired_counts, fallback)
+
+
+def predict_values(
+    model: Model, data: Dataset | Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fast path: (values, fired_counts, fallback_mask) arrays."""
+    w = _weigh(model, data)
+    return w.values, w.fired_counts, w.fallback
 
 
 def predict(model: Model, x: Mapping[str, float]) -> Prediction:
     """Predict one row and itemize every fired rule's contribution."""
-    if not model.rules:
-        raise NotTrainedError("model has no rules")
-    data = {}
-    for p in model.feature_partitions:
-        if p.variable not in x:
-            raise ValueError(f"input lacks model feature {p.variable!r}")
-        v = float(x[p.variable])
-        if not np.isfinite(v):
-            raise ValueError(f"input for {p.variable!r} is non-finite")
-        data[p.variable] = np.array([v])
-    columns = _column_table(model.feature_partitions, data)
-    F_lo, F_hi, Y = rule_matrices(
-        model.rules, model.feature_partitions, columns, model.tnorm
-    )
-    dom = np.array([r.error_dominance for r in model.rules])
-    W = (reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None])[:, 0]
-    fired = tuple(
-        FiredRule(
-            index=i,
-            firing=(float(F_lo[i, 0]), float(F_hi[i, 0])),
-            output=float(Y[i, 0]),
-            weight=float(W[i]),
-        )
-        for i in range(len(model.rules))
-        if F_hi[i, 0] > 0.0
-    )
-    wsum = float(W.sum())
-    if wsum > 0.0:
-        value = float((W * Y[:, 0]).sum() / wsum)
-        return Prediction(value=value, fired_rules=fired, fallback_used=False)
-    return Prediction(
-        value=model.fallback_value, fired_rules=fired, fallback_used=True
-    )
+    row = {
+        p.variable: float(x[p.variable])
+        for p in model.feature_partitions
+        if p.variable in x
+    }
+    return _weigh(model, row).itemize(0)
 
 
 def predict_batch(
@@ -240,11 +250,12 @@ def predict_batch(
 ) -> BatchResult:
     """Predict many rows; attaches RMSE when targets are available.
 
-    ``detail=True`` additionally materializes a per-row `Prediction`
-    with itemized fired rules (quadratic in rules x rows; meant for
-    inspection, not bulk scoring).
+    ``detail=True`` additionally itemizes every row's fired rules into a
+    `Prediction`, from the same matrices as the values (rules x rows
+    objects; meant for inspection, not bulk scoring).
     """
-    values, fired_counts, fallback = predict_values(model, data)
+    w = _weigh(model, data)
+    values = w.values
     if targets is None and isinstance(data, Dataset):
         targets = data.y
     score = None
@@ -255,16 +266,11 @@ def predict_batch(
         score = float(np.sqrt(np.mean((values - t) ** 2)))
     preds = None
     if detail:
-        columns = _column_table(model.feature_partitions, data)
-        n = values.size
-        preds = tuple(
-            predict(model, {name: col[i] for name, col in columns.items()})
-            for i in range(n)
-        )
+        preds = tuple(w.itemize(i) for i in range(values.size))
     return BatchResult(
         values=values,
-        fired_counts=fired_counts,
-        fallback_rate=float(np.mean(fallback)),
+        fired_counts=w.fired_counts,
+        fallback_rate=float(np.mean(w.fallback)),
         rmse=score,
         predictions=preds,
     )

@@ -11,7 +11,7 @@ nonzero membership somewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -293,32 +293,24 @@ def build_partition(
     return Partition(variable=variable, sets=tuple(sets), domain=(lo, hi))
 
 
-def firing_strength(
-    antecedent: Iterable[tuple[str, IT2Set]],
-    x: Mapping[str, float],
-    tnorm: str = "minimum",
-) -> MembershipInterval:
-    """Combine clause memberships of one rule into a firing interval.
+def fire(
+    memberships: Mapping | Sequence,
+    antecedent: Sequence[tuple],
+    tnorm: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Firing interval ``(lower, upper)`` of one antecedent on every row.
 
-    ``antecedent`` pairs each variable name with the set it must match;
-    ``x`` maps variable names to crisp values.  The t-norm is applied
-    separately to the lower and to the upper bounds.
+    ``memberships[key]`` is a ``(lower, upper)`` pair of (n, k) matrices
+    as returned by `Partition.membership_matrix`; ``antecedent`` pairs
+    each clause's key with the set index (column) it must match.  The
+    t-norm folds the chosen columns, separately for the lower and the
+    upper bounds.  This is the only t-norm implementation.
     """
     if tnorm not in TNORMS:
         raise ValueError(f"unknown t-norm {tnorm!r}")
-    clauses = list(antecedent)
-    if not clauses:
+    if not antecedent:
         raise ValueError("rule antecedent must not be empty")
-    lo = 1.0
-    hi = 1.0
-    for var, fuzzy_set in clauses:
-        if var not in x:
-            raise ValueError(f"input is missing variable {var!r}")
-        m = membership(fuzzy_set, float(x[var]))
-        if tnorm == "minimum":
-            lo = min(lo, m.lower)
-            hi = min(hi, m.upper)
-        else:
-            lo *= m.lower
-            hi *= m.upper
-    return MembershipInterval(lo, hi)
+    fold = np.minimum.reduce if tnorm == "minimum" else np.multiply.reduce
+    lo = fold([memberships[key][0][:, s] for key, s in antecedent])
+    hi = fold([memberships[key][1][:, s] for key, s in antecedent])
+    return lo, hi

@@ -7,7 +7,7 @@ through named substreams, so a config+seed pair pins every artifact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -64,14 +64,9 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return {
-            "num_sets": self.num_sets,
-            "fou_width": self.fou_width,
-            "fou_scale": self.fou_scale,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "generation": self.generation.to_dict(),
             "aco": self.aco.to_dict(),
-            "validation_fraction": self.validation_fraction,
-            "firing_reduction": self.firing_reduction,
-            "seed": self.seed,
         }
 
     @classmethod

@@ -112,18 +112,26 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.exponents)
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on rows aligned with ``self.variables`` (n, v)."""
+        """Evaluate on rows aligned with ``self.variables`` (n, v).
+
+        A constant polynomial (no variables) takes an (n, 0) input.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
         if X.shape[1] != len(self.variables):
             raise ValueError("column count does not match polynomial arity")
+        # powers[k - 1, j] is X[:, j] ** k: one block per call, not per term
+        powers = np.empty((self.degree,) + X.T.shape)
+        powers[0] = X.T
+        for k in range(2, self.degree + 1):
+            powers[k - 1] = X.T ** k
         out = np.zeros(X.shape[0])
         for e, w in zip(self.exponents, self.coefficients):
-            term = np.full(X.shape[0], w)
+            term = w
             for j, k in enumerate(e):
                 if k:
-                    term = term * X[:, j] ** k
+                    term = term * powers[k - 1, j]
             out += term
         return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -23,7 +23,7 @@ from .dominance import (
     error_dominance,
     support_interval,
 )
-from .it2 import Partition, TNORMS
+from .it2 import TNORMS, Partition, fire
 from .rules import HybridRule, clamp, fit_consequent
 
 
@@ -72,18 +72,7 @@ class GenerationConfig:
             raise ValueError("min_coverage must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "max_antecedent": self.max_antecedent,
-            "max_candidates": self.max_candidates,
-            "dominance_threshold": self.dominance_threshold,
-            "tnorm": self.tnorm,
-            "ridge": self.ridge,
-            "weighted_fit": self.weighted_fit,
-            "min_rows": self.min_rows,
-            "min_coverage": self.min_coverage,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "GenerationConfig":
@@ -114,12 +103,6 @@ class _Candidate:
     confidence: tuple[float, float]
     dominance: tuple[float, float]
     rows: int
-
-
-def _combine(tnorm: str, acc_lo, acc_hi, lo, hi):
-    if tnorm == "minimum":
-        return np.minimum(acc_lo, lo), np.minimum(acc_hi, hi)
-    return acc_lo * lo, acc_hi * hi
 
 
 def generate_candidates(
@@ -171,16 +154,9 @@ def generate_candidates(
     for ant, cons in cand_keys:
         by_ant.setdefault(ant, []).append(cons)
 
-    def firing(ant: tuple) -> tuple[np.ndarray, np.ndarray]:
-        f_lo = np.ones(n)
-        f_hi = np.ones(n)
-        for j, s in ant:
-            f_lo, f_hi = _combine(config.tnorm, f_lo, f_hi, mem[j][0][:, s], mem[j][1][:, s])
-        return f_lo, f_hi
-
     records: list[_Candidate] = []
     for ant, cons_list in by_ant.items():
-        f_lo, f_hi = firing(ant)
+        f_lo, f_hi = fire(mem, ant, config.tnorm)
         rows = int(np.count_nonzero(f_hi > 0.0))
         if rows == 0:
             continue
@@ -234,10 +210,8 @@ def generate_candidates(
             weighted=config.weighted_fit,
             clamp_bounds=bounds,
         )
-        if poly.variables:
-            raw = poly.evaluate(X_sub)
-        else:
-            raw = np.full(X_sub.shape[0], poly.coefficients[0])
+        # a degraded fit may be a constant over none of the variables
+        raw = poly.evaluate(X_sub[:, [var_names.index(v) for v in poly.variables]])
         rmse = float(np.sqrt(np.mean((np.asarray(clamp(raw, bounds)) - y_sub) ** 2)))
         return HybridRule(
             antecedent=tuple(
@@ -253,7 +227,7 @@ def generate_candidates(
     fitted: list[HybridRule] = []
     covered = np.zeros(n, dtype=bool)
     for cand in selected:
-        f_lo, f_hi = firing(cand.ant)
+        f_lo, f_hi = fire(mem, cand.ant, config.tnorm)
         pos = f_hi > 0.0
         fitted.append(fit_rule(cand, f_lo, f_hi, pos))
         covered |= pos
@@ -271,7 +245,7 @@ def generate_candidates(
         for cand in ladder:
             if covered.mean() >= config.min_coverage:
                 break
-            f_lo, f_hi = firing(cand.ant)
+            f_lo, f_hi = fire(mem, cand.ant, config.tnorm)
             pos = f_hi > 0.0
             if not np.any(pos & ~covered):
                 continue

@@ -1,0 +1,38 @@
+"""Scalar reference implementations that tests compare the library against.
+
+They are written as explicit loops over single values and share no code
+path with the vectorized kernels they check.
+"""
+from typing import Iterable, Mapping
+
+from hit2mtsk.it2 import IT2Set, MembershipInterval, membership
+
+
+def firing_strength(
+    antecedent: Iterable[tuple[str, IT2Set]],
+    x: Mapping[str, float],
+    tnorm: str = "minimum",
+) -> MembershipInterval:
+    """Firing interval of one rule at one crisp input, clause by clause.
+
+    ``antecedent`` pairs each variable name with the set it must match;
+    the t-norm folds the lower and the upper bounds separately.
+    """
+    if tnorm not in ("minimum", "product"):
+        raise ValueError(f"unknown t-norm {tnorm!r}")
+    clauses = list(antecedent)
+    if not clauses:
+        raise ValueError("rule antecedent must not be empty")
+    lo = 1.0
+    hi = 1.0
+    for var, fuzzy_set in clauses:
+        if var not in x:
+            raise ValueError(f"input is missing variable {var!r}")
+        m = membership(fuzzy_set, float(x[var]))
+        if tnorm == "minimum":
+            lo = min(lo, m.lower)
+            hi = min(hi, m.upper)
+        else:
+            lo *= m.lower
+            hi *= m.upper
+    return MembershipInterval(lo, hi)

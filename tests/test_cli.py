@@ -355,3 +355,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def rename_rule_set(doc):
+    doc["rules"][0]["antecedent"][0][1] = "Nowhere"
+
+
+def drop_tnorm(doc):
+    del doc["tnorm"]
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("corrupt", [rename_rule_set, drop_tnorm])
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_is_a_data_error(self, ws, bundle, tmp_path, capsys, command, corrupt):
+        doc = json.loads((bundle / "model.json").read_text())
+        corrupt(doc)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(
+            [
+                command, "--data", str(ws.csv), "--target", "y",
+                "--model", str(bad), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot load model" in err
+        assert "Traceback" not in err

@@ -206,6 +206,25 @@ class TestBatchScoring:
             assert v == pytest.approx(p.value)
 
 
+class TestOnePredictionPath:
+    def test_predict_is_one_row_of_predict_values(self, trained, toy_dataset):
+        model = trained.model
+        for i in range(toy_dataset.n_rows):
+            x = dict(zip(toy_dataset.feature_names, map(float, toy_dataset.X[i])))
+            values, _, fallback = predict_values(
+                model, {k: np.array([v]) for k, v in x.items()}
+            )
+            p = predict(model, x)
+            assert p.value == values[0]
+            assert p.fallback_used == fallback[0]
+
+    def test_detail_predictions_equal_values_exactly(self, trained, toy_dataset):
+        res = predict_batch(trained.model, toy_dataset, detail=True)
+        for i, p in enumerate(res.predictions):
+            assert p.value == res.values[i]
+            assert len(p.fired_rules) == res.fired_counts[i]
+
+
 class TestValidation:
     def test_empty_model_raises(self):
         empty = two_rule_model(rules=())
@@ -223,6 +242,31 @@ class TestValidation:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             predict(two_rule_model(), {"x": float("nan")})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    def test_non_finite_input_rejected_on_every_path(self, path, bad):
+        model = two_rule_model()
+        with pytest.raises(ValueError, match="non-finite"):
+            if path == "predict":
+                predict(model, {"x": bad})
+            elif path == "predict_values":
+                predict_values(model, {"x": np.array([1.0, bad, 3.0])})
+            else:
+                predict_batch(model, {"x": np.array([1.0, bad, 3.0])})
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            replace(RULE_LOW, antecedent=(("x", "Medium"),)),
+            replace(RULE_LOW, antecedent=(("z", "Low"),)),
+            replace(RULE_HIGH, consequent_set="Huge"),
+        ],
+        ids=["antecedent-set", "antecedent-variable", "consequent-set"],
+    )
+    def test_model_rejects_rules_naming_missing_sets(self, rule):
+        with pytest.raises(ValueError, match="names no set"):
+            two_rule_model(rules=(RULE_LOW, rule))
 
     def test_inconsistent_column_lengths(self):
         part2 = Partition(

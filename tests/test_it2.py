@@ -9,9 +9,11 @@ from hit2mtsk.it2 import (
     MembershipInterval,
     Partition,
     build_partition,
-    firing_strength,
+    fire,
     membership,
 )
+
+from oracles import firing_strength
 
 REF_SET = IT2Set(
     name="ref",
@@ -167,42 +169,48 @@ class TestBuildPartition:
             build_partition([])
 
 
+def fire_at_zero(clause_sets, tnorm="minimum"):
+    """`fire` on the single row x = 0, one clause per given set."""
+    mems = {
+        i: tuple(m[:, None] for m in s.membership_arrays([0.0]))
+        for i, s in enumerate(clause_sets)
+    }
+    lo, hi = fire(mems, [(i, 0) for i in range(len(clause_sets))], tnorm)
+    return float(lo[0]), float(hi[0])
+
+
 class TestFiringStrength:
     def test_minimum(self):
         a = clause_set(0.4, 0.6)
         b = clause_set(0.5, 0.7)
-        got = firing_strength([("u", a), ("v", b)], {"u": 0.0, "v": 0.0})
-        assert got.as_tuple() == (pytest.approx(0.4), pytest.approx(0.6))
+        got = fire_at_zero([a, b])
+        assert got == (pytest.approx(0.4), pytest.approx(0.6))
 
     def test_product(self):
         a = clause_set(0.4, 0.6)
         b = clause_set(0.5, 0.7)
-        got = firing_strength(
-            [("u", a), ("v", b)], {"u": 0.0, "v": 0.0}, tnorm="product"
-        )
-        assert got.lower == pytest.approx(0.20)
-        assert got.upper == pytest.approx(0.42)
+        lo, hi = fire_at_zero([a, b], tnorm="product")
+        assert lo == pytest.approx(0.20)
+        assert hi == pytest.approx(0.42)
 
     def test_annihilator(self):
         a = clause_set(0.0, 0.0)
         b = clause_set(0.5, 0.7)
         for tnorm in ("minimum", "product"):
-            got = firing_strength(
-                [("u", a), ("v", b)], {"u": 0.0, "v": 0.0}, tnorm=tnorm
-            )
-            assert got.as_tuple() == (0.0, 0.0)
+            assert fire_at_zero([a, b], tnorm=tnorm) == (0.0, 0.0)
 
     def test_empty_antecedent(self):
         with pytest.raises(ValueError, match="antecedent"):
-            firing_strength([], {"u": 0.0})
+            fire({}, [], "minimum")
 
     def test_missing_variable(self):
-        with pytest.raises(ValueError, match="missing"):
-            firing_strength([("u", REF_SET)], {"v": 1.0})
+        mems = {"u": REF_SET.membership_arrays([1.0])}
+        with pytest.raises(KeyError):
+            fire(mems, [("v", 0)], "minimum")
 
     def test_unknown_tnorm(self):
         with pytest.raises(ValueError, match="t-norm"):
-            firing_strength([("u", REF_SET)], {"u": 1.0}, tnorm="lukasiewicz")
+            fire_at_zero([REF_SET], tnorm="lukasiewicz")
 
     @given(
         st.lists(
@@ -221,12 +229,33 @@ class TestFiringStrength:
         weak = [
             clause_set(0.5 * min(a, b), 0.5 * max(a, b)) for a, b in pairs
         ]
-        names = [f"v{i}" for i in range(len(pairs))]
-        x = {n: 0.0 for n in names}
-        f_strong = firing_strength(list(zip(names, strong)), x, tnorm)
-        f_weak = firing_strength(list(zip(names, weak)), x, tnorm)
-        assert f_strong.lower >= f_weak.lower - 1e-12
-        assert f_strong.upper >= f_weak.upper - 1e-12
+        f_strong = fire_at_zero(strong, tnorm)
+        f_weak = fire_at_zero(weak, tnorm)
+        assert f_strong[0] >= f_weak[0] - 1e-12
+        assert f_strong[1] >= f_weak[1] - 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["minimum", "product"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, seed, tnorm):
+        rng = np.random.default_rng(seed)
+        names = ("a", "b", "c")
+        parts = {
+            v: build_partition(
+                rng.normal(0.0, 5.0, 40), int(rng.integers(2, 6)), variable=v
+            )
+            for v in names
+        }
+        rows = {v: rng.normal(0.0, 7.0, 15) for v in names}
+        chosen = rng.choice(len(names), size=int(rng.integers(1, 4)), replace=False)
+        ant = [
+            (names[j], int(rng.integers(len(parts[names[j]])))) for j in chosen
+        ]
+        mems = {v: parts[v].membership_matrix(rows[v]) for v in names}
+        lo, hi = fire(mems, ant, tnorm)
+        clauses = [(v, parts[v].sets[s]) for v, s in ant]
+        for r in range(15):
+            want = firing_strength(clauses, {v: rows[v][r] for v in names}, tnorm)
+            assert (lo[r], hi[r]) == want.as_tuple()
 
 
 def clause_set(lo: float, hi: float) -> IT2Set:

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from hit2mtsk import load_model, load_universe, save_model, save_universe
+from hit2mtsk import (
+    AcoConfig,
+    GenerationConfig,
+    TrainConfig,
+    load_model,
+    load_universe,
+    save_model,
+    save_universe,
+)
 from hit2mtsk.persist import (
     dumps,
     load_partitions,
@@ -177,3 +185,57 @@ class TestDeterministicSerialization:
         vals = [1e-300, 0.1 + 0.2, np.pi, -1.5e300]
         text = dumps(vals)
         assert json.loads(text) == vals
+
+
+class TestConfigDicts:
+    CONFIG = TrainConfig(
+        num_sets=5,
+        fou_width=0.2,
+        fou_scale=0.8,
+        generation=GenerationConfig(
+            degree=2, tnorm="product", min_rows=4, weighted_fit=True, seed=7
+        ),
+        aco=AcoConfig(num_ants=9, subset_size_range=(3, 12), seed=8),
+        validation_fraction=0.1,
+        firing_reduction="upper",
+        seed=42,
+    )
+
+    def test_literal_dict(self):
+        assert self.CONFIG.to_dict() == {
+            "num_sets": 5,
+            "fou_width": 0.2,
+            "fou_scale": 0.8,
+            "generation": {
+                "degree": 2,
+                "max_antecedent": 3,
+                "max_candidates": 2000,
+                "dominance_threshold": 0.01,
+                "tnorm": "product",
+                "ridge": 1e-6,
+                "weighted_fit": True,
+                "min_rows": 4,
+                "min_coverage": 0.99,
+                "seed": 7,
+            },
+            "aco": {
+                "num_ants": 9,
+                "num_iterations": 200,
+                "alpha": 1.0,
+                "beta": 2.0,
+                "rho": 0.1,
+                "deposit": 1.0,
+                "initial_pheromone": 0.1,
+                "subset_size_range": [3, 12],
+                "patience": 20,
+                "seed": 8,
+            },
+            "validation_fraction": 0.1,
+            "firing_reduction": "upper",
+            "seed": 42,
+        }
+
+    def test_round_trip(self):
+        d = self.CONFIG.to_dict()
+        assert type(d["aco"]["subset_size_range"]) is list
+        assert TrainConfig.from_dict(json.loads(dumps(d))) == self.CONFIG

@@ -9,10 +9,11 @@ from hit2mtsk import (
     GenerationConfig,
     generate_candidates,
 )
-from hit2mtsk.it2 import build_partition, firing_strength
+from hit2mtsk.it2 import build_partition
 from hit2mtsk.persist import dumps, universe_to_dict
 
 from conftest import make_dataset
+from oracles import firing_strength
 
 
 def partitions_for(dataset, num_sets=3):

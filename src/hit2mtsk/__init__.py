@@ -6,13 +6,12 @@ rule-subset selection, and weighted-mean inference, plus a benchmark
 and explainability harness.
 """
 
-from .aco import AcoConfig, AcoConfigError, AcoState, RuleSubset, select_rules
+from .aco import AcoConfig, AcoConfigError, RuleSubset, select_rules
 from .data import (
     Dataset,
     FoldSplit,
     ParseError,
     dataset_fingerprint,
-    file_fingerprint,
     load_csv,
     load_keel,
     load_keel_folds,
@@ -25,8 +24,6 @@ from .dominance import (
     ZeroSupportError,
     error_dominance,
     fuzzy_dominance,
-    rule_confidence,
-    rule_support,
 )
 from .evaluate import (
     CALIFORNIA_EXPLAIN_REFERENCE,
@@ -41,7 +38,6 @@ from .evaluate import (
     coverage_metrics,
     derive_mamdani,
     explainability_block,
-    mamdani_baseline,
     noise_robustness,
     quantization_profile,
     run_cv,
@@ -67,12 +63,10 @@ from .it2 import (
 )
 from .persist import (
     load_model,
-    load_partitions,
     load_rules,
     load_universe,
     rules_text,
     save_model,
-    save_partitions,
     save_rules,
     save_universe,
     write_xy_csv,
@@ -84,7 +78,6 @@ from .rules import (
     RuleUnfittableError,
     clamp,
     evaluate_rule,
-    expand_features,
     fit_consequent,
     monomial_exponents,
 )

@@ -70,16 +70,6 @@ class AcoConfig:
         return cls(**d)
 
 
-@dataclass
-class AcoState:
-    """Mutable search state (exposed for tracing and tests)."""
-
-    pheromone: np.ndarray
-    best_indices: tuple[int, ...] | None = None
-    best_cost: float = math.inf
-    stagnation: int = 0
-
-
 @dataclass(frozen=True)
 class RuleSubset:
     indices: tuple[int, ...]
@@ -158,7 +148,10 @@ def select_rules(
         return float(np.sqrt(np.mean((pred - y) ** 2)))
 
     heuristic = dom
-    state = AcoState(pheromone=np.full(total, config.initial_pheromone))
+    pheromone = np.full(total, config.initial_pheromone)
+    best_indices: tuple[int, ...] | None = None
+    best_cost = math.inf
+    stagnation = 0
     trace: list[tuple[int, float]] = []
 
     for iteration in range(1, config.num_iterations + 1):
@@ -169,27 +162,27 @@ def select_rules(
                 np.random.SeedSequence([config.seed, iteration, ant])
             )
             size = int(rng.integers(lo, hi + 1))
-            weights = state.pheromone**config.alpha * heuristic**config.beta
+            weights = pheromone**config.alpha * heuristic**config.beta
             sel = sample_subset(rng, weights, size)
             cost = cost_of(sel)
             deposits.append((sel, config.deposit / (1.0 + cost)))
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_indices = tuple(int(i) for i in sel)
+            if cost < best_cost:
+                best_cost = cost
+                best_indices = tuple(int(i) for i in sel)
                 improved = True
-        state.pheromone *= 1.0 - config.rho
+        pheromone *= 1.0 - config.rho
         for sel, amount in deposits:
-            state.pheromone[sel] += amount
-        np.maximum(state.pheromone, PHEROMONE_FLOOR, out=state.pheromone)
-        trace.append((iteration, state.best_cost))
-        state.stagnation = 0 if improved else state.stagnation + 1
-        if state.stagnation >= config.patience:
+            pheromone[sel] += amount
+        np.maximum(pheromone, PHEROMONE_FLOOR, out=pheromone)
+        trace.append((iteration, best_cost))
+        stagnation = 0 if improved else stagnation + 1
+        if stagnation >= config.patience:
             break
 
-    assert state.best_indices is not None
+    assert best_indices is not None
     subset = RuleSubset(
-        indices=state.best_indices,
-        rules=tuple(rules[i] for i in state.best_indices),
-        cost=state.best_cost,
+        indices=best_indices,
+        rules=tuple(rules[i] for i in best_indices),
+        cost=best_cost,
     )
     return subset, tuple(trace)

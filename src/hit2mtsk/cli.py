@@ -241,9 +241,12 @@ def cmd_explain(args) -> int:
         model.rules, target, out / "rules.txt", out / "rules.json",
         manifest=model.manifest,
     )
-    block = explainability_block(
-        model, dataset, seed=derive_seed(int(model.manifest.get("seed", 0)), 201)
-    )
+    try:
+        block = explainability_block(
+            model, dataset, seed=derive_seed(int(model.manifest.get("seed", 0)), 201)
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, str(exc))
     doc = block.to_dict()
     doc["manifest"] = {
         "model_manifest": dict(model.manifest),

@@ -2,8 +2,8 @@
 
 All loaders produce the same in-memory `Dataset`; downstream code never
 cares which format a table came from.  Splitting is seed-deterministic
-and row-disjoint.  Fingerprints tie trained artifacts to the exact bytes
-or values they were trained on.
+and row-disjoint.  Fingerprints tie trained artifacts to the exact
+values they were trained on.
 """
 from __future__ import annotations
 
@@ -65,10 +65,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         if name == self.target_name:
             return self.y
@@ -86,9 +82,6 @@ class Dataset:
             X=self.X[idx],
             y=self.y[idx],
         )
-
-    def fingerprint(self) -> str:
-        return dataset_fingerprint(self)
 
 
 @dataclass(frozen=True)
@@ -108,10 +101,6 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     h.update(np.ascontiguousarray(dataset.X, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(dataset.y, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def file_fingerprint(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _parse_number(token: str, path, line_no: int, col: str) -> float:

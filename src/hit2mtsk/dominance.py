@@ -82,7 +82,15 @@ def combine_dominance(
     return FuzzyDominance(support=support, confidence=confidence, dominance=(lo, hi))
 
 
-def _firing_and_target(rule, dataset: Dataset, partitions, tnorm):
+def fuzzy_dominance(
+    rule, dataset: Dataset, partitions: Mapping[str, Partition], tnorm: str = "minimum"
+) -> FuzzyDominance:
+    """Support x confidence grading of one rule on a dataset.
+
+    ``partitions`` maps variable names (features and target) to their
+    partitions; the rule references sets by name within them.  Raises
+    `ZeroSupportError` when the rule fires on no row.
+    """
     mems = {
         var: partitions[var].membership_matrix(dataset.column(var))
         for var, _ in rule.antecedent
@@ -92,38 +100,9 @@ def _firing_and_target(rule, dataset: Dataset, partitions, tnorm):
         [(var, partitions[var].index_of(name)) for var, name in rule.antecedent],
         tnorm,
     )
-    target_part: Partition = partitions[dataset.target_name]
-    t_lo, t_hi = target_part.set_named(rule.consequent_set).membership_arrays(
-        dataset.y
-    )
-    return f_lo, f_hi, t_lo, t_hi
-
-
-def rule_support(
-    rule, dataset: Dataset, partitions: Mapping[str, Partition], tnorm: str = "minimum"
-) -> tuple[float, float]:
-    """Fuzzy support of ``rule`` on ``dataset``.
-
-    ``partitions`` maps variable names (features and target) to their
-    partitions; the rule references sets by name within them.
-    """
-    f_lo, f_hi, t_lo, t_hi = _firing_and_target(rule, dataset, partitions, tnorm)
-    return support_interval(f_lo, f_hi, t_lo, t_hi)
-
-
-def rule_confidence(
-    rule, dataset: Dataset, partitions: Mapping[str, Partition], tnorm: str = "minimum"
-) -> tuple[float, float]:
-    """Fuzzy confidence of ``rule`` on ``dataset`` (see rule_support)."""
-    f_lo, f_hi, t_lo, t_hi = _firing_and_target(rule, dataset, partitions, tnorm)
-    return confidence_interval(f_lo, f_hi, t_lo, t_hi)
-
-
-def fuzzy_dominance(
-    rule, dataset: Dataset, partitions: Mapping[str, Partition], tnorm: str = "minimum"
-) -> FuzzyDominance:
-    """Support x confidence grading of one rule on a dataset."""
-    f_lo, f_hi, t_lo, t_hi = _firing_and_target(rule, dataset, partitions, tnorm)
+    t_lo, t_hi = partitions[dataset.target_name].set_named(
+        rule.consequent_set
+    ).membership_arrays(dataset.y)
     s = support_interval(f_lo, f_hi, t_lo, t_hi)
     c = confidence_interval(f_lo, f_hi, t_lo, t_hi)
     return combine_dominance(s, c)

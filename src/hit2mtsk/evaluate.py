@@ -12,7 +12,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, FoldSplit, split_holdout
-from .inference import Model, predict_values, reduce_firing, rule_matrices
+from .dominance import error_dominance
+from .inference import Model, _weigh, predict_values, reduce_firing
 from .pipeline import TrainConfig, derive_seed, train_model
 from .rules import Polynomial
 
@@ -127,13 +128,8 @@ def active_rules_per_prediction(
     thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
 ) -> dict[float, float]:
     """Mean count of rules whose firing midpoint exceeds each threshold."""
-    from .inference import _column_table
-
-    columns = _column_table(model.feature_partitions, rows)
-    F_lo, F_hi, _ = rule_matrices(
-        model.rules, model.feature_partitions, columns, model.tnorm
-    )
-    mid = reduce_firing(F_lo, F_hi, "midpoint")
+    w = _weigh(model, rows)
+    mid = reduce_firing(w.F_lo, w.F_hi, "midpoint")
     out = {}
     for t in thresholds:
         out[float(t)] = float(np.mean(np.count_nonzero(mid > t, axis=0)))
@@ -308,13 +304,7 @@ def derive_mamdani(model: Model, train: Dataset) -> Model:
     constant outputs on the training rows, so inference weighting stays
     internally consistent.
     """
-    from .inference import _column_table
-    from .dominance import error_dominance
-
-    columns = _column_table(model.feature_partitions, train)
-    _, F_hi, _ = rule_matrices(
-        model.rules, model.feature_partitions, columns, model.tnorm
-    )
+    F_hi = _weigh(model, train).F_hi
     domain = model.target_partition.domain
     new_rules = []
     for i, rule in enumerate(model.rules):
@@ -418,10 +408,3 @@ def case_study(
         hybrid_values=h_values,
         baseline_values=b_values,
     )
-
-
-def mamdani_baseline(
-    dataset: Dataset, config: TrainConfig, holdout_fraction: float = 0.2
-) -> EvalReport:
-    """Baseline-only view of case_study (shared configuration)."""
-    return case_study(dataset, config, holdout_fraction).baseline

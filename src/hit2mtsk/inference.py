@@ -94,12 +94,6 @@ class Model:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(p.variable for p in self.feature_partitions)
 
-    def partition_for(self, variable: str) -> Partition:
-        for p in self.feature_partitions:
-            if p.variable == variable:
-                return p
-        raise KeyError(f"no partition for variable {variable!r}")
-
 
 def _column_table(
     feature_partitions: Sequence[Partition],
@@ -221,6 +215,12 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     psum = (W * Y).sum(axis=0)
     fallback = wsum <= 0.0
     values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))
+    nan_rows = np.flatnonzero(np.isnan(values))
+    if nan_rows.size:
+        raise ValueError(
+            f"prediction for row {nan_rows[0]} is NaN: a rule polynomial "
+            "overflowed on this input"
+        )
     return _Weighed(F_lo, F_hi, Y, W, values, fired_counts, fallback)
 
 

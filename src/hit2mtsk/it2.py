@@ -48,9 +48,6 @@ class MembershipInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
 
 def _trapezoid_curve(
     shape: str, params: tuple[float, float, float, float], x: np.ndarray

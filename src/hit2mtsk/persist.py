@@ -63,18 +63,6 @@ def partition_from_dict(d: Mapping) -> Partition:
     )
 
 
-def save_partitions(partitions: Sequence[Partition], path) -> None:
-    Path(path).write_text(
-        dumps([partition_to_dict(p) for p in partitions])
-    )
-
-
-def load_partitions(path) -> list[Partition]:
-    return [
-        partition_from_dict(d) for d in json.loads(Path(path).read_text())
-    ]
-
-
 def polynomial_to_dict(fn: Polynomial) -> dict:
     return {
         "degree": fn.degree,

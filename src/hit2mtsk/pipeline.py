@@ -18,9 +18,9 @@ from .inference import FIRING_REDUCTIONS, Model
 from .it2 import DegeneratePartitionError, Partition, build_partition
 from .universe import GenerationConfig, RuleUniverse, generate_candidates
 
-# named substreams of the master seed
+# named substreams of the master seed; candidate generation draws no
+# random numbers, and renumbering ACO's stream would change every model
 _STREAM_VALIDATION_SPLIT = 1
-_STREAM_GENERATION = 2
 _STREAM_ACO = 3
 
 
@@ -133,12 +133,9 @@ def train_model(
     else:
         fit_data, val_data = dataset, None
 
-    gen_cfg = replace(
-        config.generation, seed=derive_seed(config.seed, _STREAM_GENERATION)
-    )
     aco_cfg = replace(config.aco, seed=derive_seed(config.seed, _STREAM_ACO))
 
-    universe = generate_candidates(fit_data, partitions, gen_cfg)
+    universe = generate_candidates(fit_data, partitions, config.generation)
     subset, trace = select_rules(
         universe,
         fit_data,
@@ -172,7 +169,7 @@ def train_model(
         feature_partitions=feature_parts,
         target_partition=partitions[dataset.target_name],
         rules=subset.rules,
-        tnorm=gen_cfg.tnorm,
+        tnorm=config.generation.tnorm,
         firing_reduction=config.firing_reduction,
         fallback_value=float(dataset.y.mean()),
         feature_stats=stats,

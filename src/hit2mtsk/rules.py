@@ -68,21 +68,6 @@ def design_matrix(X: np.ndarray, degree: int) -> np.ndarray:
     return cols
 
 
-def expand_features(
-    x: Mapping[str, float] | Sequence[float],
-    variables: Sequence[str],
-    degree: int,
-) -> np.ndarray:
-    """Monomial vector of one input, aligned with ``monomial_exponents``."""
-    if isinstance(x, Mapping):
-        row = [float(x[v]) for v in variables]
-    else:
-        if len(x) != len(variables):
-            raise ValueError("input length does not match variables")
-        row = [float(v) for v in x]
-    return design_matrix(np.array([row]), degree)[0]
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial in named variables, coefficients in raw units."""
@@ -106,10 +91,6 @@ class Polynomial:
             raise ValueError("duplicate monomials")
         if not all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
-
-    @property
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.exponents)
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on rows aligned with ``self.variables`` (n, v).

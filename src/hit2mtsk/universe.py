@@ -51,7 +51,6 @@ class GenerationConfig:
     weighted_fit: bool = False
     min_rows: int | None = None
     min_coverage: float = 0.99
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.degree not in (1, 2, 3):

@@ -6,6 +6,7 @@ path with the vectorized kernels they check.
 from typing import Iterable, Mapping
 
 from hit2mtsk.it2 import IT2Set, MembershipInterval, membership
+from hit2mtsk.rules import Polynomial
 
 
 def firing_strength(
@@ -36,3 +37,14 @@ def firing_strength(
             lo *= m.lower
             hi *= m.upper
     return MembershipInterval(lo, hi)
+
+
+def polynomial_value(poly: Polynomial, x: Mapping[str, float]) -> float:
+    """Sum of coefficient x product of powers, one term at a time."""
+    total = 0.0
+    for exps, coef in zip(poly.exponents, poly.coefficients):
+        term = coef
+        for var, k in zip(poly.variables, exps):
+            term *= float(x[var]) ** k
+        total += term
+    return total

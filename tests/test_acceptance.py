@@ -23,14 +23,11 @@ from hit2mtsk import (
     load_keel_folds,
     predict_batch,
     quantization_profile,
-    rule_confidence,
-    rule_support,
     run_cv,
     select_rules,
     train_model,
 )
 from hit2mtsk.data import make_folds
-from hit2mtsk.dominance import ZeroSupportError
 from hit2mtsk.evaluate import (
     CALIFORNIA_EXPLAIN_REFERENCE,
     active_rules_per_prediction,
@@ -41,7 +38,7 @@ from hit2mtsk.rules import evaluate_rule, fit_consequent
 
 from conftest import make_dataset, small_train_config
 from test_aco import oracle_cost, oracle_rule_tables, small_universe
-from test_dominance import oracle_support_confidence, random_setup
+from test_dominance import assert_matches_oracle, random_setup
 from test_rules import CEMENT_RULE, coeffs_by_exponent, oracle_fit
 from test_universe import partitions_for
 
@@ -111,18 +108,7 @@ def test_criterion_2_dominance_fidelity():
 def test_criterion_3_oracle_equivalence():
     # (a) support/confidence vs brute-force summation, 25 random instances
     for seed in range(25):
-        rule, ds, parts = random_setup(seed)
-        want_s, want_c = oracle_support_confidence(rule, ds, parts)
-        got_s = rule_support(rule, ds, parts)
-        assert abs(got_s[0] - want_s[0]) <= 1e-12
-        assert abs(got_s[1] - want_s[1]) <= 1e-12
-        try:
-            got_c = rule_confidence(rule, ds, parts)
-        except ZeroSupportError:
-            assert want_s[1] == 0.0
-            continue
-        assert abs(got_c[0] - want_c[0]) <= 1e-12
-        assert abs(got_c[1] - want_c[1]) <= 1e-12
+        assert_matches_oracle(*random_setup(seed), "minimum")
 
     # (b) least squares vs raw normal equations, 21 random fits
     checked = 0

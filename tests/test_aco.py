@@ -11,16 +11,16 @@ from hit2mtsk import (
     generate_candidates,
     select_rules,
 )
-from hit2mtsk.aco import AcoState, PHEROMONE_FLOOR, sample_subset
+from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
 from hit2mtsk.it2 import membership
-from hit2mtsk.rules import evaluate_rule
 
 from conftest import make_dataset
+from oracles import polynomial_value
 from test_universe import partitions_for
 
 # ---------------------------------------------------------------------------
 # independent scorer: per-rule weights/outputs through scalar membership()
-# and evaluate_rule(), fused by explicit loops
+# and the scalar polynomial oracle, fused by explicit loops
 # ---------------------------------------------------------------------------
 
 
@@ -38,9 +38,12 @@ def oracle_rule_tables(universe, dataset):
                 )
                 f_lo, f_hi = min(f_lo, m.lower), min(f_hi, m.upper)
             W[i, p] = 0.5 * (f_lo + f_hi) * rule.error_dominance
-            Y[i, p] = evaluate_rule(
-                rule, {v: float(dataset.column(v)[p]) for v, _ in rule.antecedent}
+            raw = polynomial_value(
+                rule.consequent_fn,
+                {v: float(dataset.column(v)[p]) for v, _ in rule.antecedent},
             )
+            lo, hi = rule.clamp_bounds
+            Y[i, p] = min(max(raw, lo), hi)
     return W, Y
 
 
@@ -196,6 +199,7 @@ class TestSearchContracts:
             subset_size_range=(1, len(uni)),
             seed=0,
         )
+        assert PHEROMONE_FLOOR > 0.0
         subset, trace = select_rules(uni, ds, None, cfg)
         assert np.isfinite(subset.cost)
         assert len(trace) >= 1
@@ -246,10 +250,3 @@ class TestConfig:
     def test_dict_roundtrip(self):
         cfg = AcoConfig(num_ants=7, subset_size_range=(2, 9), seed=5)
         assert AcoConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_state_defaults(self):
-        state = AcoState(pheromone=np.full(3, 0.1))
-        assert state.best_indices is None
-        assert state.best_cost == np.inf
-        assert state.stagnation == 0
-        assert PHEROMONE_FLOOR > 0.0

@@ -176,6 +176,29 @@ class TestPredict:
         assert code == EXIT_DATA
 
 
+NARROW_CSV = "x1,y\n1.0,2.0\n3.0,4.0\n"  # lacks model feature x2
+HUGE_CSV = "x1,x2,y\n1.0,1.0,2.0\n1e300,1e300,4.0\n"  # polynomials overflow
+
+
+class TestBadRows:
+    # predict on NARROW_CSV is TestPredict.test_data_missing_model_feature
+    @pytest.mark.parametrize(
+        "command,text",
+        [("predict", HUGE_CSV), ("explain", NARROW_CSV), ("explain", HUGE_CSV)],
+        ids=["predict-huge", "explain-narrow", "explain-huge"],
+    )
+    def test_is_a_data_error(self, bundle, tmp_path, capsys, command, text):
+        (tmp_path / "rows.csv").write_text(text)
+        code = main(
+            [
+                command, "--data", str(tmp_path / "rows.csv"), "--target", "y",
+                "--model", str(bundle / "model.json"), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestCrossval:
     def test_report_written(self, ws):
         out = ws.root / "cv"
@@ -334,6 +357,17 @@ class TestExitCodes:
             [
                 "train", "--data", str(ws.csv), "--target", "y",
                 "--config", str(bad), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+
+    def test_generation_seed_rejected(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generation": {"seed": 3}}))
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
             ]
         )
         assert code == EXIT_CONFIG

@@ -12,7 +12,6 @@ from hit2mtsk import (
 )
 from hit2mtsk.data import (
     dataset_fingerprint,
-    file_fingerprint,
     load_keel_folds,
 )
 
@@ -211,7 +210,7 @@ class TestFingerprints:
             toy_dataset.target_name,
             toy_dataset.y.copy(),
         )
-        assert dataset_fingerprint(clone) == toy_dataset.fingerprint()
+        assert dataset_fingerprint(clone) == dataset_fingerprint(toy_dataset)
 
     def test_value_change_changes_fingerprint(self, toy_dataset):
         X = toy_dataset.X.copy()
@@ -223,14 +222,7 @@ class TestFingerprints:
             toy_dataset.target_name,
             toy_dataset.y,
         )
-        assert other.fingerprint() != toy_dataset.fingerprint()
-
-    def test_file_fingerprint(self, tmp_path):
-        p = write(tmp_path, "a.txt", "hello")
-        q = write(tmp_path, "b.txt", "hello")
-        r = write(tmp_path, "c.txt", "hello!")
-        assert file_fingerprint(p) == file_fingerprint(q)
-        assert file_fingerprint(p) != file_fingerprint(r)
+        assert dataset_fingerprint(other) != dataset_fingerprint(toy_dataset)
 
 
 class TestKeelFolds:

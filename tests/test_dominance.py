@@ -11,8 +11,6 @@ from hit2mtsk import (
     build_partition,
     error_dominance,
     fuzzy_dominance,
-    rule_confidence,
-    rule_support,
 )
 from hit2mtsk.dominance import (
     combine_dominance,
@@ -92,30 +90,29 @@ def random_setup(seed: int):
     return rule, ds, parts
 
 
+def assert_matches_oracle(rule, ds, parts, tnorm):
+    want_s, want_c = oracle_support_confidence(rule, ds, parts, tnorm)
+    try:
+        got = fuzzy_dominance(rule, ds, parts, tnorm)
+    except ZeroSupportError:
+        # oracle denominator must agree that nothing fired
+        assert want_s[1] == 0.0
+        return
+    for got_i, want_i in ((got.support, want_s), (got.confidence, want_c)):
+        assert got_i[0] == pytest.approx(want_i[0], abs=1e-12)
+        assert got_i[1] == pytest.approx(want_i[1], abs=1e-12)
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(25))
     def test_support_and_confidence_match_bruteforce(self, seed):
         rule, ds, parts = random_setup(seed)
-        want_s, want_c = oracle_support_confidence(rule, ds, parts)
-        got_s = rule_support(rule, ds, parts)
-        assert got_s[0] == pytest.approx(want_s[0], abs=1e-12)
-        assert got_s[1] == pytest.approx(want_s[1], abs=1e-12)
-        try:
-            got_c = rule_confidence(rule, ds, parts)
-        except ZeroSupportError:
-            # oracle denominator must agree that nothing fired
-            assert want_s[1] == 0.0
-            return
-        assert got_c[0] == pytest.approx(want_c[0], abs=1e-12)
-        assert got_c[1] == pytest.approx(want_c[1], abs=1e-12)
+        assert_matches_oracle(rule, ds, parts, "minimum")
 
     @pytest.mark.parametrize("seed", range(25))
     def test_product_tnorm_against_oracle(self, seed):
         rule, ds, parts = random_setup(seed)
-        want_s, _ = oracle_support_confidence(rule, ds, parts, tnorm="product")
-        got_s = rule_support(rule, ds, parts, tnorm="product")
-        assert got_s[0] == pytest.approx(want_s[0], abs=1e-12)
-        assert got_s[1] == pytest.approx(want_s[1], abs=1e-12)
+        assert_matches_oracle(rule, ds, parts, "product")
 
 
 class TestSupportEdgeCases:
@@ -218,7 +215,6 @@ class TestCombine:
 def test_fuzzy_dominance_combines_support_and_confidence():
     rule, ds, parts = random_setup(1)
     dom = fuzzy_dominance(rule, ds, parts)
-    s = rule_support(rule, ds, parts)
-    c = rule_confidence(rule, ds, parts)
+    s, c = dom.support, dom.confidence
     lo, hi = sorted((s[0] * c[0], s[1] * c[1]))
     assert dom.dominance == (pytest.approx(lo), pytest.approx(hi))

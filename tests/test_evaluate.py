@@ -7,7 +7,6 @@ from hit2mtsk import (
     TrainingFailedError,
     case_study,
     derive_mamdani,
-    mamdani_baseline,
     run_cv,
 )
 from hit2mtsk.data import FoldSplit, make_folds
@@ -304,12 +303,6 @@ class TestCaseStudy:
         )
         assert np.array_equal(study.hybrid_values, again.hybrid_values)
         assert study.hybrid.mean_rmse == again.hybrid.mean_rmse
-
-    def test_baseline_wrapper_matches(self, study, toy_dataset):
-        report = mamdani_baseline(
-            toy_dataset, small_train_config(), holdout_fraction=0.2
-        )
-        assert report.mean_rmse == study.baseline.mean_rmse
 
     def test_baseline_predictions_come_from_baseline_model(self, study):
         values, _, _ = predict_values(study.baseline_model, study.test)

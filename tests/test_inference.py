@@ -255,6 +255,25 @@ class TestValidation:
             else:
                 predict_batch(model, {"x": np.array([1.0, bad, 3.0])})
 
+    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    def test_overflowing_polynomial_rejected_on_every_path(self, path):
+        # at the finite input 1e300, x^2 - x^3 evaluates to inf - inf = NaN
+        cubic = Polynomial(
+            degree=3, variables=("x",), exponents=((2,), (3,)), coefficients=(1.0, -1.0)
+        )
+        model = two_rule_model(
+            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=cubic))
+        )
+        row = 0 if path == "predict" else 1
+        raises = pytest.raises(ValueError, match=f"row {row} is NaN")
+        with raises, np.errstate(all="ignore"):
+            if path == "predict":
+                predict(model, {"x": 1e300})
+            elif path == "predict_values":
+                predict_values(model, {"x": np.array([1.0, 1e300, 3.0])})
+            else:
+                predict_batch(model, {"x": np.array([1.0, 1e300, 3.0])})
+
     @pytest.mark.parametrize(
         "rule",
         [
@@ -292,9 +311,6 @@ class TestValidation:
     def test_feature_name_helpers(self):
         model = two_rule_model()
         assert model.feature_names == ("x",)
-        assert model.partition_for("x") is X_PART
-        with pytest.raises(KeyError):
-            model.partition_for("nope")
 
 
 class TestTrainedModelSanity:

@@ -37,7 +37,8 @@ class TestMembershipInterval:
 
 class TestMembership:
     def test_plateau(self):
-        assert membership(REF_SET, 1.5).as_tuple() == (0.9, 1.0)
+        m = membership(REF_SET, 1.5)
+        assert (m.lower, m.upper) == (0.9, 1.0)
 
     def test_ramp(self):
         # upper (0.5-0)/1 = 0.5; lower 0.9*(0.5-0.25)/0.75 = 0.3
@@ -46,7 +47,8 @@ class TestMembership:
         assert m.lower == pytest.approx(0.3)
 
     def test_outside_support(self):
-        assert membership(REF_SET, -1.0).as_tuple() == (0.0, 0.0)
+        m = membership(REF_SET, -1.0)
+        assert (m.lower, m.upper) == (0.0, 0.0)
 
     def test_left_shoulder_plateau_extends(self):
         s = IT2Set(
@@ -61,7 +63,8 @@ class TestMembership:
         assert membership(s, 0.0).upper == 1.0
         assert membership(s, -50.0).upper == 1.0
         assert membership(s, 2.5).upper == pytest.approx(0.5)
-        assert membership(s, 3.5).as_tuple() == (0.0, 0.0)
+        m = membership(s, 3.5)
+        assert (m.lower, m.upper) == (0.0, 0.0)
 
     def test_right_shoulder_mirror(self):
         s = IT2Set(
@@ -72,7 +75,8 @@ class TestMembership:
             fou_scale=0.9,
         )
         assert membership(s, 50.0).upper == 1.0
-        assert membership(s, 0.5).as_tuple() == (0.0, 0.0)
+        m = membership(s, 0.5)
+        assert (m.lower, m.upper) == (0.0, 0.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -255,7 +259,7 @@ class TestFiringStrength:
         clauses = [(v, parts[v].sets[s]) for v, s in ant]
         for r in range(15):
             want = firing_strength(clauses, {v: rows[v][r] for v in names}, tnorm)
-            assert (lo[r], hi[r]) == want.as_tuple()
+            assert (lo[r], hi[r]) == (want.lower, want.upper)
 
 
 def clause_set(lo: float, hi: float) -> IT2Set:

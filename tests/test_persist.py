@@ -14,7 +14,6 @@ from hit2mtsk import (
 )
 from hit2mtsk.persist import (
     dumps,
-    load_partitions,
     load_rules,
     model_to_dict,
     partition_from_dict,
@@ -24,7 +23,6 @@ from hit2mtsk.persist import (
     rule_from_dict,
     rule_to_dict,
     rules_text,
-    save_partitions,
     save_rules,
     universe_to_dict,
     write_xy_csv,
@@ -33,7 +31,7 @@ from hit2mtsk.inference import predict_values
 from hit2mtsk.it2 import build_partition
 from hit2mtsk.rules import Polynomial
 
-from test_inference import RULE_HIGH, RULE_LOW, X_PART, Y_PART
+from test_inference import RULE_HIGH, RULE_LOW, X_PART
 
 
 class TestComponentRoundTrips:
@@ -114,12 +112,13 @@ class TestUniverseFiles:
         with pytest.raises(ValueError, match="not a universe file"):
             load_universe(path)
 
-
-class TestPartitionFiles:
-    def test_list_round_trip(self, tmp_path):
-        path = tmp_path / "parts.json"
-        save_partitions([X_PART, Y_PART], path)
-        assert load_partitions(path) == [X_PART, Y_PART]
+    def test_generation_seed_rejected(self, trained, tmp_path):
+        doc = universe_to_dict(trained.universe)
+        doc["manifest"]["config"]["seed"] = 0
+        path = tmp_path / "u.json"
+        path.write_text(dumps(doc))
+        with pytest.raises(TypeError, match="seed"):
+            load_universe(path)
 
 
 class TestRulesExport:
@@ -193,7 +192,7 @@ class TestConfigDicts:
         fou_width=0.2,
         fou_scale=0.8,
         generation=GenerationConfig(
-            degree=2, tnorm="product", min_rows=4, weighted_fit=True, seed=7
+            degree=2, tnorm="product", min_rows=4, weighted_fit=True
         ),
         aco=AcoConfig(num_ants=9, subset_size_range=(3, 12), seed=8),
         validation_fraction=0.1,
@@ -216,7 +215,6 @@ class TestConfigDicts:
                 "weighted_fit": True,
                 "min_rows": 4,
                 "min_coverage": 0.99,
-                "seed": 7,
             },
             "aco": {
                 "num_ants": 9,

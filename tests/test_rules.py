@@ -13,10 +13,11 @@ from hit2mtsk.rules import (
     clamp,
     design_matrix,
     evaluate_rule,
-    expand_features,
     fit_consequent,
     monomial_exponents,
 )
+
+from oracles import polynomial_value
 
 # ---------------------------------------------------------------------------
 # independent oracle: exponent enumeration via cartesian product, plain
@@ -59,12 +60,12 @@ class TestMonomials:
         assert len(monomial_exponents(3, 3)) == math.comb(6, 3)
 
     def test_expand_features_matches_exponents(self):
-        vec = expand_features({"a": 2.0, "b": 3.0}, ["a", "b"], 2)
+        vec = design_matrix(np.array([[2.0, 3.0]]), 2)[0]
         assert vec.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
     def test_expand_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            expand_features([1.0], ["a"], 4)
+            design_matrix(np.array([[1.0]]), 4)
 
     def test_design_matrix_count_invariant(self):
         X = np.random.default_rng(0).normal(size=(7, 3))
@@ -122,7 +123,7 @@ class TestFitConsequent:
         X = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
         y = np.array([1.0, 5.0, 3.0])
         poly = fit_consequent(X, y, ["a", "b"], degree=2)
-        assert poly.is_constant
+        assert poly.exponents == ((),)
         assert poly.coefficients[0] == pytest.approx(3.0)
 
     def test_constant_fallback_uses_firing_weights_and_clamp(self):
@@ -143,7 +144,7 @@ class TestFitConsequent:
         X = np.random.default_rng(2).normal(size=(10, 2))
         y = np.full(10, 4.25)
         poly = fit_consequent(X, y, ["a", "b"], degree=3)
-        assert poly.is_constant
+        assert poly.exponents == ((),)
         assert poly.coefficients[0] == 4.25
 
     def test_empty_rows_unfittable(self):
@@ -261,7 +262,54 @@ class TestHybridRuleValidation:
             )
 
 
+@st.composite
+def sparse_polynomials(draw):
+    """A polynomial over a random exponent subset, plus rows to evaluate."""
+    arity = draw(st.integers(0, 3))
+    degree = draw(st.integers(1, 3))
+    exponents = draw(
+        st.lists(
+            st.sampled_from(monomial_exponents(arity, degree)), min_size=1, unique=True
+        )
+    )
+    coefficients = draw(
+        st.lists(
+            st.floats(-1e3, 1e3), min_size=len(exponents), max_size=len(exponents)
+        )
+    )
+    rows = draw(
+        st.lists(
+            st.lists(st.floats(-10.0, 10.0), min_size=arity, max_size=arity),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    variables = tuple(f"v{j}" for j in range(arity))
+    poly = Polynomial(degree, variables, tuple(exponents), tuple(coefficients))
+    return poly, variables, rows
+
+
 class TestPolynomial:
+    @given(sparse_polynomials())
+    @settings(max_examples=200)
+    def test_evaluate_matches_scalar_oracle(self, case):
+        poly, variables, rows = case
+        # sum of |term| is the same polynomial with |c| evaluated at |x|
+        magnitude = Polynomial(
+            poly.degree,
+            variables,
+            poly.exponents,
+            tuple(abs(c) for c in poly.coefficients),
+        )
+        X = np.array(rows, dtype=float).reshape(len(rows), len(variables))
+        got = poly.evaluate(X)
+        for r, row in enumerate(rows):
+            want = polynomial_value(poly, dict(zip(variables, row)))
+            scale = polynomial_value(
+                magnitude, {v: abs(x) for v, x in zip(variables, row)}
+            )
+            assert abs(got[r] - want) <= 1e-12 * scale
+
     def test_render_raw_units(self):
         text = CEMENT_RULE.consequent_fn.render()
         assert "0.3*cement" in text

@@ -211,7 +211,7 @@ class TestDeterminism:
     def test_identical_runs_export_identically(self):
         a = make_dataset(seed=31, n=150)
         b = make_dataset(seed=31, n=150)
-        cfg = GenerationConfig(degree=2, seed=5)
+        cfg = GenerationConfig(degree=2)
         ua = generate_candidates(a, partitions_for(a), cfg)
         ub = generate_candidates(b, partitions_for(b), cfg)
         assert dumps(universe_to_dict(ua)) == dumps(universe_to_dict(ub))
@@ -247,5 +247,5 @@ class TestConfig:
             GenerationConfig(**kwargs)
 
     def test_dict_roundtrip(self):
-        cfg = GenerationConfig(degree=1, tnorm="product", min_rows=4, seed=9)
+        cfg = GenerationConfig(degree=1, tnorm="product", min_rows=4)
         assert GenerationConfig.from_dict(cfg.to_dict()) == cfg

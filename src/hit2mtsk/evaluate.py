@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, FoldSplit, split_holdout
 from .dominance import error_dominance
-from .inference import Model, _weigh, predict_values, reduce_firing
+from .inference import Model, _weigh, predict_batch, predict_values, reduce_firing
 from .pipeline import TrainConfig, derive_seed, train_model
 from .rules import Polynomial
 
@@ -233,27 +233,21 @@ def run_cv(
     """
     if not folds:
         raise ValueError("no folds given")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     name = dataset_name or folds[0].train.name
 
     def run_fold(fold: FoldSplit):
-        result = train_model(fold.train, config)
-        values, fired_counts, fallback = predict_values(result.model, fold.test)
-        rmse = float(np.sqrt(np.mean((values - fold.test.y) ** 2)))
-        return result.model, rmse, float(np.mean(fallback))
+        model = train_model(fold.train, config).model
+        scored = predict_batch(model, fold.test)
+        return model, scored.rmse, scored.fallback_rate
 
     outcomes: list = [None] * len(folds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_fold, f) for f in folds]
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes[i] = fut.result()
-                except (ValueError, RuntimeError) as exc:
-                    outcomes[i] = exc
-    else:
-        for i, fold in enumerate(folds):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(run_fold, f) for f in folds]
+        for i, fut in enumerate(futures):
             try:
-                outcomes[i] = run_fold(fold)
+                outcomes[i] = fut.result()
             except (ValueError, RuntimeError) as exc:
                 outcomes[i] = exc
 
@@ -375,29 +369,27 @@ def case_study(
     hybrid_model = result.model
     baseline_model = derive_mamdani(hybrid_model, train)
 
-    h_values, _, h_fallback = predict_values(hybrid_model, test)
-    b_values, _, b_fallback = predict_values(baseline_model, test)
-    h_rmse = float(np.sqrt(np.mean((h_values - test.y) ** 2)))
-    b_rmse = float(np.sqrt(np.mean((b_values - test.y) ** 2)))
+    hybrid = predict_batch(hybrid_model, test)
+    baseline = predict_batch(baseline_model, test)
 
     explain_seed = derive_seed(config.seed, 102)
     hybrid_report = EvalReport(
         dataset=dataset.name,
         variant=config.variant,
-        fold_rmse=(h_rmse,),
-        mean_rmse=h_rmse,
+        fold_rmse=(hybrid.rmse,),
+        mean_rmse=hybrid.rmse,
         reference=reference_for(dataset.name),
         explainability=explainability_block(hybrid_model, test, seed=explain_seed),
-        fallback_rate=float(np.mean(h_fallback)),
+        fallback_rate=hybrid.fallback_rate,
     )
     baseline_report = EvalReport(
         dataset=dataset.name,
         variant="mamdani",
-        fold_rmse=(b_rmse,),
-        mean_rmse=b_rmse,
+        fold_rmse=(baseline.rmse,),
+        mean_rmse=baseline.rmse,
         reference=reference_for(dataset.name),
         explainability=None,
-        fallback_rate=float(np.mean(b_fallback)),
+        fallback_rate=baseline.fallback_rate,
     )
     return CaseStudyResult(
         hybrid=hybrid_report,
@@ -405,6 +397,6 @@ def case_study(
         hybrid_model=hybrid_model,
         baseline_model=baseline_model,
         test=test,
-        hybrid_values=h_values,
-        baseline_values=b_values,
+        hybrid_values=hybrid.values,
+        baseline_values=baseline.values,
     )

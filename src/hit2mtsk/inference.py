@@ -205,14 +205,17 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     if not model.rules:
         raise NotTrainedError("model has no rules")
     columns = _column_table(model.feature_partitions, data)
-    F_lo, F_hi, Y = rule_matrices(
-        model.rules, model.feature_partitions, columns, model.tnorm
-    )
+    # an overflowing polynomial is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        F_lo, F_hi, Y = rule_matrices(
+            model.rules, model.feature_partitions, columns, model.tnorm
+        )
     fired_counts = np.count_nonzero(F_hi > 0.0, axis=0)
     dom = np.array([r.error_dominance for r in model.rules])
     W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None]
     wsum = W.sum(axis=0)
-    psum = (W * Y).sum(axis=0)
+    # only weighted rules contribute, so a non-firing rule's NaN is not 0 x NaN
+    psum = np.multiply(W, Y, out=np.zeros_like(W), where=W > 0.0).sum(axis=0)
     fallback = wsum <= 0.0
     values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))
     nan_rows = np.flatnonzero(np.isnan(values))

@@ -283,7 +283,7 @@ def build_partition(
                 shape=shape,
                 upper_params=tuple(float(v) for v in upper),
                 lower_params=tuple(float(v) for v in lower),
-                fou_scale=fou_scale,
+                fou_scale=float(fou_scale),
                 support=(float(support[0]), float(support[1])),
             )
         )

@@ -1,12 +1,16 @@
 """Bit-exact artifact round-trips.
 
-Everything is JSON with sorted keys; floats serialize via repr so a
-reloaded artifact is byte-identical when re-saved.  No timestamps, no
-environment-dependent content: same model in, same bytes out.
+Every document is its dataclass fields (``dataclasses.asdict``) under a
+``format``/``version`` header, as JSON with sorted keys; floats serialize
+via repr so a reloaded artifact is byte-identical when re-saved.  The
+decoders validate their input and refuse any other format or version.
+No timestamps, no environment-dependent content: same model in, same
+bytes out.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,15 +29,20 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def set_to_dict(s: IT2Set) -> dict:
-    return {
-        "name": s.name,
-        "shape": s.shape,
-        "upper_params": [float(v) for v in s.upper_params],
-        "lower_params": [float(v) for v in s.lower_params],
-        "fou_scale": float(s.fou_scale),
-        "support": [float(v) for v in s.support],
-    }
+def _document(fmt: str, **content) -> dict:
+    return {"format": fmt, "version": FORMAT_VERSION, **content}
+
+
+def _check_header(d: Mapping, fmt: str) -> None:
+    """Reject anything but a ``fmt`` document of ``FORMAT_VERSION``."""
+    kind = fmt.removeprefix("hit2mtsk-")
+    if d.get("format") != fmt:
+        raise ValueError(f"not a {kind} file (format={d.get('format')!r})")
+    if d.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported {kind} file version {d.get('version')!r} "
+            f"(expected {FORMAT_VERSION})"
+        )
 
 
 def set_from_dict(d: Mapping) -> IT2Set:
@@ -47,29 +56,12 @@ def set_from_dict(d: Mapping) -> IT2Set:
     )
 
 
-def partition_to_dict(p: Partition) -> dict:
-    return {
-        "variable": p.variable,
-        "domain": [float(p.domain[0]), float(p.domain[1])],
-        "sets": [set_to_dict(s) for s in p.sets],
-    }
-
-
 def partition_from_dict(d: Mapping) -> Partition:
     return Partition(
         variable=d["variable"],
         sets=tuple(set_from_dict(s) for s in d["sets"]),
         domain=(float(d["domain"][0]), float(d["domain"][1])),
     )
-
-
-def polynomial_to_dict(fn: Polynomial) -> dict:
-    return {
-        "degree": fn.degree,
-        "variables": list(fn.variables),
-        "exponents": [list(e) for e in fn.exponents],
-        "coefficients": [float(c) for c in fn.coefficients],
-    }
 
 
 def polynomial_from_dict(d: Mapping) -> Polynomial:
@@ -79,17 +71,6 @@ def polynomial_from_dict(d: Mapping) -> Polynomial:
         exponents=tuple(tuple(int(k) for k in e) for e in d["exponents"]),
         coefficients=tuple(float(c) for c in d["coefficients"]),
     )
-
-
-def rule_to_dict(rule: HybridRule) -> dict:
-    return {
-        "antecedent": [[v, s] for v, s in rule.antecedent],
-        "consequent_set": rule.consequent_set,
-        "consequent_fn": polynomial_to_dict(rule.consequent_fn),
-        "clamp_bounds": [float(b) for b in rule.clamp_bounds],
-        "fuzzy_dominance": [float(v) for v in rule.fuzzy_dominance],
-        "error_dominance": float(rule.error_dominance),
-    }
 
 
 def rule_from_dict(d: Mapping) -> HybridRule:
@@ -110,27 +91,11 @@ def rule_from_dict(d: Mapping) -> HybridRule:
 
 
 def model_to_dict(model: Model) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": FORMAT_VERSION,
-        "feature_partitions": [
-            partition_to_dict(p) for p in model.feature_partitions
-        ],
-        "target_partition": partition_to_dict(model.target_partition),
-        "rules": [rule_to_dict(r) for r in model.rules],
-        "tnorm": model.tnorm,
-        "firing_reduction": model.firing_reduction,
-        "fallback_value": float(model.fallback_value),
-        "feature_stats": [
-            [name, float(mu), float(sd)] for name, mu, sd in model.feature_stats
-        ],
-        "manifest": dict(model.manifest),
-    }
+    return _document(MODEL_FORMAT, **asdict(model))
 
 
 def model_from_dict(d: Mapping) -> Model:
-    if d.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model file (format={d.get('format')!r})")
+    _check_header(d, MODEL_FORMAT)
     return Model(
         feature_partitions=tuple(
             partition_from_dict(p) for p in d["feature_partitions"]
@@ -156,25 +121,13 @@ def load_model(path) -> Model:
 
 
 def universe_to_dict(universe: RuleUniverse) -> dict:
-    return {
-        "format": UNIVERSE_FORMAT,
-        "version": FORMAT_VERSION,
-        "rules": [rule_to_dict(r) for r in universe.rules],
-        "feature_partitions": [
-            partition_to_dict(p) for p in universe.feature_partitions
-        ],
-        "target_partition": partition_to_dict(universe.target_partition),
-        "manifest": {
-            "config": universe.config.to_dict(),
-            "dataset_fingerprint": universe.dataset_fingerprint,
-            "coverage": float(universe.coverage),
-        },
-    }
+    d = asdict(universe)
+    manifest = {k: d.pop(k) for k in ("config", "dataset_fingerprint", "coverage")}
+    return _document(UNIVERSE_FORMAT, **d, manifest=manifest)
 
 
 def universe_from_dict(d: Mapping) -> RuleUniverse:
-    if d.get("format") != UNIVERSE_FORMAT:
-        raise ValueError(f"not a universe file (format={d.get('format')!r})")
+    _check_header(d, UNIVERSE_FORMAT)
     m = d["manifest"]
     return RuleUniverse(
         rules=tuple(rule_from_dict(r) for r in d["rules"]),
@@ -230,20 +183,18 @@ def save_rules(
     """Write the text export and (optionally) its bit-exact JSON mirror."""
     Path(text_path).write_text(rules_text(rules, target_variable))
     if json_path is not None:
-        doc = {
-            "format": RULES_FORMAT,
-            "version": FORMAT_VERSION,
-            "target_variable": target_variable,
-            "rules": [rule_to_dict(r) for r in rules],
-            "manifest": dict(manifest) if manifest else {},
-        }
+        doc = _document(
+            RULES_FORMAT,
+            target_variable=target_variable,
+            rules=[asdict(r) for r in rules],
+            manifest=dict(manifest) if manifest else {},
+        )
         Path(json_path).write_text(dumps(doc))
 
 
 def load_rules(json_path) -> list[HybridRule]:
     d = json.loads(Path(json_path).read_text())
-    if d.get("format") != RULES_FORMAT:
-        raise ValueError(f"not a rules file (format={d.get('format')!r})")
+    _check_header(d, RULES_FORMAT)
     return [rule_from_dict(r) for r in d["rules"]]
 
 

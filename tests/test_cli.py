@@ -233,6 +233,18 @@ class TestCrossval:
         assert "reference scores:" in printed
         assert "hybrid_d3" in printed
 
+    def test_zero_threads_is_a_config_error(self, ws, tmp_path, capsys):
+        code = main(
+            [
+                "crossval", "--data", str(ws.csv), "--target", "y",
+                "--config", str(ws.cfg), "--out", str(tmp_path / "o"),
+                "--threads", "0",
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_unknown_name_lists_known_ones(self, ws, capsys):
         out = ws.root / "cvunknown"
         code = main(
@@ -399,8 +411,12 @@ def drop_tnorm(doc):
     del doc["tnorm"]
 
 
+def bump_version(doc):
+    doc["version"] = 2
+
+
 class TestCorruptModel:
-    @pytest.mark.parametrize("corrupt", [rename_rule_set, drop_tnorm])
+    @pytest.mark.parametrize("corrupt", [rename_rule_set, drop_tnorm, bump_version])
     @pytest.mark.parametrize("command", ["predict", "explain"])
     def test_is_a_data_error(self, ws, bundle, tmp_path, capsys, command, corrupt):
         doc = json.loads((bundle / "model.json").read_text())

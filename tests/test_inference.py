@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,11 @@ RULE_HIGH = HybridRule(
     clamp_bounds=(0.0, 30.0),
     fuzzy_dominance=(0.5, 0.5),
     error_dominance=0.5,
+)
+
+# at the finite input 1e300, x^2 - x^3 evaluates to inf - inf = NaN
+CUBIC = Polynomial(
+    degree=3, variables=("x",), exponents=((2,), (3,)), coefficients=(1.0, -1.0)
 )
 
 
@@ -257,12 +263,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
     def test_overflowing_polynomial_rejected_on_every_path(self, path):
-        # at the finite input 1e300, x^2 - x^3 evaluates to inf - inf = NaN
-        cubic = Polynomial(
-            degree=3, variables=("x",), exponents=((2,), (3,)), coefficients=(1.0, -1.0)
-        )
         model = two_rule_model(
-            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=cubic))
+            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC))
         )
         row = 0 if path == "predict" else 1
         raises = pytest.raises(ValueError, match=f"row {row} is NaN")
@@ -273,6 +275,35 @@ class TestValidation:
                 predict_values(model, {"x": np.array([1.0, 1e300, 3.0])})
             else:
                 predict_batch(model, {"x": np.array([1.0, 1e300, 3.0])})
+
+    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    def test_overflowing_rule_that_does_not_fire_is_ignored(self, path):
+        # at x = 1e300 only High fires; Low's x^2 - x^3 is NaN there but
+        # has weight 0, so the prediction is High's 20
+        model = two_rule_model(
+            rules=(replace(RULE_LOW, consequent_fn=CUBIC), RULE_HIGH)
+        )
+        if path == "predict":
+            value = predict(model, {"x": 1e300}).value
+        elif path == "predict_values":
+            value = predict_values(model, {"x": np.array([1e300])})[0][0]
+        else:
+            value = predict_batch(model, {"x": np.array([1e300])}).values[0]
+        assert value == 20.0
+
+    def test_overflow_is_not_warned_about(self):
+        masked = two_rule_model(
+            rules=(replace(RULE_LOW, consequent_fn=CUBIC), RULE_HIGH)
+        )
+        fired = two_rule_model(
+            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC))
+        )
+        rows = {"x": np.array([1.0, 1e300])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict_values(masked, rows)[0][1] == 20.0
+            with pytest.raises(ValueError, match="row 1 is NaN"):
+                predict_values(fired, rows)
 
     @pytest.mark.parametrize(
         "rule",

@@ -1,4 +1,6 @@
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,8 @@ from hit2mtsk.persist import (
     load_rules,
     model_to_dict,
     partition_from_dict,
-    partition_to_dict,
     polynomial_from_dict,
-    polynomial_to_dict,
     rule_from_dict,
-    rule_to_dict,
     rules_text,
     save_rules,
     universe_to_dict,
@@ -31,19 +30,25 @@ from hit2mtsk.inference import predict_values
 from hit2mtsk.it2 import build_partition
 from hit2mtsk.rules import Polynomial
 
-from test_inference import RULE_HIGH, RULE_LOW, X_PART
+from test_inference import RULE_HIGH, RULE_LOW, X_PART, two_rule_model
+
+GOLDEN_MODEL = Path(__file__).with_name("golden") / "two_rule_model.json"
+
+
+def encode(record) -> dict:
+    """A record's fields as a saved file holds them."""
+    return json.loads(dumps(asdict(record)))
 
 
 class TestComponentRoundTrips:
     def test_partition(self):
-        d = partition_to_dict(X_PART)
-        back = partition_from_dict(d)
+        back = partition_from_dict(encode(X_PART))
         assert back == X_PART
 
     def test_built_partition_with_awkward_floats(self):
         rng = np.random.default_rng(3)
         p = build_partition(rng.normal(0.0, 1e-7, 200), 5, variable="tiny")
-        assert partition_from_dict(partition_to_dict(p)) == p
+        assert partition_from_dict(encode(p)) == p
 
     def test_polynomial(self):
         fn = Polynomial(
@@ -52,10 +57,22 @@ class TestComponentRoundTrips:
             exponents=((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
             coefficients=(0.1, -2.5e-7, 3.0, 1e300, -0.0, 7.25),
         )
-        assert polynomial_from_dict(polynomial_to_dict(fn)) == fn
+        assert polynomial_from_dict(encode(fn)) == fn
 
     def test_rule(self):
-        assert rule_from_dict(rule_to_dict(RULE_HIGH)) == RULE_HIGH
+        assert rule_from_dict(encode(RULE_HIGH)) == RULE_HIGH
+
+
+class TestFileLayout:
+    def test_model_document_is_pinned(self):
+        # the layout follows the dataclass fields, so renaming a field
+        # would change every file; this literal document catches that
+        assert dumps(model_to_dict(two_rule_model())) == GOLDEN_MODEL.read_text()
+
+    def test_integer_fou_scale_is_saved_as_a_float(self):
+        p = build_partition(np.linspace(0.0, 1.0, 20), 3, fou_scale=1)
+        assert all(type(s.fou_scale) is float for s in p.sets)
+        assert '"fou_scale": 1.0' in dumps(encode(p))
 
 
 class TestModelFiles:
@@ -80,6 +97,12 @@ class TestModelFiles:
         path = tmp_path / "notmodel.json"
         path.write_text(dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a model file"):
+            load_model(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(dumps({**model_to_dict(two_rule_model()), "version": 2}))
+        with pytest.raises(ValueError, match="unsupported model file version 2"):
             load_model(path)
 
     def test_no_volatile_content(self, trained):
@@ -110,6 +133,14 @@ class TestUniverseFiles:
         path = tmp_path / "u.json"
         save_model(trained.model, path)
         with pytest.raises(ValueError, match="not a universe file"):
+            load_universe(path)
+
+    def test_unknown_version_rejected(self, trained, tmp_path):
+        doc = universe_to_dict(trained.universe)
+        doc["version"] = 2
+        path = tmp_path / "u.json"
+        path.write_text(dumps(doc))
+        with pytest.raises(ValueError, match="unsupported universe file version 2"):
             load_universe(path)
 
     def test_generation_seed_rejected(self, trained, tmp_path):
@@ -151,6 +182,15 @@ class TestRulesExport:
         save_model(trained.model, path)
         with pytest.raises(ValueError, match="not a rules file"):
             load_rules(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        js = tmp_path / "rules.json"
+        save_rules([RULE_LOW], "y", tmp_path / "rules.txt", js)
+        doc = json.loads(js.read_text())
+        doc["version"] = 2
+        js.write_text(dumps(doc))
+        with pytest.raises(ValueError, match="unsupported rules file version 2"):
+            load_rules(js)
 
 
 class TestCsvEmission:

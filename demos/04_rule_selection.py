@@ -42,9 +42,8 @@ config = AcoConfig(
     num_iterations=60,
     subset_size_range=(4, 20),
     patience=15,
-    seed=1,
 )
-subset, trace = select_rules(universe, ds, None, config)
+subset, trace = select_rules(universe, ds, None, config, seed=1)
 
 print(f"\nselected {len(subset.indices)} of {len(universe)} rules, cost {subset.cost:.4f}")
 print("convergence (iteration, best cost so far):")

@@ -32,7 +32,7 @@ ds = Dataset(name="demo", feature_names=("x1", "x2"), X=X, target_name="y", y=y)
 
 config = TrainConfig(
     generation=GenerationConfig(degree=2, max_candidates=150),
-    aco=AcoConfig(num_ants=8, num_iterations=30, patience=8, seed=3),
+    aco=AcoConfig(num_ants=8, num_iterations=30, patience=8),
     seed=3,
 )
 result = train_model(ds, config)

@@ -10,8 +10,7 @@ from its own (seed, iteration, ant) derived stream.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class AcoConfig:
     initial_pheromone: float = 0.1
     subset_size_range: tuple[int, int] = (10, 100)
     patience: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_ants < 1 or self.num_iterations < 1:
@@ -58,16 +56,6 @@ class AcoConfig:
             )
         if self.patience < 1:
             raise AcoConfigError("patience must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "subset_size_range": list(self.subset_size_range)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "AcoConfig":
-        d = dict(d)
-        if "subset_size_range" in d:
-            d["subset_size_range"] = tuple(d["subset_size_range"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -105,13 +93,15 @@ def select_rules(
     validation_data: Dataset | None,
     config: AcoConfig = AcoConfig(),
     firing_reduction: str = "midpoint",
+    seed: int = 0,
 ) -> tuple[RuleSubset, tuple[tuple[int, float], ...]]:
     """Search for the lowest-RMSE rule subset.
 
     Scoring rows are the concatenation of ``train_data`` and
-    ``validation_data`` (the latter may be None).  Subset sizes beyond
-    the universe size are clamped down to it.  Returns the best subset
-    and the (iteration, best RMSE so far) trace.
+    ``validation_data`` (the latter may be None).  ``seed`` fixes every
+    ant's draws.  Subset sizes beyond the universe size are clamped down
+    to it.  Returns the best subset and the (iteration, best RMSE so far)
+    trace.
     """
     rules = universe.rules
     total = len(rules)
@@ -159,7 +149,7 @@ def select_rules(
         deposits: list[tuple[np.ndarray, float]] = []
         for ant in range(config.num_ants):
             rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, iteration, ant])
+                np.random.SeedSequence([seed, iteration, ant])
             )
             size = int(rng.integers(lo, hi + 1))
             weights = pheromone**config.alpha * heuristic**config.beta

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .evaluate import (
 )
 from .inference import Model, NotTrainedError, predict, predict_values
 from .persist import (
+    decode,
     dumps,
     load_model,
     save_model,
@@ -61,26 +62,36 @@ class CliError(Exception):
         self.code = code
 
 
+def _overlay(base, top):
+    """``top`` laid over ``base``, merging JSON objects key by key."""
+    if type(base) is dict and type(top) is dict:
+        return {**base, **{k: _overlay(base.get(k), v) for k, v in top.items()}}
+    return top
+
+
 def _load_config(args) -> TrainConfig:
-    base: dict = {}
+    """Defaults, then the ``--config`` file, then the flags, decoded as one."""
+    doc = asdict(TrainConfig())
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise CliError(EXIT_CONFIG, f"config file not found: {path}")
         try:
-            base = json.loads(path.read_text())
+            written = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(EXIT_CONFIG, f"config is not valid JSON: {exc}")
+        if type(written) is not dict:
+            raise CliError(EXIT_CONFIG, "config must be a JSON object")
+        doc = _overlay(doc, written)
+    flags: dict = {}
+    if getattr(args, "variant", None):
+        flags["generation"] = {"degree": int(args.variant.lower().lstrip("d"))}
+    if getattr(args, "sets", None):
+        flags["num_sets"] = args.sets
+    if getattr(args, "seed", None) is not None:
+        flags["seed"] = args.seed
     try:
-        cfg = TrainConfig.from_dict(base)
-        if getattr(args, "variant", None):
-            degree = int(args.variant.lower().lstrip("d"))
-            cfg = replace(cfg, generation=replace(cfg.generation, degree=degree))
-        if getattr(args, "sets", None):
-            cfg = replace(cfg, num_sets=args.sets)
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=args.seed)
-        return cfg
+        return decode(TrainConfig, _overlay(doc, flags))
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"bad configuration: {exc}")
 
@@ -116,14 +127,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_trace(path: Path, trace, manifest) -> None:
-    lines = ["# " + json.dumps(dict(manifest), sort_keys=True)]
-    lines.append("iteration,best_rmse")
-    for it, best in trace:
-        lines.append(f"{it},{repr(float(best))}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     dataset = _load_dataset(args)
@@ -138,7 +141,9 @@ def cmd_train(args) -> int:
         out / "rules.json",
         manifest=manifest,
     )
-    _write_trace(out / "aco_trace.csv", result.trace, manifest)
+    write_xy_csv(
+        out / "aco_trace.csv", ("iteration", "best_rmse"), zip(*result.trace), manifest
+    )
     if args.save_universe:
         save_universe(result.universe, out / "universe.json")
     print(f"trained {len(result.model.rules)} rules "
@@ -158,20 +163,16 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)
-    rows = []
-    for i in range(values.size):
-        rows.append(
-            f"{repr(float(values[i]))},{repr(float(dataset.y[i]))},"
-            f"{int(fired_counts[i])},{int(fallback[i])}"
-        )
     manifest = {
         "model_manifest": dict(model.manifest),
         "data_fingerprint": dataset_fingerprint(dataset),
     }
-    text = ["# " + json.dumps(manifest, sort_keys=True)]
-    text.append("prediction,target,fired_rules,fallback")
-    text.extend(rows)
-    (out / "predictions.csv").write_text("\n".join(text) + "\n")
+    write_xy_csv(
+        out / "predictions.csv",
+        ("prediction", "target", "fired_rules", "fallback"),
+        (values, dataset.y, fired_counts, fallback),
+        manifest,
+    )
     rmse = float(np.sqrt(np.mean((values - dataset.y) ** 2)))
     print(f"predicted {values.size} rows, rmse {rmse:.6g}, "
           f"fallback rate {float(np.mean(fallback)):.4f}")
@@ -209,9 +210,9 @@ def cmd_crossval(args) -> int:
     except TrainingFailedError as exc:
         raise CliError(EXIT_TRAIN, str(exc))
     out = _outdir(args)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["manifest"] = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": config.seed,
         "fold_fingerprints": [
             dataset_fingerprint(f.train) for f in folds
@@ -247,7 +248,7 @@ def cmd_explain(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
-    doc = block.to_dict()
+    doc = asdict(block)
     doc["manifest"] = {
         "model_manifest": dict(model.manifest),
         "data_fingerprint": dataset_fingerprint(dataset),
@@ -290,8 +291,8 @@ def cmd_baseline(args) -> int:
         study.baseline_model, study.test
     )
     doc = {
-        "hybrid": study.hybrid.to_dict(),
-        "baseline": study.baseline.to_dict(),
+        "hybrid": asdict(study.hybrid),
+        "baseline": asdict(study.baseline),
         "banding": {
             "distinct_single_fire_values": distinct,
             "single_fire_rows": single_rows,
@@ -300,22 +301,16 @@ def cmd_baseline(args) -> int:
         "manifest": dict(manifest),
     }
     (out / "report.json").write_text(dumps(doc))
-    write_xy_csv(
-        out / "hybrid_scatter.csv", ("actual", "predicted"),
-        (study.test.y, study.hybrid_values), manifest,
-    )
-    write_xy_csv(
-        out / "baseline_scatter.csv", ("actual", "predicted"),
-        (study.test.y, study.baseline_values), manifest,
-    )
-    write_xy_csv(
-        out / "hybrid_residuals.csv", ("residual",),
-        (study.hybrid_values - study.test.y,), manifest,
-    )
-    write_xy_csv(
-        out / "baseline_residuals.csv", ("residual",),
-        (study.baseline_values - study.test.y,), manifest,
-    )
+    for name, values in (("hybrid", study.hybrid_values),
+                         ("baseline", study.baseline_values)):
+        write_xy_csv(
+            out / f"{name}_scatter.csv", ("actual", "predicted"),
+            (study.test.y, values), manifest,
+        )
+        write_xy_csv(
+            out / f"{name}_residuals.csv", ("residual",),
+            (values - study.test.y,), manifest,
+        )
     print(f"hybrid rmse {study.hybrid.mean_rmse:.6g} vs "
           f"baseline rmse {study.baseline.mean_rmse:.6g}")
     print(f"banding: {distinct} distinct values on {single_rows} "

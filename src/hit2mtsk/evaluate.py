@@ -72,7 +72,7 @@ def reference_for(dataset_name: str) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Explainability:
-    """Case-study metrics block."""
+    """Case-study metrics block; JSON writes its float keys as strings."""
 
     classes_covered: float
     active_rules: dict[float, float]
@@ -81,17 +81,6 @@ class Explainability:
     dataset_coverage: float
     prediction_range_fraction: float
     noise_deltas: dict[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "classes_covered": self.classes_covered,
-            "active_rules": {str(k): v for k, v in self.active_rules.items()},
-            "rule_count": self.rule_count,
-            "mean_antecedents": self.mean_antecedents,
-            "dataset_coverage": self.dataset_coverage,
-            "prediction_range_fraction": self.prediction_range_fraction,
-            "noise_deltas": {str(k): v for k, v in self.noise_deltas.items()},
-        }
 
 
 @dataclass(frozen=True)
@@ -105,21 +94,6 @@ class EvalReport:
     fallback_rate: float
     failed_folds: tuple[int, ...] = ()
     warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "fold_rmse": list(self.fold_rmse),
-            "mean_rmse": self.mean_rmse,
-            "reference": dict(self.reference),
-            "explainability": (
-                self.explainability.to_dict() if self.explainability else None
-            ),
-            "fallback_rate": self.fallback_rate,
-            "failed_folds": list(self.failed_folds),
-            "warning": self.warning,
-        }
 
 
 def active_rules_per_prediction(

@@ -2,22 +2,27 @@
 
 Every document is its dataclass fields (``dataclasses.asdict``) under a
 ``format``/``version`` header, as JSON with sorted keys; floats serialize
-via repr so a reloaded artifact is byte-identical when re-saved.  The
-decoders validate their input and refuse any other format or version.
+via repr so a reloaded artifact is byte-identical when re-saved.  One
+reader, ``decode``, builds every record back from parsed JSON, checking
+each key and type; the loaders also refuse any other format or version.
 No timestamps, no environment-dependent content: same model in, same
 bytes out.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
+from functools import cache
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .inference import Model
-from .it2 import IT2Set, Partition
-from .rules import HybridRule, Polynomial
-from .universe import GenerationConfig, RuleUniverse
+from .rules import HybridRule
+from .universe import RuleUniverse
 
 MODEL_FORMAT = "hit2mtsk-model"
 UNIVERSE_FORMAT = "hit2mtsk-universe"
@@ -33,9 +38,11 @@ def _document(fmt: str, **content) -> dict:
     return {"format": fmt, "version": FORMAT_VERSION, **content}
 
 
-def _check_header(d: Mapping, fmt: str) -> None:
-    """Reject anything but a ``fmt`` document of ``FORMAT_VERSION``."""
+def _check_header(d, fmt: str) -> dict:
+    """The content of a ``fmt`` document of ``FORMAT_VERSION``, header removed."""
     kind = fmt.removeprefix("hit2mtsk-")
+    if type(d) is not dict:
+        raise TypeError(f"a {kind} file must hold a JSON object, not {_kind(d)}")
     if d.get("format") != fmt:
         raise ValueError(f"not a {kind} file (format={d.get('format')!r})")
     if d.get("version") != FORMAT_VERSION:
@@ -43,73 +50,90 @@ def _check_header(d: Mapping, fmt: str) -> None:
             f"unsupported {kind} file version {d.get('version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    return {k: v for k, v in d.items() if k not in ("format", "version")}
 
 
-def set_from_dict(d: Mapping) -> IT2Set:
-    return IT2Set(
-        name=d["name"],
-        shape=d["shape"],
-        upper_params=tuple(float(v) for v in d["upper_params"]),
-        lower_params=tuple(float(v) for v in d["lower_params"]),
-        fou_scale=float(d["fou_scale"]),
-        support=tuple(float(v) for v in d["support"]),
-    )
+def decode(cls, value):
+    """Build a ``cls`` from parsed JSON, checking every key and type.
+
+    ``cls`` is a dataclass or an annotation its fields use: a dataclass,
+    ``tuple[X, ...]``, ``tuple[X, Y]``, ``X | None``, ``float`` (any JSON
+    number; a whole number must fit in 64 bits), ``int``, ``str``, ``bool``
+    or ``Mapping`` (any JSON object).  Leaves are kept as parsed.  A
+    dataclass must be an object with exactly its fields and is built by its
+    constructor, so its own checks run.  A wrong shape raises ``TypeError``
+    and a rejected value ``ValueError``.
+    """
+    return _reader(cls)(value)
 
 
-def partition_from_dict(d: Mapping) -> Partition:
-    return Partition(
-        variable=d["variable"],
-        sets=tuple(set_from_dict(s) for s in d["sets"]),
-        domain=(float(d["domain"][0]), float(d["domain"][1])),
-    )
+def _kind(value) -> str:
+    kinds = {dict: "an object", list: "an array", tuple: "an array"}
+    return kinds.get(type(value)) or json.dumps(value)
 
 
-def polynomial_from_dict(d: Mapping) -> Polynomial:
-    return Polynomial(
-        degree=int(d["degree"]),
-        variables=tuple(d["variables"]),
-        exponents=tuple(tuple(int(k) for k in e) for e in d["exponents"]),
-        coefficients=tuple(float(c) for c in d["coefficients"]),
-    )
+# the Python types that parsed JSON may hold for each leaf annotation
+_LEAVES = {float: {float, int}, int: {int}, str: {str}, bool: {bool}, Mapping: {dict}}
 
 
-def rule_from_dict(d: Mapping) -> HybridRule:
-    return HybridRule(
-        antecedent=tuple((v, s) for v, s in d["antecedent"]),
-        consequent_set=d["consequent_set"],
-        consequent_fn=polynomial_from_dict(d["consequent_fn"]),
-        clamp_bounds=(
-            float(d["clamp_bounds"][0]),
-            float(d["clamp_bounds"][1]),
-        ),
-        fuzzy_dominance=(
-            float(d["fuzzy_dominance"][0]),
-            float(d["fuzzy_dominance"][1]),
-        ),
-        error_dominance=float(d["error_dominance"]),
-    )
+@cache
+def _reader(tp):
+    """The checking reader of one annotation, built once per annotation."""
+    if tp in _LEAVES:
+        allowed = _LEAVES[tp]
+
+        def read_leaf(value):
+            if type(value) not in allowed:
+                raise TypeError(f"expected {tp.__name__}, got {_kind(value)}")
+            # numpy cannot compute with a whole number wider than 64 bits
+            if tp is float and type(value) is int and not -(2**63) <= value < 2**63:
+                raise ValueError(f"whole number {value} does not fit in 64 bits")
+            return value
+
+        return read_leaf
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        names = [f.name for f in fields(tp)]  # in constructor order
+        keys, readers = set(names), [_reader(hints[name]) for name in names]
+
+        def read_record(value):
+            if type(value) is not dict:
+                raise TypeError(f"{tp.__name__} must be an object, not {_kind(value)}")
+            if value.keys() != keys:
+                problems = [f"unknown key {k!r}" for k in value.keys() - keys]
+                problems += [f"missing key {k!r}" for k in keys - value.keys()]
+                raise TypeError(f"{tp.__name__}: {', '.join(sorted(problems))}")
+            return tp(*(read(value[name]) for read, name in zip(readers, names)))
+
+        return read_record
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        read_some = _reader(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else read_some(value)
+    if origin is tuple:
+        variadic = args[1:] == (Ellipsis,)
+        items = args[:1] if variadic else args
+        readers = repeat(_reader(items[0])) if variadic else tuple(map(_reader, items))
+        # an array of one leaf type whose items all have exactly that type
+        # passes every leaf check, so it is taken in one pass; reading it
+        # item by item makes loading a 99-rule model about 1.6 times slower
+        exact = {items[0]} if items[0] in _LEAVES and len(set(items)) == 1 else None
+
+        def read_tuple(value):
+            if type(value) not in (list, tuple):
+                raise TypeError(f"expected an array, got {_kind(value)}")
+            if not variadic and len(value) != len(items):
+                raise TypeError(f"expected {len(items)} items, got {len(value)}")
+            if exact is not None and exact.issuperset(map(type, value)):
+                return tuple(value)
+            return tuple(read(v) for read, v in zip(readers, value))
+
+        return read_tuple
+    raise TypeError(f"cannot decode annotation {tp!r}")
 
 
 def model_to_dict(model: Model) -> dict:
     return _document(MODEL_FORMAT, **asdict(model))
-
-
-def model_from_dict(d: Mapping) -> Model:
-    _check_header(d, MODEL_FORMAT)
-    return Model(
-        feature_partitions=tuple(
-            partition_from_dict(p) for p in d["feature_partitions"]
-        ),
-        target_partition=partition_from_dict(d["target_partition"]),
-        rules=tuple(rule_from_dict(r) for r in d["rules"]),
-        tnorm=d["tnorm"],
-        firing_reduction=d["firing_reduction"],
-        fallback_value=float(d["fallback_value"]),
-        feature_stats=tuple(
-            (name, float(mu), float(sd)) for name, mu, sd in d["feature_stats"]
-        ),
-        manifest=d.get("manifest", {}),
-    )
 
 
 def save_model(model: Model, path) -> None:
@@ -117,28 +141,18 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    d = json.loads(Path(path).read_text())
+    return decode(Model, _check_header(d, MODEL_FORMAT))
+
+
+# RuleUniverse fields that a universe file keeps in its manifest block
+_UNIVERSE_MANIFEST = ("config", "dataset_fingerprint", "coverage")
 
 
 def universe_to_dict(universe: RuleUniverse) -> dict:
     d = asdict(universe)
-    manifest = {k: d.pop(k) for k in ("config", "dataset_fingerprint", "coverage")}
+    manifest = {k: d.pop(k) for k in _UNIVERSE_MANIFEST}
     return _document(UNIVERSE_FORMAT, **d, manifest=manifest)
-
-
-def universe_from_dict(d: Mapping) -> RuleUniverse:
-    _check_header(d, UNIVERSE_FORMAT)
-    m = d["manifest"]
-    return RuleUniverse(
-        rules=tuple(rule_from_dict(r) for r in d["rules"]),
-        feature_partitions=tuple(
-            partition_from_dict(p) for p in d["feature_partitions"]
-        ),
-        target_partition=partition_from_dict(d["target_partition"]),
-        config=GenerationConfig.from_dict(m["config"]),
-        dataset_fingerprint=m["dataset_fingerprint"],
-        coverage=float(m["coverage"]),
-    )
 
 
 def save_universe(universe: RuleUniverse, path) -> None:
@@ -146,7 +160,11 @@ def save_universe(universe: RuleUniverse, path) -> None:
 
 
 def load_universe(path) -> RuleUniverse:
-    return universe_from_dict(json.loads(Path(path).read_text()))
+    body = _check_header(json.loads(Path(path).read_text()), UNIVERSE_FORMAT)
+    m = body.pop("manifest", None)
+    if type(m) is not dict or m.keys() != set(_UNIVERSE_MANIFEST) or m.keys() & body:
+        raise TypeError(f"universe manifest must hold exactly {_UNIVERSE_MANIFEST}")
+    return decode(RuleUniverse, {**body, **m})
 
 
 def rules_text(
@@ -193,20 +211,23 @@ def save_rules(
 
 
 def load_rules(json_path) -> list[HybridRule]:
-    d = json.loads(Path(json_path).read_text())
-    _check_header(d, RULES_FORMAT)
-    return [rule_from_dict(r) for r in d["rules"]]
+    body = _check_header(json.loads(Path(json_path).read_text()), RULES_FORMAT)
+    return list(decode(tuple[HybridRule, ...], body["rules"]))
 
 
 def write_xy_csv(
     path, header: Sequence[str], columns: Sequence, manifest: Mapping | None = None
 ) -> None:
-    """Plot-data emission: comment-embedded manifest, then plain CSV."""
+    """Comment-embedded manifest, then plain CSV.
+
+    Float columns are written by repr; integer and boolean columns as
+    integers.
+    """
     lines = []
     if manifest:
         lines.append("# " + json.dumps(dict(manifest), sort_keys=True))
     lines.append(",".join(header))
-    arrays = [list(c) for c in columns]
-    for row in zip(*arrays):
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        cells = (repr(v) if type(v) is float else str(int(v)) for v in row)
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -7,8 +7,8 @@ through named substreams, so a config+seed pair pins every artifact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Mapping
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,22 +61,6 @@ class TrainConfig:
     @property
     def variant(self) -> str:
         return f"d{self.generation.degree}"
-
-    def to_dict(self) -> dict:
-        return {
-            **{f.name: getattr(self, f.name) for f in fields(self)},
-            "generation": self.generation.to_dict(),
-            "aco": self.aco.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        d = dict(d)
-        if "generation" in d and not isinstance(d["generation"], GenerationConfig):
-            d["generation"] = GenerationConfig.from_dict(d["generation"])
-        if "aco" in d and not isinstance(d["aco"], AcoConfig):
-            d["aco"] = AcoConfig.from_dict(d["aco"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -133,15 +117,14 @@ def train_model(
     else:
         fit_data, val_data = dataset, None
 
-    aco_cfg = replace(config.aco, seed=derive_seed(config.seed, _STREAM_ACO))
-
     universe = generate_candidates(fit_data, partitions, config.generation)
     subset, trace = select_rules(
         universe,
         fit_data,
         val_data,
-        aco_cfg,
+        config.aco,
         firing_reduction=config.firing_reduction,
+        seed=derive_seed(config.seed, _STREAM_ACO),
     )
 
     feature_parts = tuple(
@@ -156,7 +139,8 @@ def train_model(
         for p in feature_parts
     )
     manifest = {
-        "config": config.to_dict(),
+        # as JSON holds it, so a reloaded model's manifest equals this one
+        "config": json.loads(json.dumps(asdict(config))),
         "seed": config.seed,
         "dataset_name": dataset.name,
         "dataset_fingerprint": dataset_fingerprint(dataset),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -70,13 +70,6 @@ class GenerationConfig:
         if not 0.0 <= self.min_coverage <= 1.0:
             raise ValueError("min_coverage must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "GenerationConfig":
-        return cls(**dict(d))
-
 
 @dataclass(frozen=True)
 class RuleUniverse:
@@ -98,8 +91,6 @@ class _Candidate:
     # antecedent as ((feature_pos, set_idx), ...) over partitioned features
     ant: tuple[tuple[int, int], ...]
     cons: int
-    support: tuple[float, float]
-    confidence: tuple[float, float]
     dominance: tuple[float, float]
     rows: int
 
@@ -160,19 +151,11 @@ def generate_candidates(
         if rows == 0:
             continue
         for cons in cons_list:
-            s = support_interval(f_lo, f_hi, t_low[:, cons], t_upp[:, cons])
-            c = confidence_interval(f_lo, f_hi, t_low[:, cons], t_upp[:, cons])
-            d = combine_dominance(s, c)
-            records.append(
-                _Candidate(
-                    ant=ant,
-                    cons=cons,
-                    support=s,
-                    confidence=c,
-                    dominance=d.dominance,
-                    rows=rows,
-                )
+            args = (f_lo, f_hi, t_low[:, cons], t_upp[:, cons])
+            d = combine_dominance(
+                support_interval(*args), confidence_interval(*args)
             )
+            records.append(_Candidate(ant, cons, d.dominance, rows))
 
     def required_rows(cand: _Candidate) -> int:
         if config.min_rows is not None:

@@ -7,6 +7,7 @@ when the files are absent and run for real when they are present.
 """
 import itertools
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -143,9 +144,8 @@ def test_criterion_3_oracle_equivalence():
             num_iterations=40,
             subset_size_range=(1, total),
             patience=12,
-            seed=seed,
         )
-        subset, _ = select_rules(uni, ds, None, cfg)
+        subset, _ = select_rules(uni, ds, None, cfg, seed=seed)
         if subset.cost <= best * 1.05 + 1e-12:
             hits += 1
     assert hits >= 19
@@ -302,5 +302,5 @@ def test_criterion_8_determinism(toy_dataset, tmp_path):
     folds = make_folds(toy_dataset, k=2, seed=3)
     r1 = run_cv(folds, config, explain=True)
     r2 = run_cv(folds, config, explain=True)
-    assert dumps(r1.to_dict()) == dumps(r2.to_dict())
+    assert dumps(asdict(r1)) == dumps(asdict(r2))
     announce(8, "identical seeds give byte-identical bundles and reports")

@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hit2mtsk import (
 )
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
 from hit2mtsk.it2 import membership
+from hit2mtsk.persist import decode
 
 from conftest import make_dataset
 from oracles import polynomial_value
@@ -84,9 +87,8 @@ class TestExhaustiveOptimality:
                 num_iterations=40,
                 subset_size_range=(1, total),
                 patience=12,
-                seed=seed,
             )
-            subset, _ = select_rules(uni, ds, None, cfg)
+            subset, _ = select_rules(uni, ds, None, cfg, seed=seed)
             # cross-check the reported cost against the oracle scorer
             assert subset.cost == pytest.approx(
                 oracle_cost(W, Y, ds.y, subset.indices, fallback), abs=1e-9
@@ -143,9 +145,9 @@ class TestSearchContracts:
     def test_trace_monotone_and_indexed(self):
         ds, uni = small_universe()
         cfg = AcoConfig(
-            num_ants=6, num_iterations=30, subset_size_range=(1, len(uni)), seed=4
+            num_ants=6, num_iterations=30, subset_size_range=(1, len(uni))
         )
-        subset, trace = select_rules(uni, ds, None, cfg)
+        subset, trace = select_rules(uni, ds, None, cfg, seed=4)
         assert [it for it, _ in trace] == list(range(1, len(trace) + 1))
         costs = [c for _, c in trace]
         assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
@@ -160,9 +162,8 @@ class TestSearchContracts:
             num_iterations=500,
             subset_size_range=(1, len(uni)),
             patience=patience,
-            seed=2,
         )
-        _, trace = select_rules(uni, ds, None, cfg)
+        _, trace = select_rules(uni, ds, None, cfg, seed=2)
         costs = [c for _, c in trace]
         improvements = [
             i for i in range(1, len(costs)) if costs[i] < costs[i - 1]
@@ -174,20 +175,28 @@ class TestSearchContracts:
     def test_deterministic_for_fixed_seed(self):
         ds, uni = small_universe()
         cfg = AcoConfig(
-            num_ants=5, num_iterations=15, subset_size_range=(1, len(uni)), seed=8
+            num_ants=5, num_iterations=15, subset_size_range=(1, len(uni))
         )
-        a = select_rules(uni, ds, None, cfg)
-        b = select_rules(uni, ds, None, cfg)
+        a = select_rules(uni, ds, None, cfg, seed=8)
+        b = select_rules(uni, ds, None, cfg, seed=8)
         assert a[0].indices == b[0].indices
         assert a[0].cost == b[0].cost
         assert a[1] == b[1]
 
+    def test_seed_drives_the_draws(self):
+        ds, uni = small_universe()
+        cfg = AcoConfig(
+            num_ants=3, num_iterations=5, subset_size_range=(1, len(uni)), patience=5
+        )
+        traces = {select_rules(uni, ds, None, cfg, seed=seed)[1] for seed in range(4)}
+        assert len(traces) > 1
+
     def test_size_range_clamped_to_universe(self):
         ds, uni = small_universe(cap=4)
         cfg = AcoConfig(
-            num_ants=4, num_iterations=5, subset_size_range=(50, 100), seed=1
+            num_ants=4, num_iterations=5, subset_size_range=(50, 100)
         )
-        subset, _ = select_rules(uni, ds, None, cfg)
+        subset, _ = select_rules(uni, ds, None, cfg, seed=1)
         assert len(subset.indices) == len(uni)
 
     def test_full_evaporation_with_floor_still_runs(self):
@@ -197,10 +206,9 @@ class TestSearchContracts:
             num_iterations=8,
             rho=1.0,
             subset_size_range=(1, len(uni)),
-            seed=0,
         )
         assert PHEROMONE_FLOOR > 0.0
-        subset, trace = select_rules(uni, ds, None, cfg)
+        subset, trace = select_rules(uni, ds, None, cfg, seed=0)
         assert np.isfinite(subset.cost)
         assert len(trace) >= 1
 
@@ -208,9 +216,9 @@ class TestSearchContracts:
         ds, uni = small_universe()
         val = make_dataset(seed=77, n=40)
         cfg = AcoConfig(
-            num_ants=5, num_iterations=10, subset_size_range=(1, len(uni)), seed=3
+            num_ants=5, num_iterations=10, subset_size_range=(1, len(uni))
         )
-        subset, _ = select_rules(uni, ds, val, cfg)
+        subset, _ = select_rules(uni, ds, val, cfg, seed=3)
         W, Y = oracle_rule_tables(uni, ds)
         Wv, Yv = oracle_rule_tables(uni, val)
         cost = oracle_cost(
@@ -248,5 +256,5 @@ class TestConfig:
         assert issubclass(AcoConfigError, ValueError)
 
     def test_dict_roundtrip(self):
-        cfg = AcoConfig(num_ants=7, subset_size_range=(2, 9), seed=5)
-        assert AcoConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = AcoConfig(num_ants=7, subset_size_range=(2, 9))
+        assert decode(AcoConfig, json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -384,6 +384,56 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    def test_aco_seed_rejected(self, ws, tmp_path):
+        # select_rules takes its seed from TrainConfig.seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"aco": {"seed": 3}}))
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"aco": {"num_ants": 2.5}},
+            {"fou_width": "0.2"},
+            {"generation": {"weighted_fit": "yes"}},
+            {"generation": None},
+        ],
+    )
+    def test_config_of_wrong_json_type(self, ws, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad configuration" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [[], "x", None, 1.5])
+    def test_config_not_an_object(self, ws, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_untrainable_data_is_a_training_error(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -405,22 +455,64 @@ class TestExitCodes:
 
 def rename_rule_set(doc):
     doc["rules"][0]["antecedent"][0][1] = "Nowhere"
+    return doc
 
 
 def drop_tnorm(doc):
     del doc["tnorm"]
+    return doc
 
 
 def bump_version(doc):
     doc["version"] = 2
+    return doc
+
+
+def add_rule_key(doc):
+    doc["rules"][0]["weight"] = 1.0
+    return doc
+
+
+def manifest_as_list(doc):
+    doc["manifest"] = list(doc["manifest"])
+    return doc
+
+
+def as_array(doc):
+    return []
+
+
+def as_string(doc):
+    return "x"
+
+
+def as_null(doc):
+    return None
+
+
+def big_whole_fallback(doc):
+    doc["fallback_value"] = 10**23
+    return doc
 
 
 class TestCorruptModel:
-    @pytest.mark.parametrize("corrupt", [rename_rule_set, drop_tnorm, bump_version])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            rename_rule_set,
+            drop_tnorm,
+            bump_version,
+            add_rule_key,
+            manifest_as_list,
+            as_array,
+            as_string,
+            as_null,
+            big_whole_fallback,
+        ],
+    )
     @pytest.mark.parametrize("command", ["predict", "explain"])
     def test_is_a_data_error(self, ws, bundle, tmp_path, capsys, command, corrupt):
-        doc = json.loads((bundle / "model.json").read_text())
-        corrupt(doc)
+        doc = corrupt(json.loads((bundle / "model.json").read_text()))
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))
         code = main(

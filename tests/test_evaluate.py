@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from hit2mtsk.evaluate import (
     reference_for,
 )
 from hit2mtsk.inference import predict_values
+from hit2mtsk.persist import dumps
 
 from conftest import small_train_config
 from test_inference import RULE_LOW, two_rule_model
@@ -126,7 +130,7 @@ class TestExplainabilityBlock:
         assert block.dataset_coverage == 1.0
         assert set(block.active_rules) == set(ACTIVE_RULE_THRESHOLDS)
         assert set(block.noise_deltas) == set(float(v) for v in NOISE_LEVELS)
-        d = block.to_dict()
+        d = json.loads(dumps(asdict(block)))
         assert d["rule_count"] == 2
         assert "0.5" in d["active_rules"]
 
@@ -233,7 +237,7 @@ class TestRunCv:
             run_cv([], small_train_config())
 
     def test_to_dict_is_json_shaped(self, report):
-        d = report.to_dict()
+        d = json.loads(dumps(asdict(report)))
         assert d["dataset"] == "toy"
         assert isinstance(d["fold_rmse"], list)
         assert isinstance(d["explainability"], dict)

@@ -1,9 +1,14 @@
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hit2mtsk import (
     AcoConfig,
@@ -15,24 +20,26 @@ from hit2mtsk import (
     save_universe,
 )
 from hit2mtsk.persist import (
+    decode,
     dumps,
     load_rules,
     model_to_dict,
-    partition_from_dict,
-    polynomial_from_dict,
-    rule_from_dict,
     rules_text,
     save_rules,
     universe_to_dict,
     write_xy_csv,
 )
-from hit2mtsk.inference import predict_values
-from hit2mtsk.it2 import build_partition
-from hit2mtsk.rules import Polynomial
+from hit2mtsk.cli import EXIT_DATA, CliError, _load_model
+from hit2mtsk.inference import Model, predict_values
+from hit2mtsk.it2 import Partition, build_partition
+from hit2mtsk.rules import HybridRule, Polynomial
 
 from test_inference import RULE_HIGH, RULE_LOW, X_PART, two_rule_model
 
 GOLDEN_MODEL = Path(__file__).with_name("golden") / "two_rule_model.json"
+
+# valid JSON documents that are not objects
+NON_OBJECTS = [[], "x", None]
 
 
 def encode(record) -> dict:
@@ -42,13 +49,13 @@ def encode(record) -> dict:
 
 class TestComponentRoundTrips:
     def test_partition(self):
-        back = partition_from_dict(encode(X_PART))
+        back = decode(Partition, encode(X_PART))
         assert back == X_PART
 
     def test_built_partition_with_awkward_floats(self):
         rng = np.random.default_rng(3)
         p = build_partition(rng.normal(0.0, 1e-7, 200), 5, variable="tiny")
-        assert partition_from_dict(encode(p)) == p
+        assert decode(Partition, encode(p)) == p
 
     def test_polynomial(self):
         fn = Polynomial(
@@ -57,10 +64,88 @@ class TestComponentRoundTrips:
             exponents=((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
             coefficients=(0.1, -2.5e-7, 3.0, 1e300, -0.0, 7.25),
         )
-        assert polynomial_from_dict(encode(fn)) == fn
+        assert decode(Polynomial, encode(fn)) == fn
 
     def test_rule(self):
-        assert rule_from_dict(encode(RULE_HIGH)) == RULE_HIGH
+        assert decode(HybridRule, encode(RULE_HIGH)) == RULE_HIGH
+
+
+class TestDecode:
+    @pytest.mark.parametrize(
+        "annotation, value",
+        [
+            (float, "1.5"),
+            (float, True),
+            (float, None),
+            (int, 1.9),
+            (int, 2.0),
+            (int, False),
+            (bool, "yes"),
+            (bool, 1),
+            (str, 3),
+            (tuple[float, float], [1.0]),
+            (tuple[float, float], [1.0, 2.0, 3.0]),
+            (tuple[str, ...], "ab"),
+            (tuple[float, ...], {"a": 1.0}),
+            (Mapping, []),
+            (int | None, "1"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, annotation, value):
+        with pytest.raises(TypeError, match="expected"):
+            decode(annotation, value)
+
+    def test_values_are_kept_as_parsed(self):
+        # an integer config value such as {"fou_scale": 1} stays 1, so
+        # the manifest records the config as it was written
+        assert type(decode(float, 1)) is int
+        assert decode(tuple[float, ...], [1, 2.5]) == (1, 2.5)
+        assert decode(int | None, None) is None
+        assert decode(int | None, 4) == 4
+        assert decode(Mapping, {"a": [1]}) == {"a": [1]}
+
+    def test_record_keys_must_be_exactly_its_fields(self):
+        doc = encode(RULE_HIGH)
+        with pytest.raises(TypeError, match="unknown key 'weight'"):
+            decode(HybridRule, {**doc, "weight": 1.0})
+        del doc["error_dominance"]
+        with pytest.raises(TypeError, match="missing key 'error_dominance'"):
+            decode(HybridRule, doc)
+
+    @pytest.mark.parametrize("value", NON_OBJECTS)
+    def test_record_must_be_an_object(self, value):
+        with pytest.raises(TypeError, match="HybridRule must be an object"):
+            decode(HybridRule, value)
+
+    def test_wrong_type_deep_in_a_model_rejected(self):
+        doc = encode(two_rule_model())
+        doc["rules"][1]["consequent_fn"]["coefficients"][0] = "1.5"
+        with pytest.raises(TypeError, match='expected float, got "1.5"'):
+            decode(Model, doc)
+
+    @pytest.mark.parametrize(
+        "annotation, value",
+        [
+            (float, 10**23),
+            (float, -(2**63) - 1),
+            (tuple[float, ...], [1.0, 2**63]),
+            (tuple[float, float], [1.5, 10**23]),
+        ],
+    )
+    def test_whole_number_wider_than_64_bits_rejected(self, annotation, value):
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            decode(annotation, value)
+
+    def test_whole_numbers_within_64_bits_accepted(self):
+        assert decode(float, 2**63 - 1) == 2**63 - 1
+        assert decode(tuple[float, ...], [1.5, -(2**63)]) == (1.5, -(2**63))
+        assert decode(int, 10**23) == 10**23
+
+    def test_record_checks_still_run(self):
+        doc = encode(RULE_HIGH)
+        doc["error_dominance"] = 2.0
+        with pytest.raises(ValueError, match="error dominance must be in"):
+            decode(HybridRule, doc)
 
 
 class TestFileLayout:
@@ -105,6 +190,29 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="unsupported model file version 2"):
             load_model(path)
 
+    @pytest.mark.parametrize("doc", NON_OBJECTS)
+    def test_non_object_rejected(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError, match="model file must hold a JSON object"):
+            load_model(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(dumps({**model_to_dict(two_rule_model()), "note": "x"}))
+        with pytest.raises(TypeError, match="unknown key 'note'"):
+            load_model(path)
+
+    def test_big_whole_number_for_a_float_rejected(self, tmp_path):
+        # numpy cannot hold 1e23 written as a whole number; 1e+23 loads
+        doc = model_to_dict(two_rule_model())
+        path = tmp_path / "model.json"
+        path.write_text(dumps({**doc, "fallback_value": 10**23}))
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            load_model(path)
+        path.write_text(dumps({**doc, "fallback_value": 1e23}))
+        assert load_model(path).fallback_value == 1e23
+
     def test_no_volatile_content(self, trained):
         # serialized form must not embed anything time- or path-dependent
         text = dumps(model_to_dict(trained.model))
@@ -143,6 +251,32 @@ class TestUniverseFiles:
         with pytest.raises(ValueError, match="unsupported universe file version 2"):
             load_universe(path)
 
+    @pytest.mark.parametrize("doc", NON_OBJECTS)
+    def test_non_object_rejected(self, tmp_path, doc):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError, match="universe file must hold a JSON object"):
+            load_universe(path)
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            lambda d: d.update(manifest=list(d["manifest"])),
+            lambda d: d.pop("manifest"),
+            lambda d: d["manifest"].pop("coverage"),
+            lambda d: d["manifest"].update(note="x"),
+            lambda d: d.update(coverage=d["manifest"]["coverage"]),
+        ],
+        ids=["list", "absent", "missing_key", "unknown_key", "key_also_outside"],
+    )
+    def test_manifest_holds_exactly_its_fields(self, trained, tmp_path, move):
+        doc = universe_to_dict(trained.universe)
+        move(doc)
+        path = tmp_path / "u.json"
+        path.write_text(dumps(doc))
+        with pytest.raises(TypeError, match="manifest"):
+            load_universe(path)
+
     def test_generation_seed_rejected(self, trained, tmp_path):
         doc = universe_to_dict(trained.universe)
         doc["manifest"]["config"]["seed"] = 0
@@ -172,6 +306,13 @@ class TestRulesExport:
         assert doc["target_variable"] == "y"
         assert doc["manifest"] == {"note": "x"}
 
+    @pytest.mark.parametrize("doc", NON_OBJECTS)
+    def test_non_object_rejected(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError, match="rules file must hold a JSON object"):
+            load_rules(path)
+
     def test_text_only_export(self, tmp_path):
         txt = tmp_path / "rules.txt"
         save_rules([RULE_LOW], "y", txt)
@@ -191,6 +332,83 @@ class TestRulesExport:
         js.write_text(dumps(doc))
         with pytest.raises(ValueError, match="unsupported rules file version 2"):
             load_rules(js)
+
+
+def nested(doc):
+    """Every object and array of a model document outside its manifest."""
+    found, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        children = node.values() if isinstance(node, dict) else node
+        todo.extend(
+            c for c in children
+            if isinstance(c, (dict, list)) and c is not doc["manifest"]
+        )
+    return found
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+# each mutation edits a parsed model document in place and says whether
+# the result can no longer be a valid model
+def drop_key(doc, draw):
+    node = draw(st.sampled_from([n for n in nested(doc) if isinstance(n, dict) and n]))
+    del node[draw(st.sampled_from(sorted(node)))]
+    return True
+
+
+def add_key(doc, draw):
+    node = draw(st.sampled_from([n for n in nested(doc) if isinstance(n, dict)]))
+    node["extra"] = draw(st.sampled_from([None, 0, "x", [], {}]))
+    return True
+
+
+def swap_type(doc, draw):
+    node = draw(st.sampled_from([n for n in nested(doc) if n]))
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+    key = draw(st.sampled_from(keys))
+    old = json_type(node[key])
+    others = [v for v in (None, True, 1.5, "x", [], {}) if json_type(v) != old]
+    node[key] = draw(st.sampled_from(others))
+    return True
+
+
+def truncate_list(doc, draw):
+    node = draw(st.sampled_from([n for n in nested(doc) if isinstance(n, list) and n]))
+    del node[draw(st.integers(0, len(node) - 1)) :]
+    return False  # e.g. one rule fewer is still a model
+
+
+def manifest_as_list(doc, draw):
+    doc["manifest"] = draw(st.lists(st.integers(), max_size=3))
+    return True
+
+
+class TestFuzzedModelFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        mutate=st.sampled_from(
+            [drop_key, add_key, swap_type, truncate_list, manifest_as_list]
+        ),
+    )
+    def test_load_fails_only_as_a_data_error(self, data, mutate):
+        doc = json.loads(GOLDEN_MODEL.read_text())
+        must_fail = mutate(doc, data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps(doc))
+            try:
+                load_model(path)
+            except (ValueError, TypeError, LookupError):
+                with pytest.raises(CliError) as exc:
+                    _load_model(SimpleNamespace(model=str(path)))
+                assert exc.value.code == EXIT_DATA
+            else:
+                assert not must_fail, "the mutated model file loaded"
 
 
 class TestCsvEmission:
@@ -213,6 +431,15 @@ class TestCsvEmission:
         write_xy_csv(path, header=("a",), columns=([7.0],))
         assert path.read_text() == "a\n7.0\n"
 
+    def test_integer_columns_stay_integers(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        write_xy_csv(
+            path,
+            header=("n", "x", "flag"),
+            columns=(np.array([1, 2]), np.array([0.5, 2.0]), np.array([True, False])),
+        )
+        assert path.read_text() == "n,x,flag\n1,0.5,1\n2,2.0,0\n"
+
 
 class TestDeterministicSerialization:
     def test_key_order_is_stable(self, trained):
@@ -234,14 +461,14 @@ class TestConfigDicts:
         generation=GenerationConfig(
             degree=2, tnorm="product", min_rows=4, weighted_fit=True
         ),
-        aco=AcoConfig(num_ants=9, subset_size_range=(3, 12), seed=8),
+        aco=AcoConfig(num_ants=9, subset_size_range=(3, 12)),
         validation_fraction=0.1,
         firing_reduction="upper",
         seed=42,
     )
 
     def test_literal_dict(self):
-        assert self.CONFIG.to_dict() == {
+        assert encode(self.CONFIG) == {
             "num_sets": 5,
             "fou_width": 0.2,
             "fou_scale": 0.8,
@@ -266,7 +493,6 @@ class TestConfigDicts:
                 "initial_pheromone": 0.1,
                 "subset_size_range": [3, 12],
                 "patience": 20,
-                "seed": 8,
             },
             "validation_fraction": 0.1,
             "firing_reduction": "upper",
@@ -274,6 +500,8 @@ class TestConfigDicts:
         }
 
     def test_round_trip(self):
-        d = self.CONFIG.to_dict()
+        d = encode(self.CONFIG)
         assert type(d["aco"]["subset_size_range"]) is list
-        assert TrainConfig.from_dict(json.loads(dumps(d))) == self.CONFIG
+        back = decode(TrainConfig, d)
+        assert back == self.CONFIG
+        assert type(back.aco.subset_size_range) is tuple

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hit2mtsk import (
     generate_candidates,
 )
 from hit2mtsk.it2 import build_partition
-from hit2mtsk.persist import dumps, universe_to_dict
+from hit2mtsk.persist import decode, dumps, universe_to_dict
 
 from conftest import make_dataset
 from oracles import firing_strength
@@ -248,4 +250,4 @@ class TestConfig:
 
     def test_dict_roundtrip(self):
         cfg = GenerationConfig(degree=1, tnorm="product", min_rows=4)
-        assert GenerationConfig.from_dict(cfg.to_dict()) == cfg
+        assert decode(GenerationConfig, json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -5,7 +5,14 @@ pheromone^alpha * heuristic^beta (heuristic = error dominance), score
 each subset by full-pipeline RMSE on the fit+validation rows, evaporate
 and deposit pheromone, and stop early after a patience window without
 improvement.  Fully deterministic for a fixed seed: every ant draws
-from its own (seed, iteration, ant) derived stream.
+from its own (seed, iteration, ant) derived stream, one uniform per
+picked rule.
+
+A subset is scored over each rule's firing rows only.  Every rule's
+weights and weighted outputs are stored once, for the rows it fires on,
+and a subset adds its rules' entries row by row in index order.  A rule
+adds nothing where it does not fire, so its polynomial there (even an
+overflow) never enters a score.
 """
 from __future__ import annotations
 
@@ -68,21 +75,30 @@ class RuleSubset:
 def sample_subset(
     rng: np.random.Generator, weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """Draw ``size`` distinct indices, each step normalized over the rest."""
+    """Draw ``size`` distinct indices, each step normalized over the rest.
+
+    Each pick inverts one uniform of ``rng`` through the cumulative
+    weights of the indices not yet picked (uniform over them when those
+    weights are all zero).  That is what ``rng.choice(total, p=...)``
+    does per pick, so the draws are those of ``size`` such calls.
+    """
     total_rules = weights.size
     if size > total_rules:
         raise ValueError("subset size exceeds rule count")
+    if not (np.all(weights >= 0.0) and np.isfinite(weights.sum())):
+        raise ValueError("weights must be finite and non-negative")
+    u = rng.random(size)
+    w = np.array(weights, dtype=float)
     avail = np.ones(total_rules, dtype=bool)
     chosen = np.empty(size, dtype=int)
     for t in range(size):
-        w = np.where(avail, weights, 0.0)
         s = w.sum()
-        if s > 0.0:
-            p = w / s
-        else:
-            p = avail / avail.sum()
-        i = int(rng.choice(total_rules, p=p))
+        p = w / s if s > 0.0 else avail / avail.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(u[t], side="right"))
         chosen[t] = i
+        w[i] = 0.0
         avail[i] = False
     return np.sort(chosen)
 
@@ -121,18 +137,31 @@ def select_rules(
         y = np.concatenate([y, validation_data.y])
     fallback = float(train_data.y.mean())
 
-    F_lo, F_hi, Y = rule_matrices(
-        rules, universe.feature_partitions, columns, universe.config.tnorm
-    )
+    # a polynomial that overflows where its rule does not fire is never scored
+    with np.errstate(over="ignore", invalid="ignore"):
+        F_lo, F_hi, Y = rule_matrices(
+            rules, universe.feature_partitions, columns, universe.config.tnorm
+        )
     dom = np.array([r.error_dominance for r in rules])
     W = reduce_firing(F_lo, F_hi, firing_reduction) * dom[:, None]
     del F_lo, F_hi
-    P = W * Y
-    del Y
+    # nonzero entries of W in row-major order: rule by rule, rows ascending
+    n = y.size
+    flat = np.flatnonzero(W)
+    w_vals = W.ravel()[flat]
+    p_vals = w_vals * Y.ravel()[flat]
+    rows = (flat % n).astype(np.int32)
+    cuts = np.searchsorted(flat, np.arange(1, total) * n)
+    del W, Y, flat
+    rows_of = np.split(rows, cuts)
+    w_of = np.split(w_vals, cuts)
+    p_of = np.split(p_vals, cuts)
 
     def cost_of(sel: np.ndarray) -> float:
-        wsum = W[sel].sum(axis=0)
-        psum = P[sel].sum(axis=0)
+        # sel is sorted, so every row adds its rules in index order
+        at = np.concatenate([rows_of[r] for r in sel]).astype(np.intp)
+        wsum = np.bincount(at, np.concatenate([w_of[r] for r in sel]), n)
+        psum = np.bincount(at, np.concatenate([p_of[r] for r in sel]), n)
         ok = wsum > 0.0
         pred = np.where(ok, psum / np.where(ok, wsum, 1.0), fallback)
         return float(np.sqrt(np.mean((pred - y) ** 2)))
@@ -147,12 +176,12 @@ def select_rules(
     for iteration in range(1, config.num_iterations + 1):
         improved = False
         deposits: list[tuple[np.ndarray, float]] = []
+        weights = pheromone**config.alpha * heuristic**config.beta
         for ant in range(config.num_ants):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, iteration, ant])
             )
             size = int(rng.integers(lo, hi + 1))
-            weights = pheromone**config.alpha * heuristic**config.beta
             sel = sample_subset(rng, weights, size)
             cost = cost_of(sel)
             deposits.append((sel, config.deposit / (1.0 + cost)))

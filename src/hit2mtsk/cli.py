@@ -235,6 +235,13 @@ def cmd_explain(args) -> int:
     model = _load_model(args)
     if not model.rules:
         raise CliError(EXIT_TRAIN, "model has no rules to explain")
+    # the manifest is free-form; explain reads only its seed
+    seed = model.manifest.get("seed", 0)
+    if type(seed) is not int:
+        raise CliError(
+            EXIT_DATA,
+            f"cannot explain model: manifest seed {json.dumps(seed)} is not an integer",
+        )
     dataset = _load_dataset(args)
     out = _outdir(args)
     target = model.target_partition.variable
@@ -244,7 +251,7 @@ def cmd_explain(args) -> int:
     )
     try:
         block = explainability_block(
-            model, dataset, seed=derive_seed(int(model.manifest.get("seed", 0)), 201)
+            model, dataset, seed=derive_seed(seed, 201)
         )
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))

@@ -129,6 +129,11 @@ def noise_robustness(
     if denom == 0.0:
         raise ValueError("mean target is zero; percentage change undefined")
     stds = {name: std for name, _, std in model.feature_stats}
+    missing = [n for n in model.feature_names if n not in stds]
+    if missing:
+        raise ValueError(
+            f"model has no feature statistics for {', '.join(missing)}"
+        )
     out: dict[float, float] = {}
     for li, level in enumerate(levels):
         if level < 0.0:
@@ -144,7 +149,7 @@ def noise_robustness(
             noisy = {}
             for p in model.feature_partitions:
                 col = np.asarray(rows.column(p.variable), dtype=float)
-                sd = stds.get(p.variable, 0.0)
+                sd = stds[p.variable]
                 noisy[p.variable] = col + rng.normal(0.0, level * sd, col.size)
             values, _, _ = predict_values(model, noisy)
             deltas.append(float(np.mean(np.abs(values - base))))

@@ -76,6 +76,11 @@ class Model:
         sets = {
             p.variable: {s.name for s in p.sets} for p in self.feature_partitions
         }
+        named = sorted(name for name, _, _ in self.feature_stats)
+        if named and named != sorted(sets):
+            raise ValueError(
+                "feature_stats must name each partitioned feature exactly once"
+            )
         targets = {s.name for s in self.target_partition.sets}
         for i, rule in enumerate(self.rules):
             for var, name in rule.antecedent:

@@ -5,6 +5,8 @@ path with the vectorized kernels they check.
 """
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from hit2mtsk.it2 import IT2Set, MembershipInterval, membership
 from hit2mtsk.rules import Polynomial
 
@@ -48,3 +50,20 @@ def polynomial_value(poly: Polynomial, x: Mapping[str, float]) -> float:
             term *= float(x[var]) ** k
         total += term
     return total
+
+
+def sample_subset(rng, weights, size: int) -> np.ndarray:
+    """Successive proportional draws without replacement, one
+    ``rng.choice`` call per pick over the weights of the indices not yet
+    picked (uniform over them when those weights are all zero)."""
+    total = weights.size
+    avail = np.ones(total, dtype=bool)
+    chosen = np.empty(size, dtype=int)
+    for t in range(size):
+        w = np.where(avail, weights, 0.0)
+        s = w.sum()
+        p = w / s if s > 0.0 else avail / avail.sum()
+        i = int(rng.choice(total, p=p))
+        chosen[t] = i
+        avail[i] = False
+    return np.sort(chosen)

@@ -1,6 +1,7 @@
 import itertools
 import json
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.stats
 from hit2mtsk import (
     AcoConfig,
     AcoConfigError,
+    Dataset,
     GenerationConfig,
     generate_candidates,
     select_rules,
@@ -16,7 +18,9 @@ from hit2mtsk import (
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
 from hit2mtsk.it2 import membership
 from hit2mtsk.persist import decode
+from hit2mtsk.rules import Polynomial
 
+import oracles
 from conftest import make_dataset
 from oracles import polynomial_value
 from test_universe import partitions_for
@@ -41,6 +45,8 @@ def oracle_rule_tables(universe, dataset):
                 )
                 f_lo, f_hi = min(f_lo, m.lower), min(f_hi, m.upper)
             W[i, p] = 0.5 * (f_lo + f_hi) * rule.error_dominance
+            if W[i, p] == 0.0:
+                continue  # a rule's output counts only where it fires
             raw = polynomial_value(
                 rule.consequent_fn,
                 {v: float(dataset.column(v)[p]) for v, _ in rule.antecedent},
@@ -132,6 +138,26 @@ class TestSampling:
         p = scipy.stats.chisquare(counts).pvalue
         assert p > 0.01
 
+    @pytest.mark.parametrize("total", [6, 183, 1664])
+    def test_draws_are_those_of_successive_choice_calls(self, total):
+        gen = np.random.default_rng(total)
+        for size in range(1, min(total, 100) + 1):
+            weights = gen.random(total) ** 3
+            if size % 3 == 0:
+                weights[gen.random(total) < 0.5] = 0.0
+            if size % 17 == 0:
+                weights[:] = 0.0
+            got = sample_subset(np.random.default_rng([total, size]), weights, size)
+            want = oracles.sample_subset(
+                np.random.default_rng([total, size]), weights, size
+            )
+            assert np.array_equal(got, want), size
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_weights_choice_would_reject(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_subset(np.random.default_rng(0), np.array([1.0, bad, 2.0]), 2)
+
     def test_weight_proportionality(self):
         # one index with 9x the weight of each other should win ~ 9/(9+5)
         rng = np.random.default_rng(5)
@@ -153,6 +179,58 @@ class TestSearchContracts:
         assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
         assert subset.cost == costs[-1]
         assert np.isfinite(subset.cost) and subset.cost >= 0.0
+
+    def test_selection_is_pinned(self):
+        # recorded from the dense scorer and one rng.choice call per pick
+        ds, uni = small_universe()
+        cfg = AcoConfig(
+            num_ants=4, num_iterations=15, subset_size_range=(2, 10), patience=6
+        )
+        subset, trace = select_rules(uni, ds, None, cfg, seed=2)
+        assert subset.indices == (0, 1, 3, 4, 5, 7, 8)
+        assert subset.cost == 1.1740159440491624
+        assert trace == (
+            (1, 1.3742470285994208),
+            (2, 1.2708131761166492),
+            (3, 1.2168865933849617),
+            (4, 1.2168865933849617),
+            (5, 1.2022926674172618),
+            (6, 1.2022926674172618),
+            *((it, 1.1740159440491624) for it in range(7, 14)),
+        )
+
+    def test_overflow_where_a_rule_does_not_fire_is_not_scored(self):
+        # rule 0 (x1 is Medium) does not fire at x1 = 1e300, where its
+        # x1^2 - x1^3 is inf - inf = NaN
+        ds, uni = small_universe(cap=6)
+        assert uni.rules[0].antecedent == (("x1", "Medium"),)
+        cubic = Polynomial(
+            degree=3,
+            variables=("x1",),
+            exponents=((2,), (3,)),
+            coefficients=(1.0, -1.0),
+        )
+        uni = replace(
+            uni, rules=(replace(uni.rules[0], consequent_fn=cubic), *uni.rules[1:])
+        )
+        big = Dataset(
+            name="big",
+            feature_names=ds.feature_names,
+            X=np.vstack([ds.X, [[1e300, 0.0]]]),
+            target_name=ds.target_name,
+            y=np.append(ds.y, 10.0),
+        )
+        cfg = AcoConfig(
+            num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            subset, trace = select_rules(uni, big, None, cfg, seed=0)
+        assert all(np.isfinite(cost) for _, cost in trace)
+        W, Y = oracle_rule_tables(uni, big)
+        assert subset.cost == pytest.approx(
+            oracle_cost(W, Y, big.y, subset.indices, float(big.y.mean())), abs=1e-9
+        )
 
     def test_patience_stops_search(self):
         ds, uni = small_universe()

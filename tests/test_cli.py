@@ -495,6 +495,11 @@ def big_whole_fallback(doc):
     return doc
 
 
+def cut_feature_stats(doc):
+    doc["feature_stats"] = doc["feature_stats"][:1]
+    return doc
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize(
         "corrupt",
@@ -508,6 +513,7 @@ class TestCorruptModel:
             as_string,
             as_null,
             big_whole_fallback,
+            cut_feature_stats,
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "explain"])
@@ -524,4 +530,38 @@ class TestCorruptModel:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "cannot load model" in err
+        assert "Traceback" not in err
+
+    def explain(self, ws, bundle, tmp_path, edit):
+        doc = json.loads((bundle / "model.json").read_text())
+        edit(doc)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        return main(
+            [
+                "explain", "--data", str(ws.csv), "--target", "y",
+                "--model", str(bad), "--out", str(tmp_path / "o"),
+            ]
+        )
+
+    @pytest.mark.parametrize("seed", [None, [1, 2], "7", 2.5, True])
+    def test_explain_rejects_a_seed_that_is_not_an_integer(
+        self, ws, bundle, tmp_path, capsys, seed
+    ):
+        code = self.explain(
+            ws, bundle, tmp_path, lambda doc: doc["manifest"].update(seed=seed)
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"manifest seed {json.dumps(seed)} is not an integer" in err
+
+    def test_explain_needs_feature_stats(self, ws, bundle, tmp_path, capsys):
+        # an empty list is a valid model file, but noise robustness needs stats
+        code = self.explain(
+            ws, bundle, tmp_path, lambda doc: doc.update(feature_stats=[])
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no feature statistics for x1, x2" in err
         assert "Traceback" not in err

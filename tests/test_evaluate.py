@@ -83,6 +83,12 @@ class TestNoiseRobustness:
         with pytest.raises(ValueError, match="mean target"):
             noise_robustness(model, rows)
 
+    def test_feature_without_stats_rejected(self):
+        model = two_rule_model()
+        rows = xy_rows([2.0, 3.0], [10.0, 12.0])
+        with pytest.raises(ValueError, match="no feature statistics for x"):
+            noise_robustness(model, rows)
+
     def test_negative_level_rejected(self, trained, toy_dataset):
         with pytest.raises(ValueError, match=">= 0"):
             noise_robustness(trained.model, toy_dataset, levels=(-0.1,))

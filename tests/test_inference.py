@@ -339,6 +339,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             two_rule_model(fallback_value=float("inf"))
 
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            (("x", 0.0, 1.0),),
+            (("x", 0.0, 1.0), ("w", 0.0, 1.0)),
+            (("x", 0.0, 1.0), ("z", 0.0, 1.0), ("x", 0.0, 1.0)),
+        ],
+        ids=["short", "unknown-name", "duplicate-name"],
+    )
+    def test_model_rejects_feature_stats_not_naming_each_feature(self, stats):
+        parts = (X_PART, replace(X_PART, variable="z"))
+        with pytest.raises(ValueError, match="feature_stats"):
+            two_rule_model(feature_partitions=parts, feature_stats=stats)
+
+    def test_model_takes_full_or_empty_feature_stats(self):
+        parts = (X_PART, replace(X_PART, variable="z"))
+        full = (("z", 0.0, 1.0), ("x", 0.0, 1.0))
+        assert two_rule_model(feature_partitions=parts, feature_stats=full)
+        assert two_rule_model(feature_partitions=parts, feature_stats=())
+
     def test_feature_name_helpers(self):
         model = two_rule_model()
         assert model.feature_names == ("x",)

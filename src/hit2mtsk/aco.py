@@ -12,7 +12,9 @@ A subset is scored over each rule's firing rows only.  Every rule's
 weights and weighted outputs are stored once, for the rows it fires on,
 and a subset adds its rules' entries row by row in index order.  A rule
 adds nothing where it does not fire, so its polynomial there (even an
-overflow) never enters a score.
+overflow) never enters a score.  A rule whose output is NaN on a row
+where it fires would make every subset holding it cost NaN; it is
+refused with `RuleUnfittableError` before the search starts.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .inference import reduce_firing, rule_matrices
-from .rules import HybridRule
+from .rules import HybridRule, RuleUnfittableError
 from .universe import RuleUniverse
 
 PHEROMONE_FLOOR = 1e-12
@@ -150,6 +152,21 @@ def select_rules(
     flat = np.flatnonzero(W)
     w_vals = W.ravel()[flat]
     p_vals = w_vals * Y.ravel()[flat]
+    nan = np.flatnonzero(np.isnan(p_vals))
+    if nan.size:
+        # a NaN cost would reach the pheromone and stop the search unnamed
+        i, row = divmod(int(flat[nan[0]]), n)
+        fit_rows = train_data.n_rows
+        where = (
+            f"training row {row}"
+            if row < fit_rows
+            else f"validation row {row - fit_rows}"
+        )
+        clauses = " AND ".join(f"{v} is {s}" for v, s in rules[i].antecedent)
+        raise RuleUnfittableError(
+            f"rule {i} (IF {clauses}) outputs NaN on {where}, where it "
+            "fires: its polynomial overflows there"
+        )
     rows = (flat % n).astype(np.int32)
     cuts = np.searchsorted(flat, np.arange(1, total) * n)
     del W, Y, flat

@@ -13,10 +13,13 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .data import Dataset
-from .it2 import TNORMS, Partition, fire
+from .it2 import TNORMS, Partition, fire, stacked_memberships
 from .rules import HybridRule, clamp
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
+# rule_matrices works in pieces of at most this many (rules or sets) x rows
+# cells, so that its temporaries stay small beside the matrices it returns
+BLOCK_CELLS = 1 << 16
 
 
 class NotTrainedError(RuntimeError):
@@ -136,31 +139,67 @@ def rule_matrices(
     columns: Mapping[str, np.ndarray],
     tnorm: str = "minimum",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-rule firing bounds and clamped outputs over all rows.
+    """Per-rule firing bounds on every row, and outputs where rules fire.
 
-    Returns (F_lo, F_hi, Y), each shaped (num_rules, num_rows).
-    Memberships are computed once per partition and shared across rules.
-    Every rule must reference only variables and sets of
-    ``feature_partitions`` that have a column (`Model` guarantees this).
+    Returns (F_lo, F_hi, Y), each shaped (num_rules, num_rows).  A rule
+    fires on a row where its upper firing bound is positive; only there
+    can it weigh in a prediction, so only there is its polynomial
+    evaluated.  Y holds the clamped output on those rows and 0.0 on
+    every other row.
+
+    The memberships of every set of every partition come from one
+    stacked trapezoid pass, and one `fire` call folds every rule through
+    per-clause indices into that table.  Both run over chunks of rows,
+    and the polynomials over blocks of rules, of at most BLOCK_CELLS
+    cells.  ``rules`` must not be empty, and every rule must reference
+    only variables and sets of ``feature_partitions`` that have a column
+    (`Model` and `select_rules` guarantee both).
     """
-    parts = {p.variable: p for p in feature_partitions}
-    mems = {
-        name: parts[name].membership_matrix(col) for name, col in columns.items()
-    }
-    m, n = len(rules), next(iter(columns.values())).size
+    parts = [p for p in feature_partitions if p.variable in columns]
+    # the table's rows: every set of every partition, and each one's partition
+    sets, feature, table_row = [], [], {}
+    for j, p in enumerate(parts):
+        for s in p.sets:
+            table_row[(p.variable, s.name)] = len(sets)
+            sets.append(s)
+            feature.append(j)
+    # short antecedents are padded with an all-ones row after the sets:
+    # min(f, 1) and f * 1 are f, so the fold is each rule's own
+    width = max(len(r.antecedent) for r in rules)
+    clauses = np.array(
+        [
+            [table_row[c] for c in r.antecedent]
+            + [len(sets)] * (width - len(r.antecedent))
+            for r in rules
+        ]
+    ).T
+    x = np.array([columns[p.variable] for p in parts], dtype=float)
+    m, n = len(rules), x.shape[1]
     F_lo = np.empty((m, n))
     F_hi = np.empty((m, n))
-    Y = np.empty((m, n))
-    for i, rule in enumerate(rules):
-        F_lo[i], F_hi[i] = fire(
-            mems,
-            [(var, parts[var].index_of(name)) for var, name in rule.antecedent],
-            tnorm,
-        )
-        fn = rule.consequent_fn
-        cols = np.array([columns[v] for v in fn.variables])
-        raw = fn.evaluate(cols.reshape(len(fn.variables), n).T)
-        Y[i] = clamp(raw, rule.clamp_bounds)
+    Y = np.zeros((m, n))
+
+    step = max(1, BLOCK_CELLS // max(m, len(sets)))
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        lower, upper = stacked_memberships(sets, x[feature, chunk])
+        ones = np.ones((1, lower.shape[1]))
+        table = ((np.vstack([lower, ones]).T, np.vstack([upper, ones]).T),)
+        lo, hi = fire(table, [(0, c) for c in clauses], tnorm)
+        F_lo[:, chunk], F_hi[:, chunk] = lo.T, hi.T
+
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for start in range(0, m, step):
+        block = rules[start : start + step]
+        # fired cells of the block, rule by rule, rows ascending
+        fired = np.flatnonzero(F_hi[start : start + step] > 0.0)
+        bounds = np.searchsorted(fired, np.arange(len(block) + 1) * n)
+        for k in np.flatnonzero(np.diff(bounds)):
+            fn = block[k].consequent_fn
+            rows = fired[bounds[k] : bounds[k + 1]] - k * n
+            cols = np.array([columns[v][rows] for v in fn.variables])
+            raw = fn.evaluate(cols.reshape(len(fn.variables), rows.size).T)
+            Y[start + k, rows] = clamp(raw, block[k].clamp_bounds)
     return F_lo, F_hi, Y
 
 
@@ -219,7 +258,8 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     dom = np.array([r.error_dominance for r in model.rules])
     W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None]
     wsum = W.sum(axis=0)
-    # only weighted rules contribute, so a non-firing rule's NaN is not 0 x NaN
+    # only weighted rules contribute: a rule that fires with weight 0 (as
+    # under the lower reduction) adds no 0 x NaN
     psum = np.multiply(W, Y, out=np.zeros_like(W), where=W > 0.0).sum(axis=0)
     fallback = wsum <= 0.0
     values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))

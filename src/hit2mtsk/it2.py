@@ -49,30 +49,34 @@ class MembershipInterval:
         return 0.5 * (self.lower + self.upper)
 
 
-def _trapezoid_curve(
-    shape: str, params: tuple[float, float, float, float], x: np.ndarray
-) -> np.ndarray:
-    """Type-1 trapezoid evaluation with shoulder-aware open sides."""
-    a, b, c, d = params
-    out = np.zeros(x.shape, dtype=float)
+def stacked_memberships(
+    sets: Sequence[IT2Set], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper memberships of every set in one trapezoid pass.
 
-    if shape != "left_shoulder":
-        rising = (x > a) & (x < b)
-        if b > a:
-            out[rising] = (x[rising] - a) / (b - a)
-    if shape != "right_shoulder":
-        falling = (x > c) & (x < d)
-        if d > c:
-            out[falling] = (d - x[falling]) / (d - c)
-
-    # plateau; shoulders extend it past their open-side breakpoints
-    if shape == "left_shoulder":
-        out[x <= c] = 1.0
-    elif shape == "right_shoulder":
-        out[x >= b] = 1.0
-    else:
-        out[(x >= b) & (x <= c)] = 1.0
-    return out
+    ``x`` is either one (n,) row of values shared by all sets or an
+    (len(sets), n) table with one row of values per set; both results
+    are (len(sets), n).  Each set's upper and lower trapezoids are
+    evaluated together, with shoulder-aware open sides: a shoulder's
+    plateau extends past its open-side breakpoints.  This is the only
+    trapezoid implementation.
+    """
+    x = np.asarray(x, dtype=float)
+    # (2, sets, 1) breakpoints: the upper trapezoids, then the lower ones
+    params = np.array(
+        [[s.upper_params for s in sets], [s.lower_params for s in sets]]
+    )
+    a, b, c, d = np.moveaxis(params, -1, 0)[..., None]
+    left = np.array([s.shape == "left_shoulder" for s in sets])[:, None]
+    right = np.array([s.shape == "right_shoulder" for s in sets])[:, None]
+    plateau = (left | (x >= b)) & (right | (x <= c))
+    curve = plateau.astype(float)
+    # the ramps and the plateau are disjoint; an empty ramp divides nowhere
+    np.divide(x - a, b - a, out=curve, where=~left & (x > a) & (x < b))
+    np.divide(d - x, d - c, out=curve, where=~right & (x > c) & (x < d))
+    curve[1] *= np.array([s.fou_scale for s in sets])[:, None]
+    np.clip(curve, 0.0, 1.0, out=curve)
+    return curve[1], curve[0]
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,8 @@ class IT2Set:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(lower, upper)`` membership of ``values``."""
         x = np.asarray(values, dtype=float)
-        upper = _trapezoid_curve(self.shape, self.upper_params, x)
-        lower = self.fou_scale * _trapezoid_curve(self.shape, self.lower_params, x)
-        return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+        lower, upper = stacked_memberships([self], x.ravel())
+        return lower[0].reshape(x.shape), upper[0].reshape(x.shape)
 
 
 def membership(fuzzy_set: IT2Set, x: float) -> MembershipInterval:
@@ -176,12 +179,11 @@ class Partition:
         self, values: np.ndarray | Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) lower/upper memberships of ``values`` in all k sets."""
-        x = np.asarray(values, dtype=float)
-        lowers = np.empty((x.size, len(self.sets)))
-        uppers = np.empty_like(lowers)
-        for j, s in enumerate(self.sets):
-            lowers[:, j], uppers[:, j] = s.membership_arrays(x)
-        return lowers, uppers
+        x = np.asarray(values, dtype=float).ravel()
+        lower, upper = stacked_memberships(self.sets, x)
+        # row-major as ever: dominance grading dots these columns, and
+        # BLAS rounds a strided column's sum differently from a contiguous one
+        return np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
 
 
 def _set_names(k: int) -> tuple[str, ...]:
@@ -300,14 +302,23 @@ def fire(
     ``memberships[key]`` is a ``(lower, upper)`` pair of (n, k) matrices
     as returned by `Partition.membership_matrix`; ``antecedent`` pairs
     each clause's key with the set index (column) it must match.  The
-    t-norm folds the chosen columns, separately for the lower and the
-    upper bounds.  This is the only t-norm implementation.
+    t-norm folds the chosen columns in clause order, separately for the
+    lower and the upper bounds.  With an array of set indices per clause
+    it folds that many antecedents at once, one result column each.
+    This is the only t-norm implementation.
     """
     if tnorm not in TNORMS:
         raise ValueError(f"unknown t-norm {tnorm!r}")
     if not antecedent:
         raise ValueError("rule antecedent must not be empty")
-    fold = np.minimum.reduce if tnorm == "minimum" else np.multiply.reduce
-    lo = fold([memberships[key][0][:, s] for key, s in antecedent])
-    hi = fold([memberships[key][1][:, s] for key, s in antecedent])
-    return lo, hi
+    fold = np.minimum if tnorm == "minimum" else np.multiply
+
+    def folded(bound: int) -> np.ndarray:
+        # into a fresh array that keeps the columns' memory layout
+        cols = (memberships[key][bound][:, s] for key, s in antecedent)
+        out = np.array(next(cols))
+        for col in cols:
+            fold(out, col, out=out)
+        return out
+
+    return folded(0), folded(1)

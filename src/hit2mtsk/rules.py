@@ -19,7 +19,8 @@ MAX_DEGREE = 3
 
 
 class RuleUnfittableError(ValueError):
-    """Raised when no consequent at all can be estimated for a rule."""
+    """Raised when a rule fires on no rows, so no consequent can be
+    estimated, or when its output is NaN on a row where it fires."""
 
 
 def monomial_exponents(

@@ -1,14 +1,70 @@
-"""Scalar reference implementations that tests compare the library against.
+"""Reference implementations that tests compare the library against.
 
-They are written as explicit loops over single values and share no code
-path with the vectorized kernels they check.
+Most are explicit loops over single values and share no code path with
+the vectorized kernels they check.  `rule_matrices` is the per-rule loop
+that the stacked, fired-rows kernel replaced; it is built from the
+library's per-partition membership matrices and per-rule `fire`, which
+the scalar oracles here check in turn.
 """
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hit2mtsk.it2 import IT2Set, MembershipInterval, membership
-from hit2mtsk.rules import Polynomial
+from hit2mtsk.it2 import IT2Set, MembershipInterval, Partition, fire, membership
+from hit2mtsk.rules import HybridRule, Polynomial, clamp
+
+
+def trapezoid_membership(fuzzy_set: IT2Set, x: float) -> tuple[float, float]:
+    """``(lower, upper)`` membership of one value, one trapezoid at a time.
+
+    A shoulder's plateau runs past its open-side breakpoints; the lower
+    trapezoid is scaled by ``fou_scale``; both are clipped into [0, 1].
+    """
+
+    def curve(params: tuple[float, float, float, float]) -> float:
+        a, b, c, d = params
+        if fuzzy_set.shape != "left_shoulder" and a < x < b:
+            return (x - a) / (b - a)
+        if fuzzy_set.shape != "right_shoulder" and c < x < d:
+            return (d - x) / (d - c)
+        if fuzzy_set.shape == "left_shoulder":
+            return 1.0 if x <= c else 0.0
+        if fuzzy_set.shape == "right_shoulder":
+            return 1.0 if x >= b else 0.0
+        return 1.0 if b <= x <= c else 0.0
+
+    lower = fuzzy_set.fou_scale * curve(fuzzy_set.lower_params)
+    upper = curve(fuzzy_set.upper_params)
+    return min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0)
+
+
+def rule_matrices(
+    rules: Sequence[HybridRule],
+    feature_partitions: Sequence[Partition],
+    columns: Mapping[str, np.ndarray],
+    tnorm: str = "minimum",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F_lo, F_hi, Y) rule by rule: every partition's membership matrix,
+    `fire` per rule, and every polynomial on every row, then clamped."""
+    parts = {p.variable: p for p in feature_partitions}
+    mems = {
+        name: parts[name].membership_matrix(col) for name, col in columns.items()
+    }
+    m, n = len(rules), next(iter(columns.values())).size
+    F_lo = np.empty((m, n))
+    F_hi = np.empty((m, n))
+    Y = np.empty((m, n))
+    for i, rule in enumerate(rules):
+        F_lo[i], F_hi[i] = fire(
+            mems,
+            [(var, parts[var].index_of(name)) for var, name in rule.antecedent],
+            tnorm,
+        )
+        fn = rule.consequent_fn
+        cols = np.array([columns[v] for v in fn.variables])
+        raw = fn.evaluate(cols.reshape(len(fn.variables), n).T)
+        Y[i] = clamp(raw, rule.clamp_bounds)
+    return F_lo, F_hi, Y
 
 
 def firing_strength(

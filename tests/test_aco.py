@@ -18,7 +18,7 @@ from hit2mtsk import (
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
 from hit2mtsk.it2 import membership
 from hit2mtsk.persist import decode
-from hit2mtsk.rules import Polynomial
+from hit2mtsk.rules import Polynomial, RuleUnfittableError
 
 import oracles
 from conftest import make_dataset
@@ -61,6 +61,30 @@ def oracle_cost(W, Y, y, subset, fallback):
     psum = (W[list(subset)] * Y[list(subset)]).sum(axis=0)
     pred = np.where(wsum > 0, psum / np.where(wsum > 0, wsum, 1.0), fallback)
     return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
+# at x1 = 1e300, x1^2 - x1^3 evaluates to inf - inf = NaN
+CUBIC = Polynomial(
+    degree=3, variables=("x1",), exponents=((2,), (3,)), coefficients=(1.0, -1.0)
+)
+
+
+def with_cubic_rule(uni, i):
+    """``uni`` with rule ``i``'s polynomial replaced by `CUBIC`."""
+    rules = list(uni.rules)
+    rules[i] = replace(rules[i], consequent_fn=CUBIC)
+    return replace(uni, rules=tuple(rules))
+
+
+def with_huge_row(ds):
+    """``ds`` with one more row, x1 = 1e300, appended."""
+    return Dataset(
+        name="big",
+        feature_names=ds.feature_names,
+        X=np.vstack([ds.X, [[1e300, 0.0]]]),
+        target_name=ds.target_name,
+        y=np.append(ds.y, 10.0),
+    )
 
 
 def small_universe(seed=3, n=80, cap=10):
@@ -199,27 +223,30 @@ class TestSearchContracts:
             *((it, 1.1740159440491624) for it in range(7, 14)),
         )
 
+    def test_overflow_where_a_rule_fires_names_the_rule_and_row(self):
+        # rule 4 (x1 is High) fires at x1 = 1e300, where its x1^2 - x1^3
+        # is inf - inf = NaN: no subset holding it has a cost
+        ds, uni = small_universe(cap=6)
+        assert uni.rules[4].antecedent == (("x1", "High"),)
+        uni = with_cubic_rule(uni, 4)
+        cfg = AcoConfig(
+            num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
+        )
+        with pytest.raises(
+            RuleUnfittableError,
+            match=r"rule 4 \(IF x1 is High\) outputs NaN on training row 80,",
+        ):
+            select_rules(uni, with_huge_row(ds), None, cfg, seed=0)
+        with pytest.raises(RuleUnfittableError, match="on validation row 1,"):
+            select_rules(uni, ds, with_huge_row(ds.subset([0])), cfg, seed=0)
+
     def test_overflow_where_a_rule_does_not_fire_is_not_scored(self):
         # rule 0 (x1 is Medium) does not fire at x1 = 1e300, where its
         # x1^2 - x1^3 is inf - inf = NaN
         ds, uni = small_universe(cap=6)
         assert uni.rules[0].antecedent == (("x1", "Medium"),)
-        cubic = Polynomial(
-            degree=3,
-            variables=("x1",),
-            exponents=((2,), (3,)),
-            coefficients=(1.0, -1.0),
-        )
-        uni = replace(
-            uni, rules=(replace(uni.rules[0], consequent_fn=cubic), *uni.rules[1:])
-        )
-        big = Dataset(
-            name="big",
-            feature_names=ds.feature_names,
-            X=np.vstack([ds.X, [[1e300, 0.0]]]),
-            target_name=ds.target_name,
-            y=np.append(ds.y, 10.0),
-        )
+        uni = with_cubic_rule(uni, 0)
+        big = with_huge_row(ds)
         cfg = AcoConfig(
             num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
         )

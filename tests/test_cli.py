@@ -7,6 +7,8 @@ import pytest
 from hit2mtsk import load_model, predict_values, save_csv
 from hit2mtsk.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAIN, main
 
+from test_aco import small_universe, with_cubic_rule, with_huge_row
+
 CLI_CONFIG = {
     "generation": {"degree": 2, "max_candidates": 150},
     "aco": {
@@ -446,6 +448,25 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_TRAIN
+
+    def test_rule_overflowing_where_it_fires_is_a_training_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # rule 4 (x1 is High) fires at x1 = 1e300, where it is NaN
+        ds, uni = small_universe(cap=6)
+        uni = with_cubic_rule(uni, 4)
+        monkeypatch.setattr(
+            "hit2mtsk.pipeline.generate_candidates", lambda *args: uni
+        )
+        csv = tmp_path / "big.csv"
+        save_csv(with_huge_row(ds), csv)
+        code = main(
+            ["train", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_TRAIN
+        err = capsys.readouterr().err
+        assert err.startswith("training error: rule 4 (IF x1 is High) outputs NaN on ")
+        assert err.count("\n") == 1
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

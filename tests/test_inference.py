@@ -1,20 +1,37 @@
+import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hit2mtsk.inference
 from hit2mtsk import (
     Dataset,
     HybridRule,
     Model,
     NotTrainedError,
     Polynomial,
+    build_partition,
+    load_model,
     predict,
     predict_batch,
 )
-from hit2mtsk.inference import predict_values, reduce_firing
-from hit2mtsk.it2 import IT2Set, Partition
+from hit2mtsk.inference import (
+    FIRING_REDUCTIONS,
+    predict_values,
+    reduce_firing,
+    rule_matrices,
+)
+from hit2mtsk.it2 import TNORMS, IT2Set, Partition
+from hit2mtsk.rules import monomial_exponents
+
+import oracles
+
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
 def shoulder(name, shape, params, support=None):
@@ -380,3 +397,199 @@ class TestTrainedModelSanity:
         a = predict_batch(trained.model, toy_dataset)
         b = predict_batch(trained.model, toy_dataset)
         assert np.array_equal(a.values, b.values)
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``: equal only if bitwise equal."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+FEATURES = ("a", "b", "c")
+
+
+def random_model(rng, tnorm="minimum", reduction="midpoint"):
+    """One to eight rules over three random partitions.
+
+    Rules have one to three clauses in random order and a constant or a
+    dense degree 1-3 polynomial over some of their variables.  No rule
+    has only right-shoulder clauses, so `hole_row` fires no rule.
+    """
+    parts = tuple(
+        build_partition(rng.normal(0.0, 5.0, 40), int(rng.integers(2, 6)), variable=v)
+        for v in FEATURES
+    )
+    target = build_partition(rng.normal(0.0, 5.0, 40), 3, variable="y")
+    rules = []
+    for _ in range(int(rng.integers(1, 9))):
+        chosen = rng.permutation(3)[: int(rng.integers(1, 4))]
+        picks = [int(rng.integers(len(parts[j]))) for j in chosen]
+        if all(k == len(parts[j]) - 1 for j, k in zip(chosen, picks)):
+            picks[0] = int(rng.integers(len(parts[chosen[0]]) - 1))
+        antecedent = tuple(
+            (FEATURES[j], parts[j].sets[k].name) for j, k in zip(chosen, picks)
+        )
+        degree = int(rng.integers(0, 4))
+        if degree == 0:
+            fn = constant(float(rng.normal(0.0, 10.0)))
+        else:
+            used = [v for v, _ in antecedent][: int(rng.integers(1, len(chosen) + 1))]
+            exps = monomial_exponents(len(used), degree)
+            coefs = tuple(float(c) for c in rng.normal(0.0, 3.0, len(exps)))
+            fn = Polynomial(degree, tuple(used), exps, coefs)
+        lo, hi = sorted(float(v) for v in rng.normal(0.0, 20.0, 2))
+        rules.append(
+            HybridRule(
+                antecedent=antecedent,
+                consequent_set=target.sets[int(rng.integers(3))].name,
+                consequent_fn=fn,
+                clamp_bounds=(lo, hi),
+                error_dominance=float(rng.uniform(0.05, 1.0)),
+            )
+        )
+    return Model(
+        feature_partitions=parts,
+        target_partition=target,
+        rules=tuple(rules),
+        tnorm=tnorm,
+        firing_reduction=reduction,
+        fallback_value=float(rng.normal(0.0, 10.0)),
+    )
+
+
+def hole_row(model):
+    """Far right of every domain: only right shoulders fire there."""
+    return {
+        p.variable: p.domain[1] + 100.0 * (p.domain[1] - p.domain[0])
+        for p in model.feature_partitions
+    }
+
+
+def random_rows(rng, model, n):
+    """``n`` rows around the domains, a tenth far off them, and the first
+    row (when n > 1) the hole row that no rule fires on."""
+    cols = {}
+    for p in model.feature_partitions:
+        lo, hi = p.domain
+        col = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), n)
+        far = rng.random(n) < 0.1
+        col[far] = rng.choice([-1.0, 1.0], far.sum()) * (abs(lo) + abs(hi)) * 50.0
+        cols[p.variable] = col
+    if n > 1:
+        for v, x in hole_row(model).items():
+            cols[v][0] = x
+    return cols
+
+
+class TestRuleMatricesAgainstPerRuleLoop:
+    """The stacked, fired-rows kernel against the per-rule loop it replaced."""
+
+    @pytest.mark.parametrize("cells", [None, 1000, 1])
+    @pytest.mark.parametrize("n", [1, 500])
+    @pytest.mark.parametrize("tnorm", TNORMS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bitwise_equal_where_it_counts(self, seed, tnorm, n, cells, monkeypatch):
+        if cells is not None:  # many row chunks and rule blocks
+            monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, tnorm)
+        cols = random_rows(rng, model, n)
+        args = (model.rules, model.feature_partitions, cols, tnorm)
+        F_lo, F_hi, Y = rule_matrices(*args)
+        want_lo, want_hi, want_y = oracles.rule_matrices(*args)
+        assert np.array_equal(bits(F_lo), bits(want_lo))
+        assert np.array_equal(bits(F_hi), bits(want_hi))
+        fired = want_hi > 0.0
+        assert np.array_equal(bits(Y[fired]), bits(want_y[fired]))
+        assert np.array_equal(bits(Y[~fired]), bits(np.zeros(np.count_nonzero(~fired))))
+        if n > 1:
+            assert not fired[:, 0].any()
+
+    def test_no_rows_give_empty_matrices(self):
+        model = random_model(np.random.default_rng(0))
+        cols = {v: np.array([]) for v in model.feature_names}
+        for matrix in rule_matrices(model.rules, model.feature_partitions, cols):
+            assert matrix.shape == (len(model.rules), 0)
+
+    def test_random_models_cover_every_rule_shape(self):
+        shapes = set()
+        for seed in range(12):
+            for r in random_model(np.random.default_rng(seed)).rules:
+                fn = r.consequent_fn
+                shapes.add((len(r.antecedent), fn.degree if fn.variables else 0))
+        assert {c for c, _ in shapes} == {1, 2, 3}
+        assert {d for _, d in shapes} == {0, 1, 2, 3}
+
+    def test_overflow_only_where_a_rule_does_not_fire_is_not_evaluated(self):
+        model = two_rule_model(
+            rules=(replace(RULE_LOW, consequent_fn=CUBIC), RULE_HIGH)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, F_hi, Y = rule_matrices(
+                model.rules, model.feature_partitions, {"x": np.array([1e300])}
+            )
+        assert F_hi[0, 0] == 0.0 and Y[0, 0] == 0.0
+        assert Y[1, 0] == 20.0
+
+
+# |x| <= 1e6 keeps every degree-3 polynomial of random_model finite; a
+# polynomial that overflows is refused, as TestValidation checks
+FINITE = st.one_of(
+    st.floats(-30.0, 30.0), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+)
+
+
+class TestClampEnvelope:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(TNORMS),
+        st.sampled_from(FIRING_REDUCTIONS),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_output_inside_fired_clamps_or_flagged(
+        self, seed, tnorm, reduction, data
+    ):
+        model = random_model(np.random.default_rng(seed), tnorm, reduction)
+        n = data.draw(st.integers(1, 6))
+        cols = {
+            v: np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+            for v in model.feature_names
+        }
+        _, F_hi, _ = oracles.rule_matrices(
+            model.rules, model.feature_partitions, cols, tnorm
+        )
+        lows = np.array([r.clamp_bounds[0] for r in model.rules])
+        highs = np.array([r.clamp_bounds[1] for r in model.rules])
+
+        def check(value, flagged, row):
+            if flagged:
+                assert value == model.fallback_value
+                return
+            fired = F_hi[:, row] > 0.0
+            assert fired.any()
+            lo, hi = lows[fired].min(), highs[fired].max()
+            # two sums of at most len(rules) positive terms round the mean
+            slack = 2 * len(model.rules) * np.spacing(max(abs(lo), abs(hi)))
+            assert np.isfinite(value) and lo - slack <= value <= hi + slack
+
+        values, _, fallback = predict_values(model, cols)
+        batch = predict_batch(model, cols, detail=True)
+        for row in range(n):
+            check(values[row], fallback[row], row)
+            p = batch.predictions[row]
+            check(p.value, p.fallback_used, row)
+            p = predict(model, {v: float(cols[v][row]) for v in cols})
+            check(p.value, p.fallback_used, row)
+
+
+class TestServeReference:
+    def test_frozen_reference_predictions_reproduced_bitwise(self):
+        model = load_model(FIXTURES / "serve_model.json")
+        doc = json.loads((FIXTURES / "serve_reference.json").read_text())
+        rows = dict(zip(model.feature_names, np.array(doc["rows"]).T))
+        want = np.array(doc["values"])
+        values, _, _ = predict_values(model, rows)
+        assert np.array_equal(bits(values), bits(want))
+        detail = predict_batch(model, rows, detail=True)
+        assert np.array_equal(bits([p.value for p in detail.predictions]), bits(want))

@@ -11,9 +11,10 @@ from hit2mtsk.it2 import (
     build_partition,
     fire,
     membership,
+    stacked_memberships,
 )
 
-from oracles import firing_strength
+from oracles import firing_strength, trapezoid_membership
 
 REF_SET = IT2Set(
     name="ref",
@@ -300,3 +301,44 @@ class TestPartitionContainer:
         assert part.index_of("High") == 2
         with pytest.raises(KeyError):
             part.set_named("Gigantic")
+
+
+class TestStackedMemberships:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_trapezoid_oracle_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = [
+            build_partition(
+                rng.normal(0.0, 5.0, 30),
+                int(rng.integers(2, 6)),
+                fou_width=float(rng.uniform(0.01, 0.49)),
+                fou_scale=float(rng.uniform(0.05, 1.0)),
+                variable=v,
+            )
+            for v in "ab"
+        ]
+        # a trapezoid with vertical sides: both ramps are empty
+        sets = [s for p in parts for s in p.sets] + [
+            IT2Set("box", "trapezoid", (1.0, 1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0))
+        ]
+        x = rng.normal(0.0, 9.0, (len(sets), 16))
+        for k, s in enumerate(sets):
+            x[k, :8] = s.upper_params + s.lower_params  # every edge is hit
+        lower, upper = stacked_memberships(sets, x)
+        shared_lower, shared_upper = stacked_memberships(sets, x[0])
+        for k, s in enumerate(sets):
+            for j in range(x.shape[1]):
+                assert (lower[k, j], upper[k, j]) == trapezoid_membership(s, x[k, j])
+                assert (shared_lower[k, j], shared_upper[k, j]) == (
+                    trapezoid_membership(s, x[0, j])
+                )
+
+    def test_partition_matrix_is_the_one_partition_case(self):
+        part = build_partition(np.linspace(0.0, 10.0, 50), num_sets=4)
+        x = np.linspace(-5.0, 15.0, 201)
+        lower, upper = part.membership_matrix(x)
+        stacked = stacked_memberships(part.sets, x)
+        assert lower.shape == upper.shape == (201, 4)
+        assert np.array_equal(lower, stacked[0].T)
+        assert np.array_equal(upper, stacked[1].T)

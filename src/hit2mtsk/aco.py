@@ -5,8 +5,8 @@ pheromone^alpha * heuristic^beta (heuristic = error dominance), score
 each subset by full-pipeline RMSE on the fit+validation rows, evaporate
 and deposit pheromone, and stop early after a patience window without
 improvement.  Fully deterministic for a fixed seed: every ant draws
-from its own (seed, iteration, ant) derived stream, one uniform per
-picked rule.
+from its own (seed, iteration, ant) derived stream, its subset size and
+then one uniform per rule, which keys the rules for one top-k draw.
 
 A subset is scored over each rule's firing rows only.  Every rule's
 weights and weighted outputs are stored once, for the rows it fires on,
@@ -79,30 +79,26 @@ def sample_subset(
 ) -> np.ndarray:
     """Draw ``size`` distinct indices, each step normalized over the rest.
 
-    Each pick inverts one uniform of ``rng`` through the cumulative
-    weights of the indices not yet picked (uniform over them when those
-    weights are all zero).  That is what ``rng.choice(total, p=...)``
-    does per pick, so the draws are those of ``size`` such calls.
+    One keyed draw (Efraimidis & Spirakis 2006): each index gets the key
+    ``log(w) - log(-log u)`` from its own uniform ``u`` of ``rng``, which
+    orders the indices as ``u ** (1 / w)`` does but stays finite for every
+    positive weight, and the ``size`` largest keys win.  That is the law
+    of ``size`` successive proportional picks.  Zero weights come after
+    every positive one, uniformly among themselves (ranked by ``u``).
     """
     total_rules = weights.size
     if size > total_rules:
         raise ValueError("subset size exceeds rule count")
     if not (np.all(weights >= 0.0) and np.isfinite(weights.sum())):
         raise ValueError("weights must be finite and non-negative")
-    u = rng.random(size)
-    w = np.array(weights, dtype=float)
-    avail = np.ones(total_rules, dtype=bool)
-    chosen = np.empty(size, dtype=int)
-    for t in range(size):
-        s = w.sum()
-        p = w / s if s > 0.0 else avail / avail.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        i = int(cdf.searchsorted(u[t], side="right"))
-        chosen[t] = i
-        w[i] = 0.0
-        avail[i] = False
-    return np.sort(chosen)
+    u = rng.random(total_rules)
+    if size > np.count_nonzero(weights):
+        key = np.where(weights > 0.0, np.inf, u)
+    else:
+        with np.errstate(divide="ignore"):  # a zero weight keys -inf
+            key = np.log(weights) - np.log(-np.log(u))
+    rest = total_rules - size  # the keys after position rest - 1 win
+    return np.sort(np.argpartition(key, rest - 1)[rest:])
 
 
 def select_rules(

@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -26,6 +27,7 @@ from .data import (
     load_keel,
     load_keel_folds,
     make_folds,
+    read_csv,
 )
 from .evaluate import (
     REFERENCE_RMSE,
@@ -96,16 +98,20 @@ def _load_config(args) -> TrainConfig:
         raise CliError(EXIT_CONFIG, f"bad configuration: {exc}")
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args, labelled: bool = True):
+    """The ``--data`` rows as a `Dataset`; unless ``labelled``, csv data
+    without ``--target`` comes as its (header, rows) instead."""
     path = Path(args.data)
     if not path.exists():
         raise CliError(EXIT_DATA, f"data file not found: {path}")
     try:
         if args.format == "keel":
             return load_keel(path)
-        if not args.target:
+        if args.target:
+            return load_csv(path, args.target)
+        if labelled:
             raise CliError(EXIT_CONFIG, "--target is required for csv data")
-        return load_csv(path, args.target)
+        return read_csv(path)
     except ParseError as exc:
         raise CliError(EXIT_DATA, str(exc))
 
@@ -155,9 +161,15 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = _load_model(args)
-    dataset = _load_dataset(args)
+    data = _load_dataset(args, labelled=False)
+    if isinstance(data, Dataset):
+        rows, target, fingerprint = data, data.y, dataset_fingerprint(data)
+    else:  # unlabelled: every column is a feature
+        header, table = data
+        digest = hashlib.sha256(repr(header).encode() + table.tobytes())
+        rows, target, fingerprint = dict(zip(header, table.T)), None, digest.hexdigest()
     try:
-        values, fired_counts, fallback = predict_values(model, dataset)
+        values, fired_counts, fallback = predict_values(model, rows)
     except NotTrainedError as exc:
         raise CliError(EXIT_TRAIN, str(exc))
     except ValueError as exc:
@@ -165,16 +177,17 @@ def cmd_predict(args) -> int:
     out = _outdir(args)
     manifest = {
         "model_manifest": dict(model.manifest),
-        "data_fingerprint": dataset_fingerprint(dataset),
+        "data_fingerprint": fingerprint,
     }
-    write_xy_csv(
-        out / "predictions.csv",
-        ("prediction", "target", "fired_rules", "fallback"),
-        (values, dataset.y, fired_counts, fallback),
-        manifest,
-    )
-    rmse = float(np.sqrt(np.mean((values - dataset.y) ** 2)))
-    print(f"predicted {values.size} rows, rmse {rmse:.6g}, "
+    columns = {"prediction": values, "target": target,
+               "fired_rules": fired_counts, "fallback": fallback}
+    rmse = ""
+    if target is None:
+        del columns["target"]
+    else:
+        rmse = f", rmse {float(np.sqrt(np.mean((values - target) ** 2))):.6g}"
+    write_xy_csv(out / "predictions.csv", tuple(columns), columns.values(), manifest)
+    print(f"predicted {values.size} rows{rmse}, "
           f"fallback rate {float(np.mean(fallback)):.4f}")
     print(f"wrote {out / 'predictions.csv'}")
     return EXIT_OK
@@ -182,21 +195,13 @@ def cmd_predict(args) -> int:
 
 def cmd_crossval(args) -> int:
     config = _load_config(args)
-    path = Path(args.data)
-    if not path.exists():
-        raise CliError(EXIT_DATA, f"data path not found: {path}")
-    try:
-        if args.format == "keel":
-            if path.is_dir():
-                folds = load_keel_folds(path, args.name)
-            else:
-                folds = make_folds(load_keel(path), k=5, seed=config.seed)
-        else:
-            if not args.target:
-                raise CliError(EXIT_CONFIG, "--target is required for csv data")
-            folds = make_folds(load_csv(path, args.target), k=5, seed=config.seed)
-    except (ParseError, FileNotFoundError) as exc:
-        raise CliError(EXIT_DATA, str(exc))
+    if args.format == "keel" and Path(args.data).is_dir():
+        try:
+            folds = load_keel_folds(Path(args.data), args.name)
+        except (ParseError, FileNotFoundError) as exc:
+            raise CliError(EXIT_DATA, str(exc))
+    else:
+        folds = make_folds(_load_dataset(args), k=5, seed=config.seed)
 
     name = args.name or folds[0].train.name
     if args.name and not reference_for(args.name):
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data", required=True, help="data file or fold directory")
             p.add_argument("--format", choices=("keel", "csv"), default="csv")
-            p.add_argument("--target", help="target column (csv format)")
+            p.add_argument("--target", help="target column (csv; optional for predict)")
         p.add_argument("--out", default="out", help="output directory")
 
     def add_train_opts(p):

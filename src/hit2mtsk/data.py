@@ -231,17 +231,15 @@ def load_keel(path) -> Dataset:
     )
 
 
-def load_csv(path, target_column: str) -> Dataset:
-    """Load a plain numeric CSV with a header row."""
+def read_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and float rows of a plain numeric CSV."""
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise ParseError(path, None, "empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if target_column not in header:
-        raise ParseError(
-            path, 1, f"target column {target_column!r} not in header {header}"
-        )
+    header = tuple(h.strip() for h in lines[0].split(","))
+    if len(set(header)) < len(header):
+        raise ParseError(path, 1, f"header {list(header)} repeats a column name")
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         tokens = line.split(",")
@@ -254,11 +252,20 @@ def load_csv(path, target_column: str) -> Dataset:
         )
     if not rows:
         raise ParseError(path, None, "no data rows")
-    table = np.array(rows, dtype=float)
+    return header, np.array(rows, dtype=float)
+
+
+def load_csv(path, target_column: str) -> Dataset:
+    """Load a plain numeric CSV with a header row."""
+    header, table = read_csv(path)
+    if target_column not in header:
+        raise ParseError(
+            path, 1, f"target column {target_column!r} not in header {list(header)}"
+        )
     t_idx = header.index(target_column)
     feat_idx = [j for j in range(len(header)) if j != t_idx]
     return Dataset(
-        name=path.stem,
+        name=Path(path).stem,
         feature_names=tuple(header[j] for j in feat_idx),
         X=table[:, feat_idx],
         target_name=target_column,

@@ -221,38 +221,22 @@ def run_cv(
         scored = predict_batch(model, fold.test)
         return model, scored.rmse, scored.fallback_rate
 
-    outcomes: list = [None] * len(folds)
+    done, failed = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(run_fold, f) for f in folds]
-        for i, fut in enumerate(futures):
+        for fold, fut in zip(folds, futures):
             try:
-                outcomes[i] = fut.result()
-            except (ValueError, RuntimeError) as exc:
-                outcomes[i] = exc
-
-    fold_rmse: list[float] = []
-    fallback_rates: list[float] = []
-    failed: list[int] = []
-    first_model = None
-    first_test = None
-    for i, out in enumerate(outcomes):
-        if isinstance(out, Exception):
-            failed.append(folds[i].fold_index)
-            continue
-        model, rmse, fb = out
-        fold_rmse.append(rmse)
-        fallback_rates.append(fb)
-        if first_model is None:
-            first_model = model
-            first_test = folds[i].test
-    if not fold_rmse:
+                done.append((fold.test, *fut.result()))
+            except (ValueError, RuntimeError):
+                failed.append(fold.fold_index)
+    if not done:
         raise TrainingFailedError(f"all {len(folds)} folds failed to train")
+    fold_rmse = [rmse for _, _, rmse, _ in done]
 
     block = None
-    if explain and first_model is not None:
-        block = explainability_block(
-            first_model, first_test, seed=derive_seed(config.seed, 201)
-        )
+    if explain:
+        test, model, _, _ = done[0]
+        block = explainability_block(model, test, seed=derive_seed(config.seed, 201))
     return EvalReport(
         dataset=name,
         variant=config.variant,
@@ -260,7 +244,7 @@ def run_cv(
         mean_rmse=float(np.mean(fold_rmse)),
         reference=reference_for(name),
         explainability=block,
-        fallback_rate=float(np.mean(fallback_rates)),
+        fallback_rate=float(np.mean([fb for *_, fb in done])),
         failed_folds=tuple(failed),
         warning=(
             f"{len(failed)} fold(s) failed to train" if failed else None

@@ -257,10 +257,20 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     fired_counts = np.count_nonzero(F_hi > 0.0, axis=0)
     dom = np.array([r.error_dominance for r in model.rules])
     W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None]
-    wsum = W.sum(axis=0)
-    # only weighted rules contribute: a rule that fires with weight 0 (as
-    # under the lower reduction) adds no 0 x NaN
-    psum = np.multiply(W, Y, out=np.zeros_like(W), where=W > 0.0).sum(axis=0)
+    # each row adds its weighted rules in rule order, however many rows
+    # there are (sum(axis=0) adds a one-row column pairwise); a rule that
+    # fires with weight 0 (lower reduction) adds no 0 x NaN.  Whole-batch
+    # gathers left heap memory resident and raised serve peak RSS.
+    n = W.shape[1]
+    wsum, psum = np.empty(n), np.empty(n)
+    step = max(1, BLOCK_CELLS // len(W))
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        fired = W[:, chunk] > 0.0
+        rows = np.nonzero(fired)[1]
+        w = W[:, chunk][fired]
+        wsum[chunk] = np.bincount(rows, w, fired.shape[1])
+        psum[chunk] = np.bincount(rows, w * Y[:, chunk][fired], fired.shape[1])
     fallback = wsum <= 0.0
     values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))
     nan_rows = np.flatnonzero(np.isnan(values))

@@ -45,7 +45,8 @@ def _check_header(d, fmt: str) -> dict:
         raise TypeError(f"a {kind} file must hold a JSON object, not {_kind(d)}")
     if d.get("format") != fmt:
         raise ValueError(f"not a {kind} file (format={d.get('format')!r})")
-    if d.get("version") != FORMAT_VERSION:
+    # ``type`` and not ``==`` alone: JSON ``true`` reads as ``True == 1``.
+    if type(d.get("version")) is not int or d["version"] != FORMAT_VERSION:
         raise ValueError(
             f"unsupported {kind} file version {d.get('version')!r} "
             f"(expected {FORMAT_VERSION})"

@@ -80,7 +80,7 @@ def build_partitions(
     a constant target is a hard error.
     """
     partitions: dict[str, Partition] = {}
-    for name in dataset.feature_names:
+    for name in (*dataset.feature_names, dataset.target_name):
         try:
             partitions[name] = build_partition(
                 dataset.column(name),
@@ -90,14 +90,8 @@ def build_partitions(
                 variable=name,
             )
         except DegeneratePartitionError:
-            continue
-    partitions[dataset.target_name] = build_partition(
-        dataset.y,
-        num_sets=config.num_sets,
-        fou_width=config.fou_width,
-        fou_scale=config.fou_scale,
-        variable=dataset.target_name,
-    )
+            if name == dataset.target_name:
+                raise
     return partitions
 
 

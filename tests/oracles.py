@@ -6,6 +6,7 @@ that the stacked, fired-rows kernel replaced; it is built from the
 library's per-partition membership matrices and per-rule `fire`, which
 the scalar oracles here check in turn.
 """
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -123,3 +124,21 @@ def sample_subset(rng, weights, size: int) -> np.ndarray:
         chosen[t] = i
         avail[i] = False
     return np.sort(chosen)
+
+
+def subset_law(weights, size: int) -> dict[tuple[int, ...], float]:
+    """Exact probability of each sorted subset `sample_subset` returns:
+    the product of its step probabilities, summed over every pick order
+    that yields the subset."""
+    total = len(weights)
+    law: dict[tuple[int, ...], float] = {}
+    for order in itertools.permutations(range(total), size):
+        prob = 1.0
+        left = set(range(total))
+        for i in order:
+            s = sum(weights[j] for j in left)
+            prob *= weights[i] / s if s > 0.0 else 1.0 / len(left)
+            left.remove(i)
+        subset = tuple(sorted(order))
+        law[subset] = law.get(subset, 0.0) + prob
+    return law

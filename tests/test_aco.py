@@ -1,11 +1,14 @@
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hit2mtsk import (
     AcoConfig,
@@ -162,20 +165,60 @@ class TestSampling:
         p = scipy.stats.chisquare(counts).pvalue
         assert p > 0.01
 
-    @pytest.mark.parametrize("total", [6, 183, 1664])
-    def test_draws_are_those_of_successive_choice_calls(self, total):
-        gen = np.random.default_rng(total)
-        for size in range(1, min(total, 100) + 1):
-            weights = gen.random(total) ** 3
-            if size % 3 == 0:
-                weights[gen.random(total) < 0.5] = 0.0
-            if size % 17 == 0:
-                weights[:] = 0.0
-            got = sample_subset(np.random.default_rng([total, size]), weights, size)
-            want = oracles.sample_subset(
-                np.random.default_rng([total, size]), weights, size
-            )
-            assert np.array_equal(got, want), size
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [4.0, 0.0, 1.0, 2.0, 0.0],
+            [1.0, 0.5, 0.25, 2.0, 0.0],
+            [0.0, 3.0, 0.0, 0.0, 0.0],
+        ],
+        ids=["two-zeros", "one-zero", "one-positive"],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_subsets_have_the_law_of_successive_choice_calls(self, weights, size):
+        # exact subset probabilities of one rng.choice per pick, enumerated
+        # over pick orders; sizes past the positive weights draw zeros
+        law = oracles.subset_law(weights, size)
+        assert sum(law.values()) == pytest.approx(1.0)
+        support = sorted(s for s, p in law.items() if p > 0.0)
+        w = np.array(weights)
+        rng = np.random.default_rng([size, *(4 * w).astype(int)])
+        draws = 10_000
+        counts = Counter(
+            tuple(sample_subset(rng, w, size).tolist()) for _ in range(draws)
+        )
+        assert set(counts) <= set(support)
+        if len(support) > 1:
+            observed = [counts[s] for s in support]
+            expected = [draws * law[s] for s in support]
+            assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300]),
+                st.floats(0.0, 1e6, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.booleans(),
+        st.integers(1, 12),
+    )
+    # log(u) / w is -inf for the subnormal weight, a tie with the zero
+    @example(0, [5e-324, 0.0], False, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_draw_is_distinct_sorted_and_positive_first(
+        self, seed, weights, all_zero, size
+    ):
+        w = np.zeros(len(weights)) if all_zero else np.array(weights)
+        size = min(size, w.size)
+        out = sample_subset(np.random.default_rng(seed), w, size)
+        assert out.size == size
+        assert np.all(np.diff(out) > 0)
+        if np.any(w[out] == 0.0):
+            assert set(np.flatnonzero(w > 0.0).tolist()) <= set(out.tolist())
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_rejects_weights_choice_would_reject(self, bad):
@@ -205,7 +248,8 @@ class TestSearchContracts:
         assert np.isfinite(subset.cost) and subset.cost >= 0.0
 
     def test_selection_is_pinned(self):
-        # recorded from the dense scorer and one rng.choice call per pick
+        # recorded from the sparse scorer and the keyed top-k sampler (one
+        # uniform per rule)
         ds, uni = small_universe()
         cfg = AcoConfig(
             num_ants=4, num_iterations=15, subset_size_range=(2, 10), patience=6
@@ -214,13 +258,10 @@ class TestSearchContracts:
         assert subset.indices == (0, 1, 3, 4, 5, 7, 8)
         assert subset.cost == 1.1740159440491624
         assert trace == (
-            (1, 1.3742470285994208),
-            (2, 1.2708131761166492),
-            (3, 1.2168865933849617),
-            (4, 1.2168865933849617),
-            (5, 1.2022926674172618),
-            (6, 1.2022926674172618),
-            *((it, 1.1740159440491624) for it in range(7, 14)),
+            (1, 1.3522198607454439),
+            *((it, 1.2708131761166492) for it in range(2, 7)),
+            *((it, 1.1866861571026293) for it in range(7, 11)),
+            *((it, 1.1740159440491624) for it in range(11, 16)),
         )
 
     def test_overflow_where_a_rule_fires_names_the_rule_and_row(self):

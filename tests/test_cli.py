@@ -138,7 +138,7 @@ class TestTrain:
 
 
 class TestPredict:
-    def test_round_trip_against_library(self, ws, bundle, toy_dataset):
+    def test_round_trip_against_library(self, ws, bundle, toy_dataset, capsys):
         out = ws.root / "pred"
         code = main(
             [
@@ -152,9 +152,75 @@ class TestPredict:
         assert lines[1] == "prediction,target,fired_rules,fallback"
         assert len(lines) == 2 + toy_dataset.n_rows
         got = np.array([float(ln.split(",")[0]) for ln in lines[2:]])
+        targets = np.array([float(ln.split(",")[1]) for ln in lines[2:]])
         model = load_model(bundle / "model.json")
         want, _, _ = predict_values(model, toy_dataset)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(targets, toy_dataset.y)
+        rmse = np.sqrt(np.mean((want - toy_dataset.y) ** 2))
+        assert f"predicted {toy_dataset.n_rows} rows, rmse {rmse:.6g}, " in (
+            capsys.readouterr().out
+        )
+
+    def test_unlabelled_rows(self, ws, bundle, toy_dataset, tmp_path, capsys):
+        # without --target every csv column is a feature; no target, no rmse
+        rows = tmp_path / "rows.csv"
+        rows.write_text(
+            "x2,x1\n"
+            + "".join(f"{b!r},{a!r}\n" for a, b in toy_dataset.X.tolist())
+        )
+        out = tmp_path / "pred"
+        code = main(
+            [
+                "predict", "--data", str(rows),
+                "--model", str(bundle / "model.json"), "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = (out / "predictions.csv").read_text().splitlines()
+        manifest = json.loads(lines[0][2:])
+        assert len(manifest["data_fingerprint"]) == 64
+        assert lines[1] == "prediction,fired_rules,fallback"
+        assert len(lines) == 2 + toy_dataset.n_rows
+        model = load_model(bundle / "model.json")
+        want, fired, fallback = predict_values(model, toy_dataset)
+        got = [ln.split(",") for ln in lines[2:]]
+        np.testing.assert_array_equal([float(v) for v, _, _ in got], want)
+        assert [int(f) for _, f, _ in got] == fired.tolist()
+        assert [bool(int(b)) for _, _, b in got] == fallback.tolist()
+        printed = capsys.readouterr().out
+        assert f"predicted {toy_dataset.n_rows} rows, fallback rate " in printed
+        assert "rmse" not in printed
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1\n1.0\n",  # lacks model feature x2
+            "x1,x2,x1\n1.0,2.0,3.0\n",  # repeated column
+            "x1,x2\n1.0,nan\n",
+            "x1,x2\n1e300,1e300\n",  # polynomials overflow
+        ],
+        ids=["narrow", "repeated", "missing-value", "huge"],
+    )
+    def test_bad_unlabelled_rows_are_a_data_error(self, bundle, tmp_path, capsys, text):
+        (tmp_path / "rows.csv").write_text(text)
+        code = main(
+            [
+                "predict", "--data", str(tmp_path / "rows.csv"),
+                "--model", str(bundle / "model.json"), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "explain", "crossval", "baseline"])
+    def test_other_commands_still_need_a_target(self, ws, bundle, tmp_path, command):
+        extra = ["--model", str(bundle / "model.json")] if command == "explain" else []
+        code = main(
+            [command, "--data", str(ws.csv), "--out", str(tmp_path / "o"), *extra]
+        )
+        assert code == EXIT_CONFIG
 
     def test_missing_model_file(self, ws):
         code = main(

@@ -13,6 +13,7 @@ from hit2mtsk import (
 from hit2mtsk.data import (
     dataset_fingerprint,
     load_keel_folds,
+    read_csv,
 )
 
 KEEL_SAMPLE = """\
@@ -127,6 +128,20 @@ class TestCsv:
         p = write(tmp_path, "t.csv", "a,b\n1,2\n3\n")
         with pytest.raises(ParseError, match="t.csv:3"):
             load_csv(p, target_column="b")
+
+    @pytest.mark.parametrize("text", ["a,a,y\n1,2,3\n", "a,y,y\n1,2,3\n"])
+    def test_repeated_column_name(self, tmp_path, text):
+        p = write(tmp_path, "t.csv", text)
+        with pytest.raises(ParseError, match="t.csv:1: .* repeats a column name"):
+            load_csv(p, target_column="y")
+        with pytest.raises(ParseError, match="repeats a column name"):
+            read_csv(p)
+
+    def test_read_without_a_target(self, tmp_path):
+        p = write(tmp_path, "t.csv", "a,b\n1.0,2.0\n3.0,4.5\n")
+        header, rows = read_csv(p)
+        assert header == ("a", "b")
+        assert np.array_equal(rows, [[1.0, 2.0], [3.0, 4.5]])
 
 
 class TestDatasetContainer:

@@ -232,13 +232,14 @@ class TestBatchScoring:
 class TestOnePredictionPath:
     def test_predict_is_one_row_of_predict_values(self, trained, toy_dataset):
         model = trained.model
+        batch, _, _ = predict_values(model, toy_dataset)
         for i in range(toy_dataset.n_rows):
             x = dict(zip(toy_dataset.feature_names, map(float, toy_dataset.X[i])))
             values, _, fallback = predict_values(
                 model, {k: np.array([v]) for k, v in x.items()}
             )
             p = predict(model, x)
-            assert p.value == values[0]
+            assert p.value == values[0] == batch[i]
             assert p.fallback_used == fallback[0]
 
     def test_detail_predictions_equal_values_exactly(self, trained, toy_dataset):
@@ -593,3 +594,14 @@ class TestServeReference:
         assert np.array_equal(bits(values), bits(want))
         detail = predict_batch(model, rows, detail=True)
         assert np.array_equal(bits([p.value for p in detail.predictions]), bits(want))
+
+    def test_single_row_predict_reproduces_the_reference_bitwise(self):
+        # one row adds its rules in the same order as a batch of rows does
+        model = load_model(FIXTURES / "serve_model.json")
+        doc = json.loads((FIXTURES / "serve_reference.json").read_text())
+        want = np.array(doc["values"][:200])
+        got = [
+            predict(model, dict(zip(model.feature_names, row))).value
+            for row in doc["rows"][:200]
+        ]
+        assert np.array_equal(bits(got), bits(want))

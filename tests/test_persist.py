@@ -190,6 +190,12 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="unsupported model file version 2"):
             load_model(path)
 
+    def test_boolean_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(dumps({**model_to_dict(two_rule_model()), "version": True}))
+        with pytest.raises(ValueError, match="unsupported model file version True"):
+            load_model(path)
+
     @pytest.mark.parametrize("doc", NON_OBJECTS)
     def test_non_object_rejected(self, tmp_path, doc):
         path = tmp_path / "model.json"

@@ -8,6 +8,7 @@ the linguistic region it claims.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ class RuleUnfittableError(ValueError):
     estimated, or when its output is NaN on a row where it fires."""
 
 
+@functools.lru_cache(maxsize=None)
 def monomial_exponents(
     num_variables: int, degree: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -30,7 +32,8 @@ def monomial_exponents(
 
     For 2 variables and degree 2 this yields the exponents of
     1, x1, x2, x1^2, x1*x2, x2^2 in that order; the count is always
-    C(num_variables + degree, degree).
+    C(num_variables + degree, degree).  Graded order makes the first
+    C(num_variables + k, k) terms the basis of degree k.
     """
     if num_variables < 0:
         raise ValueError("num_variables must be nonnegative")
@@ -49,7 +52,11 @@ def monomial_exponents(
 
 
 def design_matrix(X: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial column matrix (n, C(v+degree, degree)) for rows ``X``."""
+    """Monomial column matrix (n, C(v+degree, degree)) for rows ``X``.
+
+    Every column is an elementwise product, so the design of a subset
+    of rows is bit for bit the same rows of the design of all of them.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows, variables)")
@@ -256,6 +263,8 @@ def fit_consequent(
     firing: np.ndarray | None = None,
     weighted: bool = False,
     clamp_bounds: tuple[float, float] | None = None,
+    *,
+    design: np.ndarray | None = None,
 ) -> Polynomial:
     """Estimate a rule's polynomial from the rows it fires on.
 
@@ -275,6 +284,10 @@ def fit_consequent(
         ``weighted`` and always for the constant fallback's mean.
     clamp_bounds:
         When given, the constant fallback is clamped into it.
+    design:
+        ``design_matrix(X, degree)`` when the caller already holds it
+        (for instance as rows of a design over more rows); a degraded
+        fit reads its degree-1 columns.
 
     Raises
     ------
@@ -294,6 +307,8 @@ def fit_consequent(
     n, v = X.shape
     if n == 0:
         raise RuleUnfittableError("rule fires on no rows")
+    if design is not None and design.shape != (n, math.comb(v + degree, degree)):
+        raise ValueError("design must be design_matrix(X, degree)")
 
     def constant_poly() -> Polynomial:
         w = None
@@ -319,7 +334,9 @@ def fit_consequent(
     if n < v + 1 or (degraded and n <= v + 1):
         return constant_poly()
 
-    M = design_matrix(X, use_degree)[:, 1:]
+    if design is None:
+        design = design_matrix(X, use_degree)
+    M = design[:, 1 : math.comb(v + use_degree, use_degree)]
     sw = None
     if weighted and firing is not None and np.sum(firing) > 0:
         sw = np.asarray(firing, dtype=float)

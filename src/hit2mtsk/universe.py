@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dominance import (
     support_interval,
 )
 from .it2 import TNORMS, Partition, fire
-from .rules import HybridRule, clamp, fit_consequent
+from .rules import HybridRule, clamp, design_matrix, fit_consequent
 
 
 class EmptyUniverseError(RuntimeError):
@@ -95,6 +95,38 @@ class _Candidate:
     rows: int
 
 
+def _candidate_keys(
+    feat_arg: np.ndarray,
+    cons_arg: np.ndarray,
+    num_sets: Sequence[int],
+    max_len: int,
+) -> dict[tuple, list[int]]:
+    """Consequents of every antecedent that clause deletion derives from
+    the seed rows, keyed by antecedent ``((feature, set), ...)``.
+
+    Seed row r has set ``feat_arg[r, j]`` of ``num_sets[j]`` on feature
+    j and consequent ``cons_arg[r]``; every subset of at most
+    ``max_len`` features yields one antecedent per row.  One subset at
+    a time, each row's (consequent, sets on the subset) key gets a dense
+    code: the code on the subset without its last feature, times that
+    feature's set count, plus its set, renumbered by `np.unique`.  So
+    codes stay below rows x sets and never overflow.
+    """
+    codes = {(): cons_arg}
+    by_ant: dict[tuple, list[int]] = {}
+    for size in range(1, max_len + 1):
+        for subset in itertools.combinations(range(feat_arg.shape[1]), size):
+            *head, j = subset
+            raw = codes[tuple(head)] * num_sets[j] + feat_arg[:, j]
+            _, first, codes[subset] = np.unique(
+                raw, return_index=True, return_inverse=True
+            )
+            sets = feat_arg[np.ix_(first, subset)].tolist()
+            for row, cons in zip(sets, cons_arg[first].tolist()):
+                by_ant.setdefault(tuple(zip(subset, row)), []).append(cons)
+    return by_ant
+
+
 def generate_candidates(
     dataset: Dataset,
     partitions: Mapping[str, Partition],
@@ -127,22 +159,12 @@ def generate_candidates(
     # instance seeding: strongest set per feature and for the target
     feat_arg = np.stack([u.argmax(axis=1) for _, u in mem], axis=1)
     cons_arg = t_upp.argmax(axis=1)
-    seeds: dict[tuple, None] = {}
-    for r in range(n):
-        seeds[(tuple(int(v) for v in feat_arg[r]), int(cons_arg[r]))] = None
 
     # clause-deletion generalization, deduplicated
     max_len = min(config.max_antecedent, len(feats))
-    cand_keys: dict[tuple, None] = {}
-    for combo, cons in seeds:
-        for size in range(1, max_len + 1):
-            for subset in itertools.combinations(range(len(feats)), size):
-                ant = tuple((j, combo[j]) for j in subset)
-                cand_keys[(ant, cons)] = None
-
-    by_ant: dict[tuple, list[int]] = {}
-    for ant, cons in cand_keys:
-        by_ant.setdefault(ant, []).append(cons)
+    by_ant = _candidate_keys(
+        feat_arg, cons_arg, [len(p.sets) for p in fparts], max_len
+    )
 
     records: list[_Candidate] = []
     for ant, cons_list in by_ant.items():
@@ -177,9 +199,16 @@ def generate_candidates(
     selected = viable[: config.max_candidates]
     spare = viable[config.max_candidates :]
 
-    def fit_rule(cand: _Candidate, f_lo, f_hi, pos) -> HybridRule:
+    def subset_design(subset: tuple[int, ...]) -> np.ndarray:
+        """The design of every row over one clause subset's features."""
+        return design_matrix(dataset.X[:, [col_of[j] for j in subset]], config.degree)
+
+    def fit_rule(cand: _Candidate, design: np.ndarray, f_lo, f_hi, pos) -> HybridRule:
         var_names = tuple(feats[j] for j, _ in cand.ant)
-        X_sub = dataset.X[np.ix_(pos, [col_of[j] for j, _ in cand.ant])]
+        # the rows of the subset design this rule fires on; its linear
+        # columns are the rule's own inputs
+        D = design.take(np.flatnonzero(pos), axis=0)
+        X_sub = D[:, 1 : 1 + len(var_names)]
         y_sub = dataset.y[pos]
         bounds = tpart.sets[cand.cons].support
         poly = fit_consequent(
@@ -191,6 +220,7 @@ def generate_candidates(
             firing=0.5 * (f_lo[pos] + f_hi[pos]),
             weighted=config.weighted_fit,
             clamp_bounds=bounds,
+            design=D,
         )
         # a degraded fit may be a constant over none of the variables
         raw = poly.evaluate(X_sub[:, [var_names.index(v) for v in poly.variables]])
@@ -206,13 +236,25 @@ def generate_candidates(
             error_dominance=error_dominance(rmse),
         )
 
-    fitted: list[HybridRule] = []
+    def clause_subset(cand: _Candidate) -> tuple[int, ...]:
+        return tuple(j for j, _ in cand.ant)
+
+    # fit one clause subset at a time, so that only one subset design is
+    # alive at once; the rules keep their dominance order
+    by_subset: dict[tuple[int, ...], list[int]] = {}
+    for i, cand in enumerate(selected):
+        by_subset.setdefault(clause_subset(cand), []).append(i)
+    rule_at: dict[int, HybridRule] = {}
     covered = np.zeros(n, dtype=bool)
-    for cand in selected:
-        f_lo, f_hi = fire(mem, cand.ant, config.tnorm)
-        pos = f_hi > 0.0
-        fitted.append(fit_rule(cand, f_lo, f_hi, pos))
-        covered |= pos
+    for subset, members in by_subset.items():
+        design = subset_design(subset)
+        for i in members:
+            f_lo, f_hi = fire(mem, selected[i].ant, config.tnorm)
+            pos = f_hi > 0.0
+            rule_at[i] = fit_rule(selected[i], design, f_lo, f_hi, pos)
+            covered |= pos
+        del design
+    fitted = [rule_at[i] for i in range(len(selected))]
 
     if fitted and covered.mean() < config.min_coverage:
         # rescue order: viable-but-capped first, then filter-rejected
@@ -231,7 +273,8 @@ def generate_candidates(
             pos = f_hi > 0.0
             if not np.any(pos & ~covered):
                 continue
-            fitted.append(fit_rule(cand, f_lo, f_hi, pos))
+            design = subset_design(clause_subset(cand))
+            fitted.append(fit_rule(cand, design, f_lo, f_hi, pos))
             covered |= pos
 
     if not fitted:

@@ -4,7 +4,8 @@ Most are explicit loops over single values and share no code path with
 the vectorized kernels they check.  `rule_matrices` is the per-rule loop
 that the stacked, fired-rows kernel replaced; it is built from the
 library's per-partition membership matrices and per-rule `fire`, which
-the scalar oracles here check in turn.
+the scalar oracles here check in turn.  `candidate_keys` is the
+tuple-at-a-time clause deletion that integer-coded enumeration replaced.
 """
 import itertools
 from typing import Iterable, Mapping, Sequence
@@ -142,3 +143,25 @@ def subset_law(weights, size: int) -> dict[tuple[int, ...], float]:
         subset = tuple(sorted(order))
         law[subset] = law.get(subset, 0.0) + prob
     return law
+
+
+def candidate_keys(
+    feat_arg: np.ndarray, cons_arg: np.ndarray, max_antecedent: int
+) -> set[tuple[tuple[tuple[int, int], ...], int]]:
+    """Every ``(antecedent, consequent)`` key that clause deletion
+    derives from the seed rows, one tuple at a time.
+
+    Row r seeds antecedent ``((j, feat_arg[r, j]), ...)`` over all
+    features with consequent ``cons_arg[r]``; each distinct seed yields
+    its clauses on every feature subset of at most ``max_antecedent``.
+    """
+    seeds: dict[tuple, None] = {}
+    for r in range(len(cons_arg)):
+        seeds[(tuple(int(v) for v in feat_arg[r]), int(cons_arg[r]))] = None
+    num_features = feat_arg.shape[1]
+    keys = set()
+    for combo, cons in seeds:
+        for size in range(1, min(max_antecedent, num_features) + 1):
+            for subset in itertools.combinations(range(num_features), size):
+                keys.add((tuple((j, combo[j]) for j in subset), cons))
+    return keys

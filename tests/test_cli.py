@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from hit2mtsk import load_model, predict_values, save_csv
-from hit2mtsk.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAIN, main
+from hit2mtsk.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_TRAIN,
+    build_parser,
+    main,
+)
 
 from test_aco import small_universe, with_cubic_rule, with_huge_row
 
@@ -72,6 +79,19 @@ def bundle(ws):
     out = ws.root / "bundle"
     assert run_train(ws, out, "--save-universe") == EXIT_OK
     return out
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command", ["train", "predict", "crossval", "explain", "baseline"]
+    )
+    def test_common_defaults(self, command):
+        model = ["--model", "m.json"] if command in ("predict", "explain") else []
+        args = build_parser().parse_args([command, "--data", "rows.dat", *model])
+        # the format is not inferred from the extension
+        assert args.format == "csv"
+        assert args.out == "out"
+        assert args.target is None
 
 
 class TestTrain:

@@ -72,6 +72,32 @@ class TestMonomials:
         for d in (1, 2, 3):
             assert design_matrix(X, d).shape[1] == math.comb(3 + d, d)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_row_slice_of_a_subset_design_is_bitwise_its_rows_design(
+        self, degree
+    ):
+        # generation builds one design per clause subset over every row
+        # and slices each rule's rows out of it
+        rng = np.random.default_rng(degree)
+        X = rng.normal(0.0, 1.0, (40, 4)) * 10.0 ** rng.integers(-8, 9, (40, 4))
+        X[3, 1] = -0.0
+        rows = np.flatnonzero(rng.random(40) < 0.4)
+        for size in range(1, 5):
+            for subset in itertools.combinations(range(4), size):
+                cols = list(subset)
+                X_sub = X[np.ix_(rows, cols)]
+                sliced = design_matrix(X[:, cols], degree).take(rows, axis=0)
+                own = design_matrix(X_sub, degree)
+                assert sliced.tobytes() == own.tobytes()
+                # graded order: the degree-1 basis and the raw inputs
+                # are its leading columns
+                linear = sliced[:, : 1 + size]
+                assert linear.tobytes() == design_matrix(X_sub, 1).tobytes()
+                assert (
+                    np.ascontiguousarray(linear[:, 1:]).tobytes()
+                    == X_sub.tobytes()
+                )
+
 
 class TestFitConsequent:
     def test_exact_affine_recovery(self):
@@ -171,6 +197,30 @@ class TestFitConsequent:
         # downweighting the outlier row pulls the slope back toward 1
         assert abs(coeffs_by_exponent(weighted)[(1,)] - 1.0) < 0.05
         assert abs(coeffs_by_exponent(unweighted)[(1,)] - 1.0) > 1.0
+
+    # 30 rows fit degree 3 on 2 variables, 5 degrade it to degree 1, 3
+    # leave only the constant
+    @pytest.mark.parametrize("n", [30, 5, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_given_design_fits_bitwise_as_built_one(self, n, weighted):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-2.0, 2.0, (n, 2))
+        y = np.sin(X[:, 0]) + X[:, 1] ** 2
+        kwargs = dict(
+            degree=3, firing=rng.uniform(0.1, 1.0, n), weighted=weighted
+        )
+        built = fit_consequent(X, y, ["a", "b"], **kwargs)
+        given = fit_consequent(
+            X, y, ["a", "b"], **kwargs, design=design_matrix(X, 3)
+        )
+        assert given == built
+
+    def test_design_must_match_rows_and_degree(self):
+        X = np.random.default_rng(3).normal(size=(12, 2))
+        y = X[:, 0]
+        for design in (design_matrix(X, 2), design_matrix(X[:-1], 3)):
+            with pytest.raises(ValueError, match="design"):
+                fit_consequent(X, y, ["a", "b"], 3, design=design)
 
 
 # the worked quadratic rule: printed coefficients, High-set bounds

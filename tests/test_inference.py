@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -20,6 +21,7 @@ from hit2mtsk import (
     predict,
     predict_batch,
 )
+from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
     predict_values,
@@ -605,3 +607,45 @@ class TestServeReference:
             for row in doc["rows"][:200]
         ]
         assert np.array_equal(bits(got), bits(want))
+
+
+class TestServeFiredRules:
+    """What every reader of the fired rules sees on the frozen serve
+    bundle: itemized predictions, active-rule counts and the Mamdani
+    twin's dominances, pinned to the values of the dense rule matrices."""
+
+    @staticmethod
+    def serve():
+        model = load_model(FIXTURES / "serve_model.json")
+        doc = json.loads((FIXTURES / "serve_reference.json").read_text())
+        rows = np.array(doc["rows"])
+        return model, Dataset(
+            "serve", model.feature_names, rows, "y", np.array(doc["values"])
+        )
+
+    def test_batch_detail_itemizes_what_single_row_predict_does(self):
+        model, ds = self.serve()
+        rows = ds.X[:200]
+        batch = predict_batch(model, dict(zip(model.feature_names, rows.T)), detail=True)
+        for got, row in zip(batch.predictions, rows):
+            want = predict(model, dict(zip(model.feature_names, row)))
+            assert len(got.fired_rules) == len(want.fired_rules)
+            for g, w in zip(got.fired_rules, want.fired_rules):
+                assert g.index == w.index
+                assert np.array_equal(
+                    bits([*g.firing, g.output, g.weight]),
+                    bits([*w.firing, w.output, w.weight]),
+                )
+
+    def test_active_rules_per_prediction_pinned(self):
+        model, ds = self.serve()
+        assert active_rules_per_prediction(model, ds) == {
+            0.15: 5.691, 0.25: 4.937, 0.5: 3.232
+        }
+
+    def test_mamdani_twin_dominances_pinned(self):
+        model, ds = self.serve()
+        doms = np.array([r.error_dominance for r in derive_mamdani(model, ds).rules])
+        assert hashlib.sha256(bits(doms).tobytes()).hexdigest() == (
+            "3fa80b439c86ef436e6236fc974b255787c4551c766f3b2c652a2b5933e01b88"
+        )

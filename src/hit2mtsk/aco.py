@@ -10,7 +10,7 @@ then one uniform per rule, which keys the rules for one top-k draw.
 
 A subset is scored over each rule's firing rows only.  Every rule's
 weights and weighted outputs are stored once, for the rows it fires on,
-and a subset adds its rules' entries row by row in index order.  A rule
+and a subset's prediction is their `weighted_mean`, in index order.  A rule
 adds nothing where it does not fire, so its polynomial there (even an
 overflow) never enters a score.  A rule whose output is NaN on a row
 where it fires would make every subset holding it cost NaN; it is
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .inference import reduce_firing, rule_matrices
+from .inference import reduce_firing, rule_matrices, weighted_mean
 from .rules import HybridRule, RuleUnfittableError
 from .universe import RuleUniverse
 
@@ -124,34 +124,28 @@ def select_rules(
     lo = min(config.subset_size_range[0], total)
     hi = min(config.subset_size_range[1], total)
 
-    columns: dict[str, np.ndarray] = {}
-    for p in universe.feature_partitions:
-        cols = [np.asarray(train_data.column(p.variable), dtype=float)]
-        if validation_data is not None:
-            cols.append(np.asarray(validation_data.column(p.variable), dtype=float))
-        columns[p.variable] = np.concatenate(cols)
-    y = train_data.y
-    if validation_data is not None:
-        y = np.concatenate([y, validation_data.y])
+    scoring = [d for d in (train_data, validation_data) if d is not None]
+    columns = {
+        p.variable: np.concatenate([d.column(p.variable) for d in scoring])
+        for p in universe.feature_partitions
+    }
+    y = np.concatenate([d.y for d in scoring])
     fallback = float(train_data.y.mean())
 
     # a polynomial that overflows where its rule does not fire is never scored
     with np.errstate(over="ignore", invalid="ignore"):
-        F_lo, F_hi, Y = rule_matrices(
+        cells = rule_matrices(
             rules, universe.feature_partitions, columns, universe.config.tnorm
         )
     dom = np.array([r.error_dominance for r in rules])
-    W = reduce_firing(F_lo, F_hi, firing_reduction) * dom[:, None]
-    del F_lo, F_hi
-    # nonzero entries of W in row-major order: rule by rule, rows ascending
-    n = y.size
-    flat = np.flatnonzero(W)
-    w_vals = W.ravel()[flat]
-    p_vals = w_vals * Y.ravel()[flat]
-    nan = np.flatnonzero(np.isnan(p_vals))
+    w = reduce_firing(cells.lo, cells.hi, firing_reduction) * dom[cells.rule]
+    live = w > 0.0
+    rule, rows, w = cells.rule[live], cells.row[live], w[live]
+    wy = w * cells.y[live]
+    nan = np.flatnonzero(np.isnan(wy))
     if nan.size:
         # a NaN cost would reach the pheromone and stop the search unnamed
-        i, row = divmod(int(flat[nan[0]]), n)
+        i, row = int(rule[nan[0]]), int(rows[nan[0]])
         fit_rows = train_data.n_rows
         where = (
             f"training row {row}"
@@ -163,20 +157,14 @@ def select_rules(
             f"rule {i} (IF {clauses}) outputs NaN on {where}, where it "
             "fires: its polynomial overflows there"
         )
-    rows = (flat % n).astype(np.int32)
-    cuts = np.searchsorted(flat, np.arange(1, total) * n)
-    del W, Y, flat
-    rows_of = np.split(rows, cuts)
-    w_of = np.split(w_vals, cuts)
-    p_of = np.split(p_vals, cuts)
+    # each rule's (rows, weights, weighted outputs) where it weighs in
+    cuts = np.searchsorted(rule, np.arange(1, total))
+    per_rule = [np.split(a, cuts) for a in (rows, w, wy)]
 
     def cost_of(sel: np.ndarray) -> float:
         # sel is sorted, so every row adds its rules in index order
-        at = np.concatenate([rows_of[r] for r in sel]).astype(np.intp)
-        wsum = np.bincount(at, np.concatenate([w_of[r] for r in sel]), n)
-        psum = np.bincount(at, np.concatenate([p_of[r] for r in sel]), n)
-        ok = wsum > 0.0
-        pred = np.where(ok, psum / np.where(ok, wsum, 1.0), fallback)
+        parts = [np.concatenate([of[r] for r in sel]) for of in per_rule]
+        pred, _ = weighted_mean(*parts, y.size, fallback)
         return float(np.sqrt(np.mean((pred - y) ** 2)))
 
     heuristic = dom

@@ -108,11 +108,13 @@ def _parse_number(token: str, path, line_no: int, col: str) -> float:
     if t.lower() in MISSING_TOKENS:
         raise ParseError(path, line_no, f"missing value in column {col!r}")
     try:
-        return float(t)
+        value = float(t)
+        if np.isfinite(value):
+            return value
+        problem = "non-finite"
     except ValueError:
-        raise ParseError(
-            path, line_no, f"non-numeric value {token.strip()!r} in column {col!r}"
-        ) from None
+        problem = "non-numeric"
+    raise ParseError(path, line_no, f"{problem} value {t!r} in column {col!r}")
 
 
 _ATTR_RE = re.compile(
@@ -167,10 +169,15 @@ def load_keel(path) -> Dataset:
                     raise ParseError(
                         path, i, f"malformed range for attribute {name!r}"
                     ) from None
-        elif low.startswith("@inputs"):
-            inputs = [t.strip() for t in line.split(None, 1)[1].split(",")]
-        elif low.startswith("@outputs") or low.startswith("@output"):
-            outputs = [t.strip() for t in line.split(None, 1)[1].split(",")]
+        elif low.startswith(("@inputs", "@output")):
+            keyword, *rest = line.split(None, 1)
+            if not rest:
+                raise ParseError(path, i, f"{keyword} names no attribute")
+            names = [t.strip() for t in rest[0].split(",")]
+            if low.startswith("@inputs"):
+                inputs = names
+            else:
+                outputs = names
         elif low.startswith("@data"):
             data_start = i
             break

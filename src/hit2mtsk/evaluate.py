@@ -101,13 +101,17 @@ def active_rules_per_prediction(
     rows: Dataset | Mapping[str, np.ndarray],
     thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
 ) -> dict[float, float]:
-    """Mean count of rules whose firing midpoint exceeds each threshold."""
+    """Mean count of rules whose firing midpoint exceeds each threshold
+    (each >= 0, so that a rule that does not fire counts under none)."""
+    if any(t < 0.0 for t in thresholds):
+        raise ValueError("active-rule thresholds must be >= 0")
     w = _weigh(model, rows)
-    mid = reduce_firing(w.F_lo, w.F_hi, "midpoint")
-    out = {}
-    for t in thresholds:
-        out[float(t)] = float(np.mean(np.count_nonzero(mid > t, axis=0)))
-    return out
+    mid = reduce_firing(w.cells.lo, w.cells.hi, "midpoint")
+    n = w.values.size
+    return {
+        float(t): float(np.mean(np.bincount(w.cells.row[mid > t], minlength=n)))
+        for t in thresholds
+    }
 
 
 def noise_robustness(
@@ -261,18 +265,17 @@ def derive_mamdani(model: Model, train: Dataset) -> Model:
     constant outputs on the training rows, so inference weighting stays
     internally consistent.
     """
-    F_hi = _weigh(model, train).F_hi
+    cells = _weigh(model, train).cells
+    bounds = np.searchsorted(cells.rule, np.arange(len(model.rules) + 1))
     domain = model.target_partition.domain
     new_rules = []
     for i, rule in enumerate(model.rules):
         s = model.target_partition.set_named(rule.consequent_set)
         plateau_mid = 0.5 * (s.upper_params[1] + s.upper_params[2])
         centroid = float(np.clip(plateau_mid, domain[0], domain[1]))
-        pos = F_hi[i] > 0.0
-        if np.any(pos):
-            rmse = float(
-                np.sqrt(np.mean((centroid - train.y[pos]) ** 2))
-            )
+        rows = cells.row[bounds[i] : bounds[i + 1]]
+        if rows.size:
+            rmse = float(np.sqrt(np.mean((centroid - train.y[rows]) ** 2)))
             err_dom = error_dominance(rmse)
         else:
             err_dom = rule.error_dominance

@@ -17,8 +17,8 @@ from .it2 import TNORMS, Partition, fire, stacked_memberships
 from .rules import HybridRule, clamp
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
-# rule_matrices works in pieces of at most this many (rules or sets) x rows
-# cells, so that its temporaries stay small beside the matrices it returns
+# rule_matrices fires rules over chunks of at most this many (rules or
+# sets) x rows cells, so that its temporaries stay small
 BLOCK_CELLS = 1 << 16
 
 
@@ -133,27 +133,35 @@ def _column_table(
     return cols
 
 
+class FiredCells(NamedTuple):
+    """The (rule, row) cells where rules fire, rule by rule, rows ascending,
+    with their firing bounds and the rule's clamped output."""
+
+    rule: np.ndarray
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    y: np.ndarray
+
+
 def rule_matrices(
     rules: Sequence[HybridRule],
     feature_partitions: Sequence[Partition],
     columns: Mapping[str, np.ndarray],
     tnorm: str = "minimum",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-rule firing bounds on every row, and outputs where rules fire.
+) -> FiredCells:
+    """Every cell where a rule fires, with its firing bounds and output.
 
-    Returns (F_lo, F_hi, Y), each shaped (num_rules, num_rows).  A rule
-    fires on a row where its upper firing bound is positive; only there
-    can it weigh in a prediction, so only there is its polynomial
-    evaluated.  Y holds the clamped output on those rows and 0.0 on
-    every other row.
+    A rule fires on a row where its upper firing bound is positive; only
+    there can it weigh in a prediction, so only there is its polynomial
+    evaluated, and no other cell is returned.
 
     The memberships of every set of every partition come from one
     stacked trapezoid pass, and one `fire` call folds every rule through
-    per-clause indices into that table.  Both run over chunks of rows,
-    and the polynomials over blocks of rules, of at most BLOCK_CELLS
-    cells.  ``rules`` must not be empty, and every rule must reference
-    only variables and sets of ``feature_partitions`` that have a column
-    (`Model` and `select_rules` guarantee both).
+    per-clause indices into that table; both run over chunks of rows of
+    at most BLOCK_CELLS cells.  ``rules`` must not be empty, and every
+    rule must reference only variables and sets of ``feature_partitions``
+    that have a column (`Model` and `select_rules` guarantee both).
     """
     parts = [p for p in feature_partitions if p.variable in columns]
     # the table's rows: every set of every partition, and each one's partition
@@ -177,8 +185,6 @@ def rule_matrices(
     m, n = len(rules), x.shape[1]
     F_lo = np.empty((m, n))
     F_hi = np.empty((m, n))
-    Y = np.zeros((m, n))
-
     step = max(1, BLOCK_CELLS // max(m, len(sets)))
     for start in range(0, n, step):
         chunk = slice(start, start + step)
@@ -188,19 +194,17 @@ def rule_matrices(
         lo, hi = fire(table, [(0, c) for c in clauses], tnorm)
         F_lo[:, chunk], F_hi[:, chunk] = lo.T, hi.T
 
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    for start in range(0, m, step):
-        block = rules[start : start + step]
-        # fired cells of the block, rule by rule, rows ascending
-        fired = np.flatnonzero(F_hi[start : start + step] > 0.0)
-        bounds = np.searchsorted(fired, np.arange(len(block) + 1) * n)
-        for k in np.flatnonzero(np.diff(bounds)):
-            fn = block[k].consequent_fn
-            rows = fired[bounds[k] : bounds[k + 1]] - k * n
-            cols = np.array([columns[v][rows] for v in fn.variables])
-            raw = fn.evaluate(cols.reshape(len(fn.variables), rows.size).T)
-            Y[start + k, rows] = clamp(raw, block[k].clamp_bounds)
-    return F_lo, F_hi, Y
+    flat = np.flatnonzero(F_hi > 0.0)
+    rule, row = np.divmod(flat, n)
+    y = np.empty(flat.size)
+    bounds = np.searchsorted(rule, np.arange(m + 1))
+    for k in np.flatnonzero(np.diff(bounds)):
+        cells = slice(bounds[k], bounds[k + 1])
+        rows, fn = row[cells], rules[k].consequent_fn
+        cols = np.array([columns[v][rows] for v in fn.variables])
+        raw = fn.evaluate(cols.reshape(len(fn.variables), rows.size).T)
+        y[cells] = clamp(raw, rules[k].clamp_bounds)
+    return FiredCells(rule, row, F_lo.ravel()[flat], F_hi.ravel()[flat], y)
 
 
 def reduce_firing(
@@ -216,31 +220,41 @@ def reduce_firing(
     raise ValueError(f"unknown firing reduction {reduction!r}")
 
 
-class _Weighed(NamedTuple):
-    """One pass of inference: (rules, rows) matrices and per-row results."""
+def weighted_mean(
+    rows: np.ndarray, w: np.ndarray, wy: np.ndarray, n: int, fallback: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sum(wy) / sum(w), each row adding its entries in the order
+    given, and the mask of rows whose weights do not sum above zero,
+    which take ``fallback``."""
+    wsum = np.bincount(rows, w, n)
+    psum = np.bincount(rows, wy, n)
+    fell = wsum <= 0.0
+    return np.where(fell, fallback, psum / np.where(fell, 1.0, wsum)), fell
 
-    F_lo: np.ndarray
-    F_hi: np.ndarray
-    Y: np.ndarray
-    W: np.ndarray
+
+class _Weighed(NamedTuple):
+    """One pass of inference: the fired cells, their weights, per-row results."""
+
+    cells: FiredCells
+    w: np.ndarray
     values: np.ndarray
     fired_counts: np.ndarray
     fallback: np.ndarray
 
-    def itemize(self, row: int) -> Prediction:
-        fired = tuple(
-            FiredRule(
-                index=int(i),
-                firing=(float(self.F_lo[i, row]), float(self.F_hi[i, row])),
-                output=float(self.Y[i, row]),
-                weight=float(self.W[i, row]),
+    def itemize(self) -> tuple[Prediction, ...]:
+        """Every row's prediction, its fired rules in rule order."""
+        c = self.cells
+        order = np.argsort(c.row, kind="stable")
+        fired = [
+            FiredRule(i, (lo, hi), y, w)
+            for i, lo, hi, y, w in zip(
+                *(a[order].tolist() for a in (c.rule, c.lo, c.hi, c.y, self.w))
             )
-            for i in np.flatnonzero(self.F_hi[:, row] > 0.0)
-        )
-        return Prediction(
-            value=float(self.values[row]),
-            fired_rules=fired,
-            fallback_used=bool(self.fallback[row]),
+        ]
+        ends = np.cumsum(self.fired_counts)
+        return tuple(
+            Prediction(float(v), tuple(fired[e - k : e]), bool(f))
+            for v, k, e, f in zip(self.values, self.fired_counts, ends, self.fallback)
         )
 
 
@@ -249,37 +263,26 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     if not model.rules:
         raise NotTrainedError("model has no rules")
     columns = _column_table(model.feature_partitions, data)
+    n = next(iter(columns.values())).size
     # an overflowing polynomial is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        F_lo, F_hi, Y = rule_matrices(
+        cells = rule_matrices(
             model.rules, model.feature_partitions, columns, model.tnorm
         )
-    fired_counts = np.count_nonzero(F_hi > 0.0, axis=0)
     dom = np.array([r.error_dominance for r in model.rules])
-    W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dom[:, None]
-    # each row adds its weighted rules in rule order, however many rows
-    # there are (sum(axis=0) adds a one-row column pairwise); a rule that
-    # fires with weight 0 (lower reduction) adds no 0 x NaN.  Whole-batch
-    # gathers left heap memory resident and raised serve peak RSS.
-    n = W.shape[1]
-    wsum, psum = np.empty(n), np.empty(n)
-    step = max(1, BLOCK_CELLS // len(W))
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        fired = W[:, chunk] > 0.0
-        rows = np.nonzero(fired)[1]
-        w = W[:, chunk][fired]
-        wsum[chunk] = np.bincount(rows, w, fired.shape[1])
-        psum[chunk] = np.bincount(rows, w * Y[:, chunk][fired], fired.shape[1])
-    fallback = wsum <= 0.0
-    values = np.where(fallback, model.fallback_value, psum / np.where(fallback, 1.0, wsum))
+    w = reduce_firing(cells.lo, cells.hi, model.firing_reduction) * dom[cells.rule]
+    # a rule that fires with weight 0 (lower reduction) adds no 0 x NaN
+    live = w > 0.0
+    values, fallback = weighted_mean(
+        cells.row[live], w[live], w[live] * cells.y[live], n, model.fallback_value
+    )
     nan_rows = np.flatnonzero(np.isnan(values))
     if nan_rows.size:
         raise ValueError(
             f"prediction for row {nan_rows[0]} is NaN: a rule polynomial "
             "overflowed on this input"
         )
-    return _Weighed(F_lo, F_hi, Y, W, values, fired_counts, fallback)
+    return _Weighed(cells, w, values, np.bincount(cells.row, minlength=n), fallback)
 
 
 def predict_values(
@@ -297,7 +300,7 @@ def predict(model: Model, x: Mapping[str, float]) -> Prediction:
         for p in model.feature_partitions
         if p.variable in x
     }
-    return _weigh(model, row).itemize(0)
+    return _weigh(model, row).itemize()[0]
 
 
 def predict_batch(
@@ -309,8 +312,8 @@ def predict_batch(
     """Predict many rows; attaches RMSE when targets are available.
 
     ``detail=True`` additionally itemizes every row's fired rules into a
-    `Prediction`, from the same matrices as the values (rules x rows
-    objects; meant for inspection, not bulk scoring).
+    `Prediction`, from the same fired cells as the values (one object
+    per fired cell; meant for inspection, not bulk scoring).
     """
     w = _weigh(model, data)
     values = w.values
@@ -322,13 +325,10 @@ def predict_batch(
         if t.size != values.size:
             raise ValueError("targets length does not match rows")
         score = float(np.sqrt(np.mean((values - t) ** 2)))
-    preds = None
-    if detail:
-        preds = tuple(w.itemize(i) for i in range(values.size))
     return BatchResult(
         values=values,
         fired_counts=w.fired_counts,
         fallback_rate=float(np.mean(w.fallback)),
         rmse=score,
-        predictions=preds,
+        predictions=w.itemize() if detail else None,
     )

@@ -2,10 +2,11 @@
 
 Most are explicit loops over single values and share no code path with
 the vectorized kernels they check.  `rule_matrices` is the per-rule loop
-that the stacked, fired-rows kernel replaced; it is built from the
-library's per-partition membership matrices and per-rule `fire`, which
-the scalar oracles here check in turn.  `candidate_keys` is the
-tuple-at-a-time clause deletion that integer-coded enumeration replaced.
+of dense (rules x rows) matrices that the stacked, fired-cells kernel
+replaced; it is built from the library's per-partition membership
+matrices and per-rule `fire`, which the scalar oracles here check in
+turn.  `candidate_keys` is the tuple-at-a-time clause deletion that
+integer-coded enumeration replaced.
 """
 import itertools
 from typing import Iterable, Mapping, Sequence

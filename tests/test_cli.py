@@ -420,6 +420,33 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("header,line", [("@inputs a, b", 5), ("@outputs t", 6)])
+    def test_keel_header_naming_no_attribute(self, tmp_path, capsys, header, line):
+        bad = tmp_path / "bad.dat"
+        bad.write_text(KEEL_TEXT.replace(header, header.split()[0]) + "1,2,3\n")
+        code = main(
+            [
+                "train", "--data", str(bad), "--format", "keel",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"bad.dat:{line}: " in capsys.readouterr().err
+
+    def test_non_finite_csv_value(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,y\n1,2\n3,1e400\n")
+        code = main(
+            [
+                "train", "--data", str(bad), "--target", "y",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "bad.csv:3: non-finite value '1e400' in column 'y'" in (
+            capsys.readouterr().err
+        )
+
     def test_csv_without_target_flag(self, ws):
         code = main(
             [

@@ -93,6 +93,18 @@ class TestKeelParsing:
         if line is not None:
             assert f"bad.dat:{line}" in str(exc.value)
 
+    @pytest.mark.parametrize("header,line", [("@inputs x1, x2", 5), ("@outputs price", 6)])
+    def test_bare_inputs_or_outputs_line_rejected(self, tmp_path, header, line):
+        text = KEEL_SAMPLE.replace(header, header.split()[0])
+        with pytest.raises(ParseError, match=f"bad.dat:{line}: .* names no attribute"):
+            load_keel(write(tmp_path, "bad.dat", text))
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        text = KEEL_SAMPLE.replace("2.0, 3, 30.5", f"2.0, {token}, 30.5")
+        with pytest.raises(ParseError, match=f"bad.dat:9: non-finite value '{token}' in column 'x2'"):
+            load_keel(write(tmp_path, "bad.dat", text))
+
     def test_two_outputs_rejected(self, tmp_path):
         text = KEEL_SAMPLE.replace("@outputs price", "@outputs price, x1")
         with pytest.raises(ParseError, match="exactly one"):
@@ -128,6 +140,12 @@ class TestCsv:
         p = write(tmp_path, "t.csv", "a,b\n1,2\n3\n")
         with pytest.raises(ParseError, match="t.csv:3"):
             load_csv(p, target_column="b")
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        p = write(tmp_path, "t.csv", f"a,y\n1,2\n3,{token}\n")
+        with pytest.raises(ParseError, match=f"t.csv:3: non-finite value '{token}' in column 'y'"):
+            load_csv(p, target_column="y")
 
     @pytest.mark.parametrize("text", ["a,a,y\n1,2,3\n", "a,y,y\n1,2,3\n"])
     def test_repeated_column_name(self, tmp_path, text):

@@ -49,6 +49,13 @@ class TestActiveRules:
         )
         assert counts == {1.01: 0.0}
 
+    def test_negative_threshold_rejected(self):
+        # a rule that does not fire has midpoint 0, which no count may include
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            active_rules_per_prediction(
+                two_rule_model(), {"x": np.array([0.0])}, thresholds=(-0.1,)
+            )
+
     def test_counts_weakly_decrease_with_threshold(self, trained, toy_dataset):
         counts = active_rules_per_prediction(trained.model, toy_dataset)
         ordered = [counts[t] for t in sorted(counts)]

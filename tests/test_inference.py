@@ -483,8 +483,17 @@ def random_rows(rng, model, n):
     return cols
 
 
+def densify(cells, m, n):
+    """(F_lo, F_hi, Y) as (rules x rows) matrices: the cells where rules
+    fire, 0.0 everywhere else."""
+    F = np.zeros((3, m, n))
+    for k, a in enumerate((cells.lo, cells.hi, cells.y)):
+        F[k, cells.rule, cells.row] = a
+    return F
+
+
 class TestRuleMatricesAgainstPerRuleLoop:
-    """The stacked, fired-rows kernel against the per-rule loop it replaced."""
+    """The stacked, fired-cells kernel against the per-rule loop it replaced."""
 
     @pytest.mark.parametrize("cells", [None, 1000, 1])
     @pytest.mark.parametrize("n", [1, 500])
@@ -497,21 +506,24 @@ class TestRuleMatricesAgainstPerRuleLoop:
         model = random_model(rng, tnorm)
         cols = random_rows(rng, model, n)
         args = (model.rules, model.feature_partitions, cols, tnorm)
-        F_lo, F_hi, Y = rule_matrices(*args)
+        cells = rule_matrices(*args)
         want_lo, want_hi, want_y = oracles.rule_matrices(*args)
+        fired = want_hi > 0.0
+        # exactly the fired cells, rule by rule, rows ascending
+        assert np.array_equal(cells.rule * n + cells.row, np.flatnonzero(fired))
+        F_lo, F_hi, Y = densify(cells, len(model.rules), n)
         assert np.array_equal(bits(F_lo), bits(want_lo))
         assert np.array_equal(bits(F_hi), bits(want_hi))
-        fired = want_hi > 0.0
         assert np.array_equal(bits(Y[fired]), bits(want_y[fired]))
         assert np.array_equal(bits(Y[~fired]), bits(np.zeros(np.count_nonzero(~fired))))
         if n > 1:
             assert not fired[:, 0].any()
 
-    def test_no_rows_give_empty_matrices(self):
+    def test_no_rows_give_no_cells(self):
         model = random_model(np.random.default_rng(0))
         cols = {v: np.array([]) for v in model.feature_names}
-        for matrix in rule_matrices(model.rules, model.feature_partitions, cols):
-            assert matrix.shape == (len(model.rules), 0)
+        for a in rule_matrices(model.rules, model.feature_partitions, cols):
+            assert a.shape == (0,)
 
     def test_random_models_cover_every_rule_shape(self):
         shapes = set()
@@ -528,11 +540,13 @@ class TestRuleMatricesAgainstPerRuleLoop:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, F_hi, Y = rule_matrices(
+            cells = rule_matrices(
                 model.rules, model.feature_partitions, {"x": np.array([1e300])}
             )
+        _, F_hi, Y = densify(cells, 2, 1)
         assert F_hi[0, 0] == 0.0 and Y[0, 0] == 0.0
         assert Y[1, 0] == 20.0
+        assert cells.rule.tolist() == [1]
 
 
 # |x| <= 1e6 keeps every degree-3 polynomial of random_model finite; a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .inference import reduce_firing, rule_matrices, weighted_mean
+from .inference import compile_rules, reduce_firing, rule_matrices, weighted_mean
 from .rules import HybridRule, RuleUnfittableError
 from .universe import RuleUniverse
 
@@ -125,19 +125,20 @@ def select_rules(
     hi = min(config.subset_size_range[1], total)
 
     scoring = [d for d in (train_data, validation_data) if d is not None]
-    columns = {
-        p.variable: np.concatenate([d.column(p.variable) for d in scoring])
-        for p in universe.feature_partitions
-    }
+    x = np.array(
+        [
+            np.concatenate([d.column(p.variable) for d in scoring])
+            for p in universe.feature_partitions
+        ]
+    )
     y = np.concatenate([d.y for d in scoring])
     fallback = float(train_data.y.mean())
 
+    tables = compile_rules(rules, universe.feature_partitions, universe.config.tnorm)
     # a polynomial that overflows where its rule does not fire is never scored
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = rule_matrices(
-            rules, universe.feature_partitions, columns, universe.config.tnorm
-        )
-    dom = np.array([r.error_dominance for r in rules])
+        cells = rule_matrices(tables, x)
+    dom = tables.dominance
     w = reduce_firing(cells.lo, cells.hi, firing_reduction) * dom[cells.rule]
     live = w > 0.0
     rule, rows, w = cells.rule[live], cells.row[live], w[live]

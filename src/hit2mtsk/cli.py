@@ -208,10 +208,7 @@ def cmd_crossval(args) -> int:
         known = ", ".join(sorted(REFERENCE_RMSE))
         print(f"no stored reference for {args.name!r}; known: {known}")
     try:
-        report = run_cv(
-            folds, config, dataset_name=name,
-            explain=args.explain, threads=args.threads,
-        )
+        report = run_cv(folds, config, dataset_name=name, explain=args.explain)
     except TrainingFailedError as exc:
         raise CliError(EXIT_TRAIN, str(exc))
     out = _outdir(args)
@@ -368,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_train_opts(p)
     p.add_argument("--name", help="dataset name for reference lookup")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--explain", action="store_true",
                    help="attach explainability metrics")
     p.set_defaults(func=cmd_crossval)

@@ -1,10 +1,12 @@
 """Rule quality weights.
 
-Two complementary gradings per rule: a fuzzy one (how much data supports
-the rule and how reliably the antecedent implies the consequent label)
-and a crisp one from the rule's own fit error.  Both live in [0, 1] and
-multiply into the inference weights, so a rule that matched many rows
-but predicts poorly is damped, and vice versa.
+Two gradings per rule, both in [0, 1]: a fuzzy one (how much data
+supports the rule and how reliably the antecedent implies the consequent
+label) and a crisp one from the rule's own fit error.  They do different
+jobs.  Fuzzy dominance only prunes and orders candidates during
+generation (the `dominance_threshold` filter, the `max_candidates` cap
+and the coverage rescue).  Error dominance alone multiplies into the
+inference weights and is the ant-colony heuristic.
 """
 from __future__ import annotations
 

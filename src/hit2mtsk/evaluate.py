@@ -5,7 +5,6 @@ reports for side-by-side display; they are never recomputed.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -205,7 +204,6 @@ def run_cv(
     config: TrainConfig,
     dataset_name: str | None = None,
     explain: bool = False,
-    threads: int = 1,
 ) -> EvalReport:
     """Train and score the full pipeline on each fold.
 
@@ -216,23 +214,17 @@ def run_cv(
     """
     if not folds:
         raise ValueError("no folds given")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     name = dataset_name or folds[0].train.name
 
-    def run_fold(fold: FoldSplit):
-        model = train_model(fold.train, config).model
-        scored = predict_batch(model, fold.test)
-        return model, scored.rmse, scored.fallback_rate
-
     done, failed = [], []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_fold, f) for f in folds]
-        for fold, fut in zip(folds, futures):
-            try:
-                done.append((fold.test, *fut.result()))
-            except (ValueError, RuntimeError):
-                failed.append(fold.fold_index)
+    for fold in folds:
+        try:
+            model = train_model(fold.train, config).model
+            scored = predict_batch(model, fold.test)
+        except (ValueError, RuntimeError):
+            failed.append(fold.fold_index)
+            continue
+        done.append((fold.test, model, scored.rmse, scored.fallback_rate))
     if not done:
         raise TrainingFailedError(f"all {len(folds)} folds failed to train")
     fold_rmse = [rmse for _, _, rmse, _ in done]

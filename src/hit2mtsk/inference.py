@@ -7,19 +7,23 @@ target mean with an explicit flag, never silently.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .it2 import TNORMS, Partition, fire, stacked_memberships
-from .rules import HybridRule, clamp
+from .it2 import TNORMS, Partition, fire, stack_sets, stacked_memberships
+from .rules import HybridRule, evaluate_terms
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 # rule_matrices fires rules over chunks of at most this many (rules or
 # sets) x rows cells, so that its temporaries stay small
 BLOCK_CELLS = 1 << 16
+# a rule firing on at least this many rows has its polynomial evaluated in
+# a block of its own, with scalar coefficients, not ones gathered per cell
+SOLO_CELLS = 64
 
 
 class NotTrainedError(RuntimeError):
@@ -102,35 +106,35 @@ class Model:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(p.variable for p in self.feature_partitions)
 
+    @functools.cached_property
+    def tables(self) -> RuleTables:
+        """The rule base compiled for `rule_matrices`, on first use; not a
+        field, so it is neither saved nor compared."""
+        return compile_rules(self.rules, self.feature_partitions, self.tnorm)
 
-def _column_table(
+
+def _feature_rows(
     feature_partitions: Sequence[Partition],
     data: Dataset | Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Named columns for every partitioned feature, validated and float."""
-    cols: dict[str, np.ndarray] = {}
-    length = None
+) -> np.ndarray:
+    """(features, rows) table of every partitioned feature, float and
+    validated."""
+    kind = "dataset" if isinstance(data, Dataset) else "input"
+    cols = []
     for p in feature_partitions:
-        if isinstance(data, Dataset):
-            try:
-                col = data.column(p.variable)
-            except KeyError:
-                raise ValueError(
-                    f"dataset lacks model feature {p.variable!r}"
-                ) from None
-        else:
-            if p.variable not in data:
-                raise ValueError(f"input lacks model feature {p.variable!r}")
-            col = data[p.variable]
-        col = np.atleast_1d(np.asarray(col, dtype=float))
-        if not np.all(np.isfinite(col)):
-            raise ValueError(f"input for {p.variable!r} is non-finite")
-        if length is None:
-            length = col.size
-        elif col.size != length:
-            raise ValueError("feature columns have inconsistent lengths")
-        cols[p.variable] = col
-    return cols
+        try:
+            col = data.column(p.variable) if kind == "dataset" else data[p.variable]
+        except KeyError:
+            raise ValueError(f"{kind} lacks model feature {p.variable!r}") from None
+        cols.append(np.atleast_1d(np.asarray(col, dtype=float)))
+    if len({c.size for c in cols}) > 1:
+        raise ValueError("feature columns have inconsistent lengths")
+    x = np.array(cols)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = feature_partitions[int(np.argmin(finite))].variable
+        raise ValueError(f"input for {bad!r} is non-finite")
+    return x
 
 
 class FiredCells(NamedTuple):
@@ -144,67 +148,138 @@ class FiredCells(NamedTuple):
     y: np.ndarray
 
 
-def rule_matrices(
+class RuleTables(NamedTuple):
+    """A rule base as the arrays `rule_matrices` reads, built once."""
+
+    sets: tuple[np.ndarray, ...]  # `stack_sets` of every partition's sets
+    feature: np.ndarray  # each set's partition
+    clauses: np.ndarray  # (clauses, rules) positions in the sets, padded
+    # one (degree, exponents, (terms, rules) coefficients, (arity, rules)
+    # partition of each variable) per exponent table, zeros for other rules
+    groups: tuple[tuple, ...]
+    group: np.ndarray  # each rule's position in ``groups``
+    lo: np.ndarray  # per-rule clamp bounds
+    hi: np.ndarray
+    dominance: np.ndarray  # per-rule error dominance
+    tnorm: str
+
+
+def compile_rules(
     rules: Sequence[HybridRule],
     feature_partitions: Sequence[Partition],
-    columns: Mapping[str, np.ndarray],
     tnorm: str = "minimum",
-) -> FiredCells:
+) -> RuleTables:
+    """The tables of a non-empty rule base whose every clause names a set
+    of ``feature_partitions`` (`Model` and `select_rules` guarantee both)."""
+    variables = tuple(p.variable for p in feature_partitions)
+    sets = [(j, s) for j, p in enumerate(feature_partitions) for s in p.sets]
+    position = {(variables[j], s.name): i for i, (j, s) in enumerate(sets)}
+    # short antecedents are padded with an all-ones row after the sets:
+    # min(f, 1) and f * 1 are f, so the fold is each rule's own
+    clauses = np.full((max(len(r.antecedent) for r in rules), len(rules)), len(sets))
+    ids: dict[tuple, int] = {}
+    fns = [r.consequent_fn for r in rules]
+    group = np.array([ids.setdefault((f.degree, f.exponents), len(ids)) for f in fns])
+    groups = tuple(
+        (
+            degree,
+            exps,
+            np.zeros((len(exps), len(rules))),
+            np.zeros((len(exps[0]), len(rules)), dtype=np.intp),
+        )
+        for degree, exps in ids
+    )
+    for i, (rule, fn) in enumerate(zip(rules, fns)):
+        clauses[: len(rule.antecedent), i] = [position[c] for c in rule.antecedent]
+        _, _, coefficients, columns = groups[group[i]]
+        coefficients[:, i] = fn.coefficients
+        columns[:, i] = [variables.index(v) for v in fn.variables]
+    return RuleTables(
+        stack_sets([s for _, s in sets]),
+        np.array([j for j, _ in sets]),
+        clauses,
+        groups,
+        group,
+        *np.array([r.clamp_bounds for r in rules]).T,
+        np.array([r.error_dominance for r in rules]),
+        tnorm,
+    )
+
+
+def evaluate_cells(
+    tables: RuleTables, X: np.ndarray, rule: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """Raw polynomial output of rule ``rule[c]`` at row ``row[c]`` of the
+    (features, rows) table ``X``, for every cell c; ``rule`` ascends.
+
+    A rule with at least SOLO_CELLS cells is a block of its own, with one
+    coefficient per term; the other rules of a group share one block,
+    with coefficients gathered per cell once, not per term.
+    """
+    count = np.bincount(rule, minlength=tables.group.size)
+    start = np.cumsum(count) - count
+    solo = count >= SOLO_CELLS
+    blocks = [
+        (tables.group[k], slice(start[k], start[k] + count[k]), [k])
+        for k in np.flatnonzero(solo)
+    ]
+    rest = np.flatnonzero(~solo[rule])  # the other rules' cells, by group
+    shared = tables.group[rule[rest]]
+    for g in range(len(tables.groups)):
+        cells = rest[shared == g]
+        if cells.size:
+            blocks.append((g, cells, rule[cells]))
+    out = np.empty(rule.size)
+    for g, cells, k in blocks:
+        degree, exponents, coefficients, variables = tables.groups[g]
+        cols = X[variables[:, k], row[cells]]
+        out[cells] = evaluate_terms(degree, exponents, coefficients[:, k], cols)
+    return out
+
+
+def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     """Every cell where a rule fires, with its firing bounds and output.
 
     A rule fires on a row where its upper firing bound is positive; only
     there can it weigh in a prediction, so only there is its polynomial
-    evaluated, and no other cell is returned.
+    evaluated, and no other cell is returned.  ``x`` is the (features,
+    rows) float table of the rows, one row per partition the tables were
+    compiled from, in their order.
 
     The memberships of every set of every partition come from one
     stacked trapezoid pass, and one `fire` call folds every rule through
     per-clause indices into that table; both run over chunks of rows of
-    at most BLOCK_CELLS cells.  ``rules`` must not be empty, and every
-    rule must reference only variables and sets of ``feature_partitions``
-    that have a column (`Model` and `select_rules` guarantee both).
+    at most BLOCK_CELLS cells, and each chunk keeps only its fired cells.
     """
-    parts = [p for p in feature_partitions if p.variable in columns]
-    # the table's rows: every set of every partition, and each one's partition
-    sets, feature, table_row = [], [], {}
-    for j, p in enumerate(parts):
-        for s in p.sets:
-            table_row[(p.variable, s.name)] = len(sets)
-            sets.append(s)
-            feature.append(j)
-    # short antecedents are padded with an all-ones row after the sets:
-    # min(f, 1) and f * 1 are f, so the fold is each rule's own
-    width = max(len(r.antecedent) for r in rules)
-    clauses = np.array(
-        [
-            [table_row[c] for c in r.antecedent]
-            + [len(sets)] * (width - len(r.antecedent))
-            for r in rules
-        ]
-    ).T
-    x = np.array([columns[p.variable] for p in parts], dtype=float)
-    m, n = len(rules), x.shape[1]
-    F_lo = np.empty((m, n))
-    F_hi = np.empty((m, n))
-    step = max(1, BLOCK_CELLS // max(m, len(sets)))
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        lower, upper = stacked_memberships(sets, x[feature, chunk])
+    sets, clauses = tables.sets, tables.clauses
+    m, n = clauses.shape[1], x.shape[1]
+    step = max(1, BLOCK_CELLS // max(m, tables.feature.size))
+    pieces = []
+    for start in range(0, max(n, 1), step):  # no rows make one empty chunk
+        chunk = x[tables.feature, start : start + step]
+        lower, upper = stacked_memberships(sets, chunk)
         ones = np.ones((1, lower.shape[1]))
         table = ((np.vstack([lower, ones]).T, np.vstack([upper, ones]).T),)
-        lo, hi = fire(table, [(0, c) for c in clauses], tnorm)
-        F_lo[:, chunk], F_hi[:, chunk] = lo.T, hi.T
-
-    flat = np.flatnonzero(F_hi > 0.0)
-    rule, row = np.divmod(flat, n)
-    y = np.empty(flat.size)
-    bounds = np.searchsorted(rule, np.arange(m + 1))
-    for k in np.flatnonzero(np.diff(bounds)):
-        cells = slice(bounds[k], bounds[k + 1])
-        rows, fn = row[cells], rules[k].consequent_fn
-        cols = np.array([columns[v][rows] for v in fn.variables])
-        raw = fn.evaluate(cols.reshape(len(fn.variables), rows.size).T)
-        y[cells] = clamp(raw, rules[k].clamp_bounds)
-    return FiredCells(rule, row, F_lo.ravel()[flat], F_hi.ravel()[flat], y)
+        lo, hi = fire(table, [(0, c) for c in clauses], tables.tnorm)
+        # (rules, rows) cells in C order are rule-major; fire keeps the
+        # table's column-major layout, so lo.T and hi.T ravel without a copy
+        flat = np.flatnonzero(hi.T > 0.0)
+        rule, row = np.divmod(flat, hi.shape[0])
+        pieces.append((rule, row + start, lo.T.ravel()[flat], hi.T.ravel()[flat]))
+    # each rule's cells run chunk after chunk: scatter every run into place
+    counts = np.array([np.bincount(p[0], minlength=m) for p in pieces])
+    runs = counts.T.ravel()
+    shift = (np.cumsum(runs) - runs).reshape(m, -1).T - (counts.cumsum(1) - counts)
+    row = np.empty(runs.sum(), dtype=np.intp)
+    lo, hi = np.empty(runs.sum()), np.empty(runs.sum())
+    for s, (rule, *cells) in zip(shift, pieces):
+        at = s[rule] + np.arange(rule.size)
+        row[at], lo[at], hi[at] = cells
+    rule = np.repeat(np.arange(m), counts.sum(0))
+    raw = evaluate_cells(tables, x, rule, row)
+    return FiredCells(
+        rule, row, lo, hi, np.clip(raw, tables.lo[rule], tables.hi[rule])
+    )
 
 
 def reduce_firing(
@@ -262,15 +337,16 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     """The prediction path every public predict function is a view of."""
     if not model.rules:
         raise NotTrainedError("model has no rules")
-    columns = _column_table(model.feature_partitions, data)
-    n = next(iter(columns.values())).size
+    x = _feature_rows(model.feature_partitions, data)
+    n = x.shape[1]
+    tables = model.tables
     # an overflowing polynomial is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        cells = rule_matrices(
-            model.rules, model.feature_partitions, columns, model.tnorm
-        )
-    dom = np.array([r.error_dominance for r in model.rules])
-    w = reduce_firing(cells.lo, cells.hi, model.firing_reduction) * dom[cells.rule]
+        cells = rule_matrices(tables, x)
+    w = (
+        reduce_firing(cells.lo, cells.hi, model.firing_reduction)
+        * tables.dominance[cells.rule]
+    )
     # a rule that fires with weight 0 (lower reduction) adds no 0 x NaN
     live = w > 0.0
     values, fallback = weighted_mean(

@@ -49,32 +49,43 @@ class MembershipInterval:
         return 0.5 * (self.lower + self.upper)
 
 
-def stacked_memberships(
-    sets: Sequence[IT2Set], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper memberships of every set in one trapezoid pass.
-
-    ``x`` is either one (n,) row of values shared by all sets or an
-    (len(sets), n) table with one row of values per set; both results
-    are (len(sets), n).  Each set's upper and lower trapezoids are
-    evaluated together, with shoulder-aware open sides: a shoulder's
-    plateau extends past its open-side breakpoints.  This is the only
-    trapezoid implementation.
-    """
-    x = np.asarray(x, dtype=float)
-    # (2, sets, 1) breakpoints: the upper trapezoids, then the lower ones
+def stack_sets(sets: Sequence[IT2Set]) -> tuple[np.ndarray, ...]:
+    """What `stacked_memberships` reads of ``sets``: the (2, sets, 1)
+    breakpoints ``a, b, c, d`` of the upper trapezoids then the lower
+    ones, and the (sets, 1) left and right shoulder flags and lower
+    heights."""
     params = np.array(
         [[s.upper_params for s in sets], [s.lower_params for s in sets]]
     )
-    a, b, c, d = np.moveaxis(params, -1, 0)[..., None]
-    left = np.array([s.shape == "left_shoulder" for s in sets])[:, None]
-    right = np.array([s.shape == "right_shoulder" for s in sets])[:, None]
+    return (
+        *np.moveaxis(params, -1, 0)[..., None],
+        np.array([s.shape == "left_shoulder" for s in sets])[:, None],
+        np.array([s.shape == "right_shoulder" for s in sets])[:, None],
+        np.array([s.fou_scale for s in sets])[:, None],
+    )
+
+
+def stacked_memberships(
+    stack: tuple[np.ndarray, ...], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper memberships of every set of ``stack`` (from
+    `stack_sets`) in one trapezoid pass.
+
+    ``x`` is either one (n,) row of values shared by all sets or a
+    (sets, n) table with one row of values per set; both results are
+    (sets, n).  Each set's upper and lower trapezoids are evaluated
+    together, with shoulder-aware open sides: a shoulder's plateau
+    extends past its open-side breakpoints.  This is the only trapezoid
+    implementation.
+    """
+    x = np.asarray(x, dtype=float)
+    a, b, c, d, left, right, fou_scale = stack
     plateau = (left | (x >= b)) & (right | (x <= c))
     curve = plateau.astype(float)
     # the ramps and the plateau are disjoint; an empty ramp divides nowhere
     np.divide(x - a, b - a, out=curve, where=~left & (x > a) & (x < b))
     np.divide(d - x, d - c, out=curve, where=~right & (x > c) & (x < d))
-    curve[1] *= np.array([s.fou_scale for s in sets])[:, None]
+    curve[1] *= fou_scale
     np.clip(curve, 0.0, 1.0, out=curve)
     return curve[1], curve[0]
 
@@ -136,7 +147,7 @@ class IT2Set:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(lower, upper)`` membership of ``values``."""
         x = np.asarray(values, dtype=float)
-        lower, upper = stacked_memberships([self], x.ravel())
+        lower, upper = stacked_memberships(stack_sets([self]), x.ravel())
         return lower[0].reshape(x.shape), upper[0].reshape(x.shape)
 
 
@@ -180,7 +191,7 @@ class Partition:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) lower/upper memberships of ``values`` in all k sets."""
         x = np.asarray(values, dtype=float).ravel()
-        lower, upper = stacked_memberships(self.sets, x)
+        lower, upper = stacked_memberships(stack_sets(self.sets), x)
         # row-major as ever: dominance grading dots these columns, and
         # BLAS rounds a strided column's sum differently from a contiguous one
         return np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)

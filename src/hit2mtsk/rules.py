@@ -76,6 +76,33 @@ def design_matrix(X: np.ndarray, degree: int) -> np.ndarray:
     return cols
 
 
+def evaluate_terms(
+    degree: int,
+    exponents: Sequence[tuple[int, ...]],
+    coefficients: Sequence,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Polynomials that share one exponent table, term-major, on a block
+    of cells.
+
+    ``cols`` is (variables, cells); ``coefficients[t]`` is term t's
+    coefficient, shared by every cell or one per cell.  Each term is
+    ``((coef * p1) * p2)``, its powers in variable order, added in term
+    order into a zero-started sum, so a cell's value does not depend on
+    the block it is evaluated in.
+    """
+    # powers[k][j] is cols[j] ** k: one array per power, not per term
+    powers = [None, cols] + [cols**k for k in range(2, degree + 1)]
+    out = np.zeros(cols.shape[1])
+    for e, coef in zip(exponents, coefficients):
+        term = coef
+        for j, k in enumerate(e):
+            if k:
+                term = term * powers[k][j]
+        out += term
+    return out
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial in named variables, coefficients in raw units."""
@@ -101,7 +128,8 @@ class Polynomial:
             raise ValueError("coefficients must be finite")
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on rows aligned with ``self.variables`` (n, v).
+        """Evaluate on rows aligned with ``self.variables`` (n, v), as one
+        block of `evaluate_terms`, the kernel inference runs per group.
 
         A constant polynomial (no variables) takes an (n, 0) input.
         """
@@ -110,19 +138,7 @@ class Polynomial:
             X = X.reshape(1, -1)
         if X.shape[1] != len(self.variables):
             raise ValueError("column count does not match polynomial arity")
-        # powers[k - 1, j] is X[:, j] ** k: one block per call, not per term
-        powers = np.empty((self.degree,) + X.T.shape)
-        powers[0] = X.T
-        for k in range(2, self.degree + 1):
-            powers[k - 1] = X.T ** k
-        out = np.zeros(X.shape[0])
-        for e, w in zip(self.exponents, self.coefficients):
-            term = w
-            for j, k in enumerate(e):
-                if k:
-                    term = term * powers[k - 1, j]
-            out += term
-        return out
+        return evaluate_terms(self.degree, self.exponents, self.coefficients, X.T)
 
     def evaluate_at(self, x: Mapping[str, float]) -> float:
         row = np.array([[float(x[v]) for v in self.variables]])
@@ -158,8 +174,9 @@ class HybridRule:
     ``antecedent`` pairs (variable name, set name); the set objects live
     in the model's partitions.  ``clamp_bounds`` is the support of the
     consequent set's upper membership function.  ``fuzzy_dominance`` is
-    the support x confidence interval; ``error_dominance`` is
-    1 / (1 + fit RMSE); both grade how much say the rule gets.
+    the support x confidence interval, which prunes and orders candidates
+    during generation; ``error_dominance`` is 1 / (1 + fit RMSE), which
+    alone weighs the rule in inference and in the ant-colony heuristic.
     """
 
     antecedent: tuple[tuple[str, str], ...]

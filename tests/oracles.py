@@ -5,7 +5,8 @@ the vectorized kernels they check.  `rule_matrices` is the per-rule loop
 of dense (rules x rows) matrices that the stacked, fired-cells kernel
 replaced; it is built from the library's per-partition membership
 matrices and per-rule `fire`, which the scalar oracles here check in
-turn.  `candidate_keys` is the tuple-at-a-time clause deletion that
+turn, and from `polynomial_values`, the per-rule, per-term loop that the
+grouped term-major kernel replaced.  `candidate_keys` is the tuple-at-a-time clause deletion that
 integer-coded enumeration replaced.
 """
 import itertools
@@ -65,9 +66,27 @@ def rule_matrices(
         )
         fn = rule.consequent_fn
         cols = np.array([columns[v] for v in fn.variables])
-        raw = fn.evaluate(cols.reshape(len(fn.variables), n).T)
+        raw = polynomial_values(fn, cols.reshape(len(fn.variables), n).T)
         Y[i] = clamp(raw, rule.clamp_bounds)
     return F_lo, F_hi, Y
+
+
+def polynomial_values(poly: Polynomial, X: np.ndarray) -> np.ndarray:
+    """``poly`` on the rows of ``X`` (n, v), one rule and one term at a
+    time: each term ``((coef * p1) * p2)`` over every row, added in term
+    order into a zero-started sum."""
+    powers = np.empty((poly.degree,) + X.T.shape)
+    powers[0] = X.T
+    for k in range(2, poly.degree + 1):
+        powers[k - 1] = X.T**k
+    out = np.zeros(X.shape[0])
+    for e, w in zip(poly.exponents, poly.coefficients):
+        term = w
+        for j, k in enumerate(e):
+            if k:
+                term = term * powers[k - 1, j]
+        out += term
+    return out
 
 
 def firing_strength(

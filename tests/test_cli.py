@@ -293,7 +293,7 @@ class TestCrossval:
         code = main(
             [
                 "crossval", "--data", str(ws.csv), "--target", "y",
-                "--config", str(ws.cfg), "--out", str(out), "--threads", "2",
+                "--config", str(ws.cfg), "--out", str(out),
                 "--explain",
             ]
         )
@@ -320,18 +320,6 @@ class TestCrossval:
         printed = capsys.readouterr().out
         assert "reference scores:" in printed
         assert "hybrid_d3" in printed
-
-    def test_zero_threads_is_a_config_error(self, ws, tmp_path, capsys):
-        code = main(
-            [
-                "crossval", "--data", str(ws.csv), "--target", "y",
-                "--config", str(ws.cfg), "--out", str(tmp_path / "o"),
-                "--threads", "0",
-            ]
-        )
-        assert code == EXIT_CONFIG
-        assert "threads must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_unknown_name_lists_known_ones(self, ws, capsys):
         out = ws.root / "cvunknown"

@@ -200,19 +200,6 @@ class TestRunCv:
         assert report.explainability is not None
         assert report.explainability.rule_count >= 1
 
-    def test_thread_pool_matches_serial(self, folds, report):
-        threaded = run_cv(folds, small_train_config(), explain=False, threads=3)
-        assert threaded.fold_rmse == report.fold_rmse
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected(self, folds, monkeypatch, threads):
-        def no_training(*args):
-            raise AssertionError("trained before the threads check")
-
-        monkeypatch.setattr("hit2mtsk.evaluate.train_model", no_training)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            run_cv(folds, small_train_config(), threads=threads)
-
     def test_failed_fold_is_reported_not_fatal(self, toy_dataset):
         good = make_folds(toy_dataset, k=2, seed=0)
         bad_train = Dataset(

@@ -20,10 +20,12 @@ from hit2mtsk import (
     load_model,
     predict,
     predict_batch,
+    save_model,
 )
 from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
+    compile_rules,
     predict_values,
     reduce_firing,
     rule_matrices,
@@ -495,19 +497,25 @@ def densify(cells, m, n):
 class TestRuleMatricesAgainstPerRuleLoop:
     """The stacked, fired-cells kernel against the per-rule loop it replaced."""
 
+    @pytest.mark.parametrize("solo", [None, 1, 1 << 30])
     @pytest.mark.parametrize("cells", [None, 1000, 1])
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("tnorm", TNORMS)
     @pytest.mark.parametrize("seed", range(12))
-    def test_bitwise_equal_where_it_counts(self, seed, tnorm, n, cells, monkeypatch):
-        if cells is not None:  # many row chunks and rule blocks
+    def test_bitwise_equal_where_it_counts(
+        self, seed, tnorm, n, cells, solo, monkeypatch
+    ):
+        if cells is not None:  # many row chunks
             monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", cells)
+        if solo is not None:  # every rule a block of its own, or none
+            monkeypatch.setattr(hit2mtsk.inference, "SOLO_CELLS", solo)
         rng = np.random.default_rng(seed)
         model = random_model(rng, tnorm)
         cols = random_rows(rng, model, n)
-        args = (model.rules, model.feature_partitions, cols, tnorm)
-        cells = rule_matrices(*args)
-        want_lo, want_hi, want_y = oracles.rule_matrices(*args)
+        args = (model.rules, model.feature_partitions)
+        x = np.array([cols[v] for v in model.feature_names])
+        cells = rule_matrices(compile_rules(*args, tnorm), x)
+        want_lo, want_hi, want_y = oracles.rule_matrices(*args, cols, tnorm)
         fired = want_hi > 0.0
         # exactly the fired cells, rule by rule, rows ascending
         assert np.array_equal(cells.rule * n + cells.row, np.flatnonzero(fired))
@@ -521,8 +529,8 @@ class TestRuleMatricesAgainstPerRuleLoop:
 
     def test_no_rows_give_no_cells(self):
         model = random_model(np.random.default_rng(0))
-        cols = {v: np.array([]) for v in model.feature_names}
-        for a in rule_matrices(model.rules, model.feature_partitions, cols):
+        x = np.empty((len(model.feature_names), 0))
+        for a in rule_matrices(model.tables, x):
             assert a.shape == (0,)
 
     def test_random_models_cover_every_rule_shape(self):
@@ -540,13 +548,57 @@ class TestRuleMatricesAgainstPerRuleLoop:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = rule_matrices(
-                model.rules, model.feature_partitions, {"x": np.array([1e300])}
-            )
+            cells = rule_matrices(model.tables, np.array([[1e300]]))
         _, F_hi, Y = densify(cells, 2, 1)
         assert F_hi[0, 0] == 0.0 and Y[0, 0] == 0.0
         assert Y[1, 0] == 20.0
         assert cells.rule.tolist() == [1]
+
+
+class TestCompiledTables:
+    """A model compiles its rule tables once, on first use, and they are
+    not part of what it saves or compares."""
+
+    @staticmethod
+    def count_compiles(monkeypatch):
+        calls = []
+        real = hit2mtsk.inference.compile_rules
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hit2mtsk.inference, "compile_rules", counted)
+        return calls
+
+    def test_built_once_on_first_use(self, monkeypatch, tmp_path):
+        calls = self.count_compiles(monkeypatch)
+        save_model(two_rule_model(), tmp_path / "model.json")
+        model = load_model(tmp_path / "model.json")
+        assert calls == []
+        predict(model, {"x": 6.0})
+        predict(model, {"x": 0.0})
+        predict_values(model, {"x": np.array([1.0, 9.0])})
+        assert len(calls) == 1
+
+    def test_predicting_changes_neither_saved_bytes_nor_equality(self, tmp_path):
+        model = load_model(FIXTURES / "serve_model.json")
+        save_model(model, tmp_path / "before.json")
+        predict(model, dict.fromkeys(model.feature_names, 0.5))
+        save_model(model, tmp_path / "after.json")
+        after = (tmp_path / "after.json").read_bytes()
+        assert after == (tmp_path / "before.json").read_bytes()
+        assert model == load_model(tmp_path / "after.json")
+
+    def test_replaced_rules_get_fresh_tables(self):
+        model = two_rule_model()
+        assert predict(model, {"x": 0.0}).value == 10.0
+        swapped = replace(
+            model, rules=(replace(RULE_LOW, consequent_fn=constant(12.0)), RULE_HIGH)
+        )
+        assert swapped.tables is not model.tables
+        assert predict(swapped, {"x": 0.0}).value == 12.0
+        assert predict(model, {"x": 0.0}).value == 10.0
 
 
 # |x| <= 1e6 keeps every degree-3 polynomial of random_model finite; a

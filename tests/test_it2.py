@@ -11,6 +11,7 @@ from hit2mtsk.it2 import (
     build_partition,
     fire,
     membership,
+    stack_sets,
     stacked_memberships,
 )
 
@@ -325,8 +326,8 @@ class TestStackedMemberships:
         x = rng.normal(0.0, 9.0, (len(sets), 16))
         for k, s in enumerate(sets):
             x[k, :8] = s.upper_params + s.lower_params  # every edge is hit
-        lower, upper = stacked_memberships(sets, x)
-        shared_lower, shared_upper = stacked_memberships(sets, x[0])
+        lower, upper = stacked_memberships(stack_sets(sets), x)
+        shared_lower, shared_upper = stacked_memberships(stack_sets(sets), x[0])
         for k, s in enumerate(sets):
             for j in range(x.shape[1]):
                 assert (lower[k, j], upper[k, j]) == trapezoid_membership(s, x[k, j])
@@ -338,7 +339,7 @@ class TestStackedMemberships:
         part = build_partition(np.linspace(0.0, 10.0, 50), num_sets=4)
         x = np.linspace(-5.0, 15.0, 201)
         lower, upper = part.membership_matrix(x)
-        stacked = stacked_memberships(part.sets, x)
+        stacked = stacked_memberships(stack_sets(part.sets), x)
         assert lower.shape == upper.shape == (201, 4)
         assert np.array_equal(lower, stacked[0].T)
         assert np.array_equal(upper, stacked[1].T)

@@ -29,6 +29,7 @@ from hit2mtsk.persist import (
     universe_to_dict,
     write_xy_csv,
 )
+from hit2mtsk.aco import select_rules
 from hit2mtsk.cli import EXIT_DATA, CliError, _load_model
 from hit2mtsk.inference import Model, predict_values
 from hit2mtsk.it2 import Partition, build_partition
@@ -235,6 +236,17 @@ class TestUniverseFiles:
         assert back.config == trained.universe.config
         assert back.coverage == trained.universe.coverage
         assert back.dataset_fingerprint == trained.universe.dataset_fingerprint
+
+    def test_loaded_universe_selects_the_same_subset(
+        self, trained, toy_dataset, tmp_path
+    ):
+        # select_rules compiles the rules it is given, not a model's tables
+        path = tmp_path / "universe.json"
+        save_universe(trained.universe, path)
+        config = AcoConfig(num_ants=4, num_iterations=3)
+        want = select_rules(trained.universe, toy_dataset, None, config, seed=1)
+        got = select_rules(load_universe(path), toy_dataset, None, config, seed=1)
+        assert got == want
 
     def test_resave_is_byte_identical(self, trained, tmp_path):
         p1 = tmp_path / "u1.json"

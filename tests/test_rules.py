@@ -17,7 +17,7 @@ from hit2mtsk.rules import (
     monomial_exponents,
 )
 
-from oracles import polynomial_value
+from oracles import polynomial_value, polynomial_values
 
 # ---------------------------------------------------------------------------
 # independent oracle: exponent enumeration via cartesian product, plain
@@ -359,6 +359,14 @@ class TestPolynomial:
                 magnitude, {v: abs(x) for v, x in zip(variables, row)}
             )
             assert abs(got[r] - want) <= 1e-12 * scale
+
+    @given(sparse_polynomials())
+    @settings(max_examples=200)
+    def test_evaluate_is_the_per_term_loop_bitwise(self, case):
+        poly, variables, rows = case
+        X = np.array(rows, dtype=float).reshape(len(rows), len(variables))
+        got, want = poly.evaluate(X), polynomial_values(poly, X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_render_raw_units(self):
         text = CEMENT_RULE.consequent_fn.render()

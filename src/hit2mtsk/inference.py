@@ -19,11 +19,9 @@ from .rules import HybridRule, evaluate_terms
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 # rule_matrices fires rules over chunks of at most this many (rules or
-# sets) x rows cells, so that its temporaries stay small
+# sets) x rows cells, and evaluate_cells runs polynomials over blocks of
+# at most this many cells, so that their temporaries stay small
 BLOCK_CELLS = 1 << 16
-# a rule firing on at least this many rows has its polynomial evaluated in
-# a block of its own, with scalar coefficients, not ones gathered per cell
-SOLO_CELLS = 64
 
 
 class NotTrainedError(RuntimeError):
@@ -210,30 +208,22 @@ def evaluate_cells(
     tables: RuleTables, X: np.ndarray, rule: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
     """Raw polynomial output of rule ``rule[c]`` at row ``row[c]`` of the
-    (features, rows) table ``X``, for every cell c; ``rule`` ascends.
+    (features, rows) table ``X``, for every cell c.
 
-    A rule with at least SOLO_CELLS cells is a block of its own, with one
-    coefficient per term; the other rules of a group share one block,
-    with coefficients gathered per cell once, not per term.
+    The cells of each exponent-table group are evaluated in blocks of at
+    most BLOCK_CELLS cells, each term's coefficient gathered per cell as
+    the term is added.
     """
-    count = np.bincount(rule, minlength=tables.group.size)
-    start = np.cumsum(count) - count
-    solo = count >= SOLO_CELLS
-    blocks = [
-        (tables.group[k], slice(start[k], start[k] + count[k]), [k])
-        for k in np.flatnonzero(solo)
-    ]
-    rest = np.flatnonzero(~solo[rule])  # the other rules' cells, by group
-    shared = tables.group[rule[rest]]
-    for g in range(len(tables.groups)):
-        cells = rest[shared == g]
-        if cells.size:
-            blocks.append((g, cells, rule[cells]))
     out = np.empty(rule.size)
-    for g, cells, k in blocks:
-        degree, exponents, coefficients, variables = tables.groups[g]
-        cols = X[variables[:, k], row[cells]]
-        out[cells] = evaluate_terms(degree, exponents, coefficients[:, k], cols)
+    group = tables.group[rule]
+    for g, (degree, exponents, coefficients, variables) in enumerate(tables.groups):
+        of_group = np.flatnonzero(group == g)
+        for start in range(0, of_group.size, BLOCK_CELLS):
+            cells = of_group[start : start + BLOCK_CELLS]
+            k = rule[cells]
+            cols = X[variables[:, k], row[cells]]
+            coefs = (c[k] for c in coefficients)
+            out[cells] = evaluate_terms(degree, exponents, coefs, cols)
     return out
 
 
@@ -266,16 +256,10 @@ def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
         flat = np.flatnonzero(hi.T > 0.0)
         rule, row = np.divmod(flat, hi.shape[0])
         pieces.append((rule, row + start, lo.T.ravel()[flat], hi.T.ravel()[flat]))
-    # each rule's cells run chunk after chunk: scatter every run into place
-    counts = np.array([np.bincount(p[0], minlength=m) for p in pieces])
-    runs = counts.T.ravel()
-    shift = (np.cumsum(runs) - runs).reshape(m, -1).T - (counts.cumsum(1) - counts)
-    row = np.empty(runs.sum(), dtype=np.intp)
-    lo, hi = np.empty(runs.sum()), np.empty(runs.sum())
-    for s, (rule, *cells) in zip(shift, pieces):
-        at = s[rule] + np.arange(rule.size)
-        row[at], lo[at], hi[at] = cells
-    rule = np.repeat(np.arange(m), counts.sum(0))
+    # each chunk's cells are rule-major: a stable sort by rule merges them
+    rule, row, lo, hi = (np.concatenate(a) for a in zip(*pieces))
+    order = np.argsort(rule, kind="stable")
+    rule, row, lo, hi = rule[order], row[order], lo[order], hi[order]
     raw = evaluate_cells(tables, x, rule, row)
     return FiredCells(
         rule, row, lo, hi, np.clip(raw, tables.lo[rule], tables.hi[rule])

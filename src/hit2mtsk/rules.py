@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,17 +79,17 @@ def design_matrix(X: np.ndarray, degree: int) -> np.ndarray:
 def evaluate_terms(
     degree: int,
     exponents: Sequence[tuple[int, ...]],
-    coefficients: Sequence,
+    coefficients: Iterable,
     cols: np.ndarray,
 ) -> np.ndarray:
     """Polynomials that share one exponent table, term-major, on a block
     of cells.
 
-    ``cols`` is (variables, cells); ``coefficients[t]`` is term t's
-    coefficient, shared by every cell or one per cell.  Each term is
-    ``((coef * p1) * p2)``, its powers in variable order, added in term
-    order into a zero-started sum, so a cell's value does not depend on
-    the block it is evaluated in.
+    ``cols`` is (variables, cells); ``coefficients`` yields each term's
+    coefficient in term order, shared by every cell or one per cell.
+    Each term is ``((coef * p1) * p2)``, its powers in variable order,
+    added in term order into a zero-started sum, so a cell's value does
+    not depend on the block it is evaluated in.
     """
     # powers[k][j] is cols[j] ** k: one array per power, not per term
     powers = [None, cols] + [cols**k for k in range(2, degree + 1)]

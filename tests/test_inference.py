@@ -497,18 +497,15 @@ def densify(cells, m, n):
 class TestRuleMatricesAgainstPerRuleLoop:
     """The stacked, fired-cells kernel against the per-rule loop it replaced."""
 
-    @pytest.mark.parametrize("solo", [None, 1, 1 << 30])
     @pytest.mark.parametrize("cells", [None, 1000, 1])
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("tnorm", TNORMS)
     @pytest.mark.parametrize("seed", range(12))
     def test_bitwise_equal_where_it_counts(
-        self, seed, tnorm, n, cells, solo, monkeypatch
+        self, seed, tnorm, n, cells, monkeypatch
     ):
-        if cells is not None:  # many row chunks
+        if cells is not None:  # many row chunks and polynomial blocks
             monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", cells)
-        if solo is not None:  # every rule a block of its own, or none
-            monkeypatch.setattr(hit2mtsk.inference, "SOLO_CELLS", solo)
         rng = np.random.default_rng(seed)
         model = random_model(rng, tnorm)
         cols = random_rows(rng, model, n)

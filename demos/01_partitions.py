@@ -6,7 +6,7 @@ interval rather than a single number.
 """
 import numpy as np
 
-from hit2mtsk import build_partition, fire, membership
+from hit2mtsk import build_partition, fire
 
 rng = np.random.default_rng(7)
 values = rng.gamma(shape=2.0, scale=12.0, size=400)
@@ -18,14 +18,16 @@ for s in part.sets:
     print(f"    lower trapezoid: {s.lower_params}")
     print(f"    upper trapezoid: {s.upper_params}")
 
-# membership returns a (lower, upper) interval: the width is the
-# footprint of uncertainty at that point
+# membership is a (lower, upper) interval: the width is the footprint
+# of uncertainty at that point; membership_matrix gives one row per
+# value and one column per set
 print("\nmembership intervals at sample points")
-for x in (5.0, 20.0, 45.0, 80.0):
+xs = (5.0, 20.0, 45.0, 80.0)
+lower, upper = part.membership_matrix(xs)
+for i, x in enumerate(xs):
     row = "  x={:5.1f}".format(x)
-    for s in part.sets:
-        m = membership(s, x)
-        row += f"   {s.name}=[{m.lower:.3f}, {m.upper:.3f}]"
+    for k, s in enumerate(part.sets):
+        row += f"   {s.name}=[{lower[i, k]:.3f}, {upper[i, k]:.3f}]"
     print(row)
 
 # a conjunction of clauses fires with the t-norm of the memberships;

@@ -5,7 +5,7 @@ polynomials are estimated from the rows a rule fires on.
 """
 import numpy as np
 
-from hit2mtsk.rules import HybridRule, Polynomial, evaluate_rule, fit_consequent
+from hit2mtsk.rules import HybridRule, Polynomial, clamp, fit_consequent
 
 rule = HybridRule(
     antecedent=(("temp", "High"), ("load", "Medium")),
@@ -25,12 +25,14 @@ print(rule.describe("output"))
 print(f"consequent: {rule.consequent_fn.render()}")
 print(f"clamped to: {rule.clamp_bounds}\n")
 
-# the clamp keeps extrapolation inside the consequent set's support
-for temp, load in ((30.0, 12.0), (90.0, 40.0), (-50.0, 0.0)):
-    raw = rule.consequent_fn.evaluate_at({"temp": temp, "load": load})
-    out = evaluate_rule(rule, {"temp": temp, "load": load})
-    tag = "" if raw == out else "   <- clamped"
-    print(f"  temp={temp:6.1f} load={load:5.1f}   raw={raw:8.2f}   out={out:6.2f}{tag}")
+# the clamp keeps extrapolation inside the consequent set's support;
+# the polynomial takes rows of its variables (temp, load)
+rows = np.array([(30.0, 12.0), (90.0, 40.0), (-50.0, 0.0)])
+raw = rule.consequent_fn.evaluate(rows)
+out = clamp(raw, rule.clamp_bounds)
+for (temp, load), r, o in zip(rows, raw, out):
+    tag = "" if r == o else "   <- clamped"
+    print(f"  temp={temp:6.1f} load={load:5.1f}   raw={r:8.2f}   out={o:6.2f}{tag}")
 
 # fitting: least squares over the firing rows, here with a known truth
 rng = np.random.default_rng(2)

@@ -17,7 +17,7 @@ from hit2mtsk import (
     load_model,
     noise_robustness,
     predict,
-    predict_batch,
+    predict_values,
     save_model,
     train_model,
 )
@@ -50,8 +50,9 @@ for f in p.fired_rules:
     )
 
 # batch scoring against the training rows
-batch = predict_batch(model, ds)
-print(f"\ntraining rmse {batch.rmse:.4f}, fallback rate {batch.fallback_rate:.3f}")
+values, _, fallback = predict_values(model, ds)
+rmse = np.sqrt(np.mean((values - ds.y) ** 2))
+print(f"\ntraining rmse {rmse:.4f}, fallback rate {fallback.mean():.3f}")
 
 # explainability: how many rules matter, how fragile predictions are
 active = active_rules_per_prediction(model, ds)

@@ -43,23 +43,19 @@ from .evaluate import (
     run_cv,
 )
 from .inference import (
-    BatchResult,
     FiredRule,
     Model,
     NotTrainedError,
     Prediction,
     predict,
-    predict_batch,
     predict_values,
 )
 from .it2 import (
     DegeneratePartitionError,
     IT2Set,
-    MembershipInterval,
     Partition,
     build_partition,
     fire,
-    membership,
 )
 from .persist import (
     load_model,
@@ -77,7 +73,6 @@ from .rules import (
     Polynomial,
     RuleUnfittableError,
     clamp,
-    evaluate_rule,
     fit_consequent,
     monomial_exponents,
 )

@@ -36,6 +36,7 @@ from .evaluate import (
     explainability_block,
     quantization_profile,
     reference_for,
+    rmse,
     run_cv,
 )
 from .inference import Model, NotTrainedError, predict, predict_values
@@ -181,13 +182,13 @@ def cmd_predict(args) -> int:
     }
     columns = {"prediction": values, "target": target,
                "fired_rules": fired_counts, "fallback": fallback}
-    rmse = ""
+    score = ""
     if target is None:
         del columns["target"]
     else:
-        rmse = f", rmse {float(np.sqrt(np.mean((values - target) ** 2))):.6g}"
+        score = f", rmse {rmse(values, target):.6g}"
     write_xy_csv(out / "predictions.csv", tuple(columns), columns.values(), manifest)
-    print(f"predicted {values.size} rows{rmse}, "
+    print(f"predicted {values.size} rows{score}, "
           f"fallback rate {float(np.mean(fallback)):.4f}")
     print(f"wrote {out / 'predictions.csv'}")
     return EXIT_OK
@@ -234,6 +235,8 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.max_rows < 0:
+        raise CliError(EXIT_CONFIG, f"--max-rows must be >= 0, got {args.max_rows}")
     model = _load_model(args)
     if not model.rules:
         raise CliError(EXIT_TRAIN, "model has no rules to explain")

@@ -102,9 +102,10 @@ def fuzzy_dominance(
         [(var, partitions[var].index_of(name)) for var, name in rule.antecedent],
         tnorm,
     )
-    t_lo, t_hi = partitions[dataset.target_name].set_named(
-        rule.consequent_set
-    ).membership_arrays(dataset.y)
+    # the strided column `generate_candidates` dots, so the grades keep its bits
+    target = partitions[dataset.target_name]
+    k = target.index_of(rule.consequent_set)
+    t_lo, t_hi = (m[:, k] for m in target.membership_matrix(dataset.y))
     s = support_interval(f_lo, f_hi, t_lo, t_hi)
     c = confidence_interval(f_lo, f_hi, t_lo, t_hi)
     return combine_dominance(s, c)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset, FoldSplit, split_holdout
 from .dominance import error_dominance
-from .inference import Model, _weigh, predict_batch, predict_values, reduce_firing
+from .inference import Model, _weigh, predict_values, reduce_firing
 from .pipeline import TrainConfig, derive_seed, train_model
 from .rules import Polynomial
 
@@ -69,6 +69,11 @@ def reference_for(dataset_name: str) -> dict[str, float]:
     return {}
 
 
+def rmse(values: np.ndarray, targets: np.ndarray) -> float:
+    """Root mean squared error of predictions against targets."""
+    return float(np.sqrt(np.mean((values - targets) ** 2)))
+
+
 @dataclass(frozen=True)
 class Explainability:
     """Case-study metrics block; JSON writes its float keys as strings."""
@@ -102,8 +107,10 @@ def active_rules_per_prediction(
 ) -> dict[float, float]:
     """Mean count of rules whose firing midpoint exceeds each threshold
     (each >= 0, so that a rule that does not fire counts under none)."""
-    if any(t < 0.0 for t in thresholds):
-        raise ValueError("active-rule thresholds must be >= 0")
+    if not all(t >= 0.0 for t in thresholds):  # NaN fails this too
+        raise ValueError(
+            f"active-rule thresholds must be >= 0, got {list(thresholds)}"
+        )
     w = _weigh(model, rows)
     mid = reduce_firing(w.cells.lo, w.cells.hi, "midpoint")
     n = w.values.size
@@ -127,6 +134,12 @@ def noise_robustness(
     mean absolute prediction change as a percentage of the mean target,
     averaged over ``repeats`` seeded draws.
     """
+    if not all(np.isfinite(lv) and lv >= 0.0 for lv in levels):
+        raise ValueError(
+            f"noise levels must be finite and >= 0, got {list(levels)}"
+        )
+    if repeats < 1:
+        raise ValueError(f"noise repeats must be >= 1, got {repeats}")
     base, _, _ = predict_values(model, rows)
     denom = abs(float(np.mean(rows.y)))
     if denom == 0.0:
@@ -139,8 +152,6 @@ def noise_robustness(
         )
     out: dict[float, float] = {}
     for li, level in enumerate(levels):
-        if level < 0.0:
-            raise ValueError("noise level must be >= 0")
         if level == 0.0:
             out[float(level)] = 0.0
             continue
@@ -220,14 +231,16 @@ def run_cv(
     for fold in folds:
         try:
             model = train_model(fold.train, config).model
-            scored = predict_batch(model, fold.test)
+            values, _, fallback = predict_values(model, fold.test)
         except (ValueError, RuntimeError):
             failed.append(fold.fold_index)
             continue
-        done.append((fold.test, model, scored.rmse, scored.fallback_rate))
+        done.append(
+            (fold.test, model, rmse(values, fold.test.y), float(np.mean(fallback)))
+        )
     if not done:
         raise TrainingFailedError(f"all {len(folds)} folds failed to train")
-    fold_rmse = [rmse for _, _, rmse, _ in done]
+    fold_rmse = [score for _, _, score, _ in done]
 
     block = None
     if explain:
@@ -267,8 +280,7 @@ def derive_mamdani(model: Model, train: Dataset) -> Model:
         centroid = float(np.clip(plateau_mid, domain[0], domain[1]))
         rows = cells.row[bounds[i] : bounds[i + 1]]
         if rows.size:
-            rmse = float(np.sqrt(np.mean((centroid - train.y[rows]) ** 2)))
-            err_dom = error_dominance(rmse)
+            err_dom = error_dominance(rmse(centroid, train.y[rows]))
         else:
             err_dom = rule.error_dominance
         new_rules.append(
@@ -327,34 +339,32 @@ def case_study(
     hybrid_model = result.model
     baseline_model = derive_mamdani(hybrid_model, train)
 
-    hybrid = predict_batch(hybrid_model, test)
-    baseline = predict_batch(baseline_model, test)
+    def scored(model: Model, variant: str, block: Explainability | None):
+        values, _, fallback = predict_values(model, test)
+        score = rmse(values, test.y)
+        return values, EvalReport(
+            dataset=dataset.name,
+            variant=variant,
+            fold_rmse=(score,),
+            mean_rmse=score,
+            reference=reference_for(dataset.name),
+            explainability=block,
+            fallback_rate=float(np.mean(fallback)),
+        )
 
     explain_seed = derive_seed(config.seed, 102)
-    hybrid_report = EvalReport(
-        dataset=dataset.name,
-        variant=config.variant,
-        fold_rmse=(hybrid.rmse,),
-        mean_rmse=hybrid.rmse,
-        reference=reference_for(dataset.name),
-        explainability=explainability_block(hybrid_model, test, seed=explain_seed),
-        fallback_rate=hybrid.fallback_rate,
+    hybrid_values, hybrid_report = scored(
+        hybrid_model,
+        config.variant,
+        explainability_block(hybrid_model, test, seed=explain_seed),
     )
-    baseline_report = EvalReport(
-        dataset=dataset.name,
-        variant="mamdani",
-        fold_rmse=(baseline.rmse,),
-        mean_rmse=baseline.rmse,
-        reference=reference_for(dataset.name),
-        explainability=None,
-        fallback_rate=baseline.fallback_rate,
-    )
+    baseline_values, baseline_report = scored(baseline_model, "mamdani", None)
     return CaseStudyResult(
         hybrid=hybrid_report,
         baseline=baseline_report,
         hybrid_model=hybrid_model,
         baseline_model=baseline_model,
         test=test,
-        hybrid_values=hybrid.values,
-        baseline_values=baseline.values,
+        hybrid_values=hybrid_values,
+        baseline_values=baseline_values,
     )

@@ -46,17 +46,6 @@ class Prediction:
 
 
 @dataclass(frozen=True)
-class BatchResult:
-    """Vectorized predictions over many rows."""
-
-    values: np.ndarray
-    fired_counts: np.ndarray
-    fallback_rate: float
-    rmse: float | None = None
-    predictions: tuple[Prediction, ...] | None = None
-
-
-@dataclass(frozen=True)
 class Model:
     """Trained artifact: partitions + selected rules + inference settings."""
 
@@ -300,22 +289,6 @@ class _Weighed(NamedTuple):
     fired_counts: np.ndarray
     fallback: np.ndarray
 
-    def itemize(self) -> tuple[Prediction, ...]:
-        """Every row's prediction, its fired rules in rule order."""
-        c = self.cells
-        order = np.argsort(c.row, kind="stable")
-        fired = [
-            FiredRule(i, (lo, hi), y, w)
-            for i, lo, hi, y, w in zip(
-                *(a[order].tolist() for a in (c.rule, c.lo, c.hi, c.y, self.w))
-            )
-        ]
-        ends = np.cumsum(self.fired_counts)
-        return tuple(
-            Prediction(float(v), tuple(fired[e - k : e]), bool(f))
-            for v, k, e, f in zip(self.values, self.fired_counts, ends, self.fallback)
-        )
-
 
 def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     """The prediction path every public predict function is a view of."""
@@ -348,7 +321,8 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
 def predict_values(
     model: Model, data: Dataset | Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fast path: (values, fired_counts, fallback_mask) arrays."""
+    """Every row's prediction, fired-rule count and fallback flag, as
+    (values, fired_counts, fallback_mask) arrays."""
     w = _weigh(model, data)
     return w.values, w.fired_counts, w.fallback
 
@@ -360,35 +334,11 @@ def predict(model: Model, x: Mapping[str, float]) -> Prediction:
         for p in model.feature_partitions
         if p.variable in x
     }
-    return _weigh(model, row).itemize()[0]
-
-
-def predict_batch(
-    model: Model,
-    data: Dataset | Mapping[str, np.ndarray],
-    targets: np.ndarray | None = None,
-    detail: bool = False,
-) -> BatchResult:
-    """Predict many rows; attaches RMSE when targets are available.
-
-    ``detail=True`` additionally itemizes every row's fired rules into a
-    `Prediction`, from the same fired cells as the values (one object
-    per fired cell; meant for inspection, not bulk scoring).
-    """
-    w = _weigh(model, data)
-    values = w.values
-    if targets is None and isinstance(data, Dataset):
-        targets = data.y
-    score = None
-    if targets is not None:
-        t = np.asarray(targets, dtype=float).ravel()
-        if t.size != values.size:
-            raise ValueError("targets length does not match rows")
-        score = float(np.sqrt(np.mean((values - t) ** 2)))
-    return BatchResult(
-        values=values,
-        fired_counts=w.fired_counts,
-        fallback_rate=float(np.mean(w.fallback)),
-        rmse=score,
-        predictions=w.itemize() if detail else None,
+    w = _weigh(model, row)
+    c = w.cells  # one row's cells, already in rule order
+    fired = zip(*(a.tolist() for a in (c.rule, c.lo, c.hi, c.y, w.w)))
+    return Prediction(
+        float(w.values[0]),
+        tuple(FiredRule(i, (lo, hi), y, wt) for i, lo, hi, y, wt in fired),
+        bool(w.fallback[0]),
     )

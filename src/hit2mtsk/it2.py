@@ -29,26 +29,6 @@ class DegeneratePartitionError(ValueError):
     """Raised when a variable has no spread to partition."""
 
 
-@dataclass(frozen=True)
-class MembershipInterval:
-    """Interval membership degree ``[lower, upper]`` within [0, 1]."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError("membership bounds must be finite")
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(
-                f"invalid membership interval [{self.lower}, {self.upper}]"
-            )
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
 def stack_sets(sets: Sequence[IT2Set]) -> tuple[np.ndarray, ...]:
     """What `stacked_memberships` reads of ``sets``: the (2, sets, 1)
     breakpoints ``a, b, c, d`` of the upper trapezoids then the lower
@@ -141,22 +121,6 @@ class IT2Set:
             )
         if self.support[0] > self.support[1]:
             raise ValueError("support interval inverted")
-
-    def membership_arrays(
-        self, values: np.ndarray | Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(lower, upper)`` membership of ``values``."""
-        x = np.asarray(values, dtype=float)
-        lower, upper = stacked_memberships(stack_sets([self]), x.ravel())
-        return lower[0].reshape(x.shape), upper[0].reshape(x.shape)
-
-
-def membership(fuzzy_set: IT2Set, x: float) -> MembershipInterval:
-    """Interval membership of a single crisp value."""
-    if not np.isfinite(x):
-        raise ValueError("membership input must be finite")
-    lo, hi = fuzzy_set.membership_arrays(np.array([x]))
-    return MembershipInterval(float(lo[0]), float(hi[0]))
 
 
 @dataclass(frozen=True)

@@ -121,16 +121,13 @@ def train_model(
         seed=derive_seed(config.seed, _STREAM_ACO),
     )
 
-    feature_parts = tuple(
-        partitions[f] for f in dataset.feature_names if f in partitions
-    )
     stats = tuple(
         (
             p.variable,
             float(dataset.column(p.variable).mean()),
             float(dataset.column(p.variable).std()),
         )
-        for p in feature_parts
+        for p in universe.feature_partitions
     )
     manifest = {
         # as JSON holds it, so a reloaded model's manifest equals this one
@@ -144,8 +141,8 @@ def train_model(
         "selection_cost": subset.cost,
     }
     model = Model(
-        feature_partitions=feature_parts,
-        target_partition=partitions[dataset.target_name],
+        feature_partitions=universe.feature_partitions,
+        target_partition=universe.target_partition,
         rules=subset.rules,
         tnorm=config.generation.tnorm,
         firing_reduction=config.firing_reduction,

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,10 +140,6 @@ class Polynomial:
             raise ValueError("column count does not match polynomial arity")
         return evaluate_terms(self.degree, self.exponents, self.coefficients, X.T)
 
-    def evaluate_at(self, x: Mapping[str, float]) -> float:
-        row = np.array([[float(x[v]) for v in self.variables]])
-        return float(self.evaluate(row)[0])
-
     def render(self, precision: int = 6) -> str:
         parts = []
         for e, w in zip(self.exponents, self.coefficients):
@@ -219,15 +215,6 @@ class HybridRule:
             f" with {target_variable} = {poly}"
             f" clamped to [{lo:.{precision}g}, {hi:.{precision}g}]"
         )
-
-
-def evaluate_rule(rule: HybridRule, x: Mapping[str, float]) -> float:
-    """Crisp rule output: polynomial value clamped to the consequent support."""
-    for v in rule.consequent_fn.variables:
-        if v not in x or not np.isfinite(x[v]):
-            raise ValueError(f"input for {v!r} missing or non-finite")
-    raw = rule.consequent_fn.evaluate_at(x)
-    return float(clamp(raw, rule.clamp_bounds))
 
 
 def _solve_least_squares(

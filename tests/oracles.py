@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hit2mtsk.it2 import IT2Set, MembershipInterval, Partition, fire, membership
+from hit2mtsk.it2 import IT2Set, Partition, fire
 from hit2mtsk.rules import HybridRule, Polynomial, clamp
 
 
@@ -93,8 +93,9 @@ def firing_strength(
     antecedent: Iterable[tuple[str, IT2Set]],
     x: Mapping[str, float],
     tnorm: str = "minimum",
-) -> MembershipInterval:
-    """Firing interval of one rule at one crisp input, clause by clause.
+) -> tuple[float, float]:
+    """Firing interval ``(lower, upper)`` of one rule at one crisp input,
+    clause by clause through `trapezoid_membership`.
 
     ``antecedent`` pairs each variable name with the set it must match;
     the t-norm folds the lower and the upper bounds separately.
@@ -109,14 +110,14 @@ def firing_strength(
     for var, fuzzy_set in clauses:
         if var not in x:
             raise ValueError(f"input is missing variable {var!r}")
-        m = membership(fuzzy_set, float(x[var]))
+        m_lo, m_hi = trapezoid_membership(fuzzy_set, float(x[var]))
         if tnorm == "minimum":
-            lo = min(lo, m.lower)
-            hi = min(hi, m.upper)
+            lo = min(lo, m_lo)
+            hi = min(hi, m_hi)
         else:
-            lo *= m.lower
-            hi *= m.upper
-    return MembershipInterval(lo, hi)
+            lo *= m_lo
+            hi *= m_hi
+    return lo, hi
 
 
 def polynomial_value(poly: Polynomial, x: Mapping[str, float]) -> float:

@@ -22,7 +22,7 @@ from hit2mtsk import (
     generate_candidates,
     load_csv,
     load_keel_folds,
-    predict_batch,
+    predict,
     quantization_profile,
     run_cv,
     select_rules,
@@ -35,7 +35,7 @@ from hit2mtsk.evaluate import (
     noise_robustness,
 )
 from hit2mtsk.persist import dumps, model_to_dict, universe_to_dict
-from hit2mtsk.rules import evaluate_rule, fit_consequent
+from hit2mtsk.rules import clamp, fit_consequent
 
 from conftest import make_dataset, small_train_config
 from test_aco import oracle_cost, oracle_rule_tables, small_universe
@@ -77,20 +77,14 @@ def announce(criterion: int, message: str) -> None:
 
 
 def test_criterion_1_worked_example_fidelity():
-    point = {"cement": 375.0, "blast_furnace_slag": 300.0}
-    value = evaluate_rule(CEMENT_RULE, point)
+    # rows of (cement, blast_furnace_slag), the polynomial's variable order
+    raw = CEMENT_RULE.consequent_fn.evaluate(np.array([[375.0, 300.0], [0.0, 200.0]]))
+    value, floor = clamp(raw, CEMENT_RULE.clamp_bounds)
     assert value == pytest.approx(72.62, abs=0.5)
     # raw value at this point is inside the bounds, so no clamping there
-    assert CEMENT_RULE.consequent_fn.evaluate_at(point) == pytest.approx(
-        value, abs=1e-12
-    )
+    assert raw[0] == value
     # a point whose raw output is far below the floor clamps to it exactly
-    assert (
-        evaluate_rule(CEMENT_RULE, {"cement": 0.0, "blast_furnace_slag": 200.0})
-        == 37.91
-    )
-    from hit2mtsk.rules import clamp
-
+    assert floor == 37.91
     assert clamp(85.0, CEMENT_RULE.clamp_bounds) == 82.6
     assert clamp(10.0, CEMENT_RULE.clamp_bounds) == 37.91
     assert clamp(-1e9, CEMENT_RULE.clamp_bounds) == 37.91
@@ -168,13 +162,14 @@ def test_criterion_4_boundedness(model_zoo):
     predictions_checked = 0
     for model, ds in model_zoo:
         for rule in model.rules:
-            for i in range(ds.n_rows):
-                x = {v: float(ds.column(v)[i]) for v, _ in rule.antecedent}
-                out = evaluate_rule(rule, x)
-                assert rule.clamp_bounds[0] <= out <= rule.clamp_bounds[1]
-                rules_checked += 1
-        res = predict_batch(model, ds, detail=True)
-        for pred in res.predictions:
+            fn = rule.consequent_fn
+            X = ds.X[:, [ds.feature_names.index(v) for v in fn.variables]]
+            out = clamp(fn.evaluate(X), rule.clamp_bounds)
+            lo, hi = rule.clamp_bounds
+            assert np.all((lo <= out) & (out <= hi))
+            rules_checked += out.size
+        for row in ds.X:
+            pred = predict(model, dict(zip(ds.feature_names, row)))
             if pred.fallback_used:
                 continue
             outs = [f.output for f in pred.fired_rules]

@@ -19,18 +19,17 @@ from hit2mtsk import (
     select_rules,
 )
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
-from hit2mtsk.it2 import membership
 from hit2mtsk.persist import decode
 from hit2mtsk.rules import Polynomial, RuleUnfittableError
 
 import oracles
 from conftest import make_dataset
-from oracles import polynomial_value
+from oracles import polynomial_value, trapezoid_membership
 from test_universe import partitions_for
 
 # ---------------------------------------------------------------------------
-# independent scorer: per-rule weights/outputs through scalar membership()
-# and the scalar polynomial oracle, fused by explicit loops
+# independent scorer: per-rule weights/outputs through the scalar trapezoid
+# and polynomial oracles, fused by explicit loops
 # ---------------------------------------------------------------------------
 
 
@@ -43,10 +42,10 @@ def oracle_rule_tables(universe, dataset):
         for p in range(n):
             f_lo, f_hi = 1.0, 1.0
             for var, set_name in rule.antecedent:
-                m = membership(
+                m_lo, m_hi = trapezoid_membership(
                     parts[var].set_named(set_name), float(dataset.column(var)[p])
                 )
-                f_lo, f_hi = min(f_lo, m.lower), min(f_hi, m.upper)
+                f_lo, f_hi = min(f_lo, m_lo), min(f_hi, m_hi)
             W[i, p] = 0.5 * (f_lo + f_hi) * rule.error_dominance
             if W[i, p] == 0.0:
                 continue  # a rule's output counts only where it fires

@@ -1,4 +1,5 @@
-"""The package exports exactly the names README's Library API table lists."""
+"""The package exports exactly the names README's Library API table lists,
+and none of the names its "Removed names" table retires."""
 import re
 import types
 from pathlib import Path
@@ -8,21 +9,46 @@ import hit2mtsk
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def table_cells(heading: str) -> list[list[str]]:
+    """The cells of every row of the table under ``heading``."""
+    section = README.read_text().split(heading, 1)[1].split("\n#", 1)[0]
+    return [
+        [c.strip() for c in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+
+
 def documented_names() -> set[str]:
-    text = README.read_text()
-    section = text.split("## Library API", 1)[1].split("\n#", 1)[0]
     names: set[str] = set()
-    for line in section.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if line.startswith("|") and len(cells) == 2:
+    for cells in table_cells("## Library API"):
+        if len(cells) == 2:
             names.update(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", cells[1]))
     return names
 
 
-def test_exports_match_readme():
-    exported = {
+def removed_names() -> set[str]:
+    """Bare identifiers in the first column of "Removed names"; calls and
+    dotted names such as `run_cv(..., threads=n)` retire less than a name."""
+    names: set[str] = set()
+    for cells in table_cells("### Removed names"):
+        names.update(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", cells[0]))
+    return names
+
+
+def exported() -> set[str]:
+    return {
         name
         for name, value in vars(hit2mtsk).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == documented_names()
+
+
+def test_exports_match_readme():
+    assert exported() == documented_names()
+
+
+def test_removed_names_stay_removed():
+    removed = removed_names()
+    assert {"predict_batch", "membership", "evaluate_rule"} <= removed
+    assert not removed & exported()

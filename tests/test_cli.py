@@ -360,6 +360,20 @@ class TestExplain:
         ]
         assert len(rows) == 4
 
+    def test_negative_max_rows_is_a_usage_error(self, ws, bundle, tmp_path, capsys):
+        out = tmp_path / "exp"
+        code = main(
+            [
+                "explain", "--data", str(ws.csv), "--target", "y",
+                "--model", str(bundle / "model.json"), "--out", str(out),
+                "--max-rows", "-3",
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--max-rows" in err
+        assert not (out / "row_explanations.txt").exists()
+
 
 class TestBaseline:
     def test_report_and_plot_data(self, ws):

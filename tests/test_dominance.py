@@ -5,23 +5,28 @@ from hypothesis import strategies as st
 
 from hit2mtsk import (
     Dataset,
+    GenerationConfig,
     HybridRule,
     Polynomial,
     ZeroSupportError,
     build_partition,
     error_dominance,
     fuzzy_dominance,
+    generate_candidates,
 )
 from hit2mtsk.dominance import (
     combine_dominance,
     confidence_interval,
     support_interval,
 )
-from hit2mtsk.it2 import membership
+
+from conftest import make_dataset
+from oracles import trapezoid_membership
+from test_universe import partitions_for
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: plain python loops over every instance, recomputing
-# each membership scalar-by-scalar through the public membership() call
+# each membership scalar-by-scalar through the trapezoid oracle
 # ---------------------------------------------------------------------------
 
 
@@ -33,21 +38,21 @@ def oracle_support_confidence(rule, dataset, partitions, tnorm="minimum"):
     for p in range(n):
         f_lo, f_hi = 1.0, 1.0
         for var, set_name in rule.antecedent:
-            m = membership(
+            m_lo, m_hi = trapezoid_membership(
                 partitions[var].set_named(set_name), float(dataset.column(var)[p])
             )
             if tnorm == "minimum":
-                f_lo, f_hi = min(f_lo, m.lower), min(f_hi, m.upper)
+                f_lo, f_hi = min(f_lo, m_lo), min(f_hi, m_hi)
             else:
-                f_lo, f_hi = f_lo * m.lower, f_hi * m.upper
-        c = membership(
+                f_lo, f_hi = f_lo * m_lo, f_hi * m_hi
+        c_lo, c_hi = trapezoid_membership(
             partitions[dataset.target_name].set_named(rule.consequent_set),
             float(dataset.y[p]),
         )
-        s_lo += f_lo * c.lower
-        s_hi += f_hi * c.upper
-        num_lo += f_lo * c.lower
-        num_hi += f_hi * c.upper
+        s_lo += f_lo * c_lo
+        s_hi += f_hi * c_hi
+        num_lo += f_lo * c_lo
+        num_hi += f_hi * c_hi
         den_lo += f_lo
         den_hi += f_hi
     support = (s_lo / n, s_hi / n)
@@ -218,3 +223,13 @@ def test_fuzzy_dominance_combines_support_and_confidence():
     s, c = dom.support, dom.confidence
     lo, hi = sorted((s[0] * c[0], s[1] * c[1]))
     assert dom.dominance == (pytest.approx(lo), pytest.approx(hi))
+
+
+@pytest.mark.parametrize("tnorm", ["minimum", "product"])
+@pytest.mark.parametrize("seed", range(2))
+def test_fuzzy_dominance_grades_as_generation_bitwise(seed, tnorm):
+    ds = make_dataset(seed=seed, n=300)
+    parts = partitions_for(ds)
+    universe = generate_candidates(ds, parts, GenerationConfig(degree=2, tnorm=tnorm))
+    for rule in universe.rules:
+        assert fuzzy_dominance(rule, ds, parts, tnorm).dominance == rule.fuzzy_dominance

@@ -56,6 +56,12 @@ class TestActiveRules:
                 two_rule_model(), {"x": np.array([0.0])}, thresholds=(-0.1,)
             )
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            active_rules_per_prediction(
+                two_rule_model(), {"x": np.array([0.0])}, thresholds=(float("nan"),)
+            )
+
     def test_counts_weakly_decrease_with_threshold(self, trained, toy_dataset):
         counts = active_rules_per_prediction(trained.model, toy_dataset)
         ordered = [counts[t] for t in sorted(counts)]
@@ -99,6 +105,15 @@ class TestNoiseRobustness:
     def test_negative_level_rejected(self, trained, toy_dataset):
         with pytest.raises(ValueError, match=">= 0"):
             noise_robustness(trained.model, toy_dataset, levels=(-0.1,))
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_non_finite_level_rejected(self, trained, toy_dataset, level):
+        with pytest.raises(ValueError, match="noise levels must be finite"):
+            noise_robustness(trained.model, toy_dataset, levels=(0.01, level))
+
+    def test_zero_repeats_rejected(self, trained, toy_dataset):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            noise_robustness(trained.model, toy_dataset, repeats=0)
 
     def test_seed_determinism(self, trained, toy_dataset):
         a = noise_robustness(trained.model, toy_dataset, levels=(0.05,), seed=3)

@@ -19,10 +19,9 @@ from hit2mtsk import (
     build_partition,
     load_model,
     predict,
-    predict_batch,
     save_model,
 )
-from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani
+from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani, rmse
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
     compile_rules,
@@ -151,10 +150,11 @@ class TestHandWorkedPredictions:
 
     def test_fired_counts_and_fallback_rate(self):
         lone = two_rule_model(rules=(RULE_LOW,))
-        res = predict_batch(lone, {"x": np.array([0.0, 6.0, 9.0, 10.0])})
-        assert list(res.fired_counts) == [1, 1, 0, 0]
-        assert res.fallback_rate == 0.5
-        assert res.rmse is None
+        _, fired_counts, fallback = predict_values(
+            lone, {"x": np.array([0.0, 6.0, 9.0, 10.0])}
+        )
+        assert list(fired_counts) == [1, 1, 0, 0]
+        assert list(fallback) == [False, False, True, True]
 
 
 class TestWeightingSemantics:
@@ -192,8 +192,8 @@ class TestWeightingSemantics:
 
     def test_prediction_inside_fired_output_hull(self, trained, toy_dataset):
         model = trained.model
-        res = predict_batch(model, toy_dataset, detail=True)
-        for pred in res.predictions:
+        for row in toy_dataset.X:
+            pred = predict(model, dict(zip(toy_dataset.feature_names, row)))
             if pred.fallback_used:
                 continue
             outs = [f.output for f in pred.fired_rules]
@@ -203,34 +203,13 @@ class TestWeightingSemantics:
 class TestBatchScoring:
     def test_rmse_zero_for_perfect_targets(self):
         lone = two_rule_model(rules=(RULE_LOW,))
-        xs = np.array([0.0, 1.0, 2.0])
-        res = predict_batch(lone, {"x": xs}, targets=np.full(3, 10.0))
-        assert res.rmse == 0.0
+        values, _, _ = predict_values(lone, {"x": np.array([0.0, 1.0, 2.0])})
+        assert rmse(values, np.full(3, 10.0)) == 0.0
 
     def test_rmse_matches_hand_value(self):
         lone = two_rule_model(rules=(RULE_LOW,))
-        res = predict_batch(lone, {"x": np.zeros(4)}, targets=np.full(4, 13.0))
-        assert res.rmse == pytest.approx(3.0)
-
-    def test_dataset_targets_used_automatically(self):
-        ds = Dataset(
-            "d", ("x",), np.array([[0.0], [1.0]]), "y", np.array([10.0, 10.0])
-        )
-        res = predict_batch(two_rule_model(rules=(RULE_LOW,)), ds)
-        assert res.rmse == 0.0
-
-    def test_target_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            predict_batch(
-                two_rule_model(), {"x": np.zeros(3)}, targets=np.zeros(4)
-            )
-
-    def test_detail_predictions_align_with_values(self):
-        model = two_rule_model()
-        res = predict_batch(model, {"x": np.array([0.0, 6.0])}, detail=True)
-        assert len(res.predictions) == 2
-        for v, p in zip(res.values, res.predictions):
-            assert v == pytest.approx(p.value)
+        values, _, _ = predict_values(lone, {"x": np.zeros(4)})
+        assert rmse(values, np.full(4, 13.0)) == pytest.approx(3.0)
 
 
 class TestOnePredictionPath:
@@ -246,11 +225,14 @@ class TestOnePredictionPath:
             assert p.value == values[0] == batch[i]
             assert p.fallback_used == fallback[0]
 
-    def test_detail_predictions_equal_values_exactly(self, trained, toy_dataset):
-        res = predict_batch(trained.model, toy_dataset, detail=True)
-        for i, p in enumerate(res.predictions):
-            assert p.value == res.values[i]
-            assert len(p.fired_rules) == res.fired_counts[i]
+    def test_predict_itemizes_its_row_of_predict_values(self, trained, toy_dataset):
+        values, fired_counts, _ = predict_values(trained.model, toy_dataset)
+        for i, row in enumerate(toy_dataset.X):
+            p = predict(trained.model, dict(zip(toy_dataset.feature_names, row)))
+            assert p.value == values[i]
+            assert len(p.fired_rules) == fired_counts[i]
+            indices = [f.index for f in p.fired_rules]
+            assert indices == sorted(set(indices))
 
 
 class TestValidation:
@@ -272,18 +254,16 @@ class TestValidation:
             predict(two_rule_model(), {"x": float("nan")})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    @pytest.mark.parametrize("path", ["predict", "predict_values"])
     def test_non_finite_input_rejected_on_every_path(self, path, bad):
         model = two_rule_model()
         with pytest.raises(ValueError, match="non-finite"):
             if path == "predict":
                 predict(model, {"x": bad})
-            elif path == "predict_values":
-                predict_values(model, {"x": np.array([1.0, bad, 3.0])})
             else:
-                predict_batch(model, {"x": np.array([1.0, bad, 3.0])})
+                predict_values(model, {"x": np.array([1.0, bad, 3.0])})
 
-    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    @pytest.mark.parametrize("path", ["predict", "predict_values"])
     def test_overflowing_polynomial_rejected_on_every_path(self, path):
         model = two_rule_model(
             rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC))
@@ -293,12 +273,10 @@ class TestValidation:
         with raises, np.errstate(all="ignore"):
             if path == "predict":
                 predict(model, {"x": 1e300})
-            elif path == "predict_values":
-                predict_values(model, {"x": np.array([1.0, 1e300, 3.0])})
             else:
-                predict_batch(model, {"x": np.array([1.0, 1e300, 3.0])})
+                predict_values(model, {"x": np.array([1.0, 1e300, 3.0])})
 
-    @pytest.mark.parametrize("path", ["predict", "predict_values", "predict_batch"])
+    @pytest.mark.parametrize("path", ["predict", "predict_values"])
     def test_overflowing_rule_that_does_not_fire_is_ignored(self, path):
         # at x = 1e300 only High fires; Low's x^2 - x^3 is NaN there but
         # has weight 0, so the prediction is High's 20
@@ -307,10 +285,8 @@ class TestValidation:
         )
         if path == "predict":
             value = predict(model, {"x": 1e300}).value
-        elif path == "predict_values":
-            value = predict_values(model, {"x": np.array([1e300])})[0][0]
         else:
-            value = predict_batch(model, {"x": np.array([1e300])}).values[0]
+            value = predict_values(model, {"x": np.array([1e300])})[0][0]
         assert value == 20.0
 
     def test_overflow_is_not_warned_about(self):
@@ -388,10 +364,10 @@ class TestValidation:
 
 class TestTrainedModelSanity:
     def test_training_fits_the_surface(self, trained, toy_dataset):
-        res = predict_batch(trained.model, toy_dataset)
+        values, _, fallback = predict_values(trained.model, toy_dataset)
         # noise floor is 0.3; a sane fit lands near it
-        assert res.rmse < 0.9
-        assert res.fallback_rate <= 0.05
+        assert rmse(values, toy_dataset.y) < 0.9
+        assert fallback.mean() <= 0.05
 
     def test_trained_prediction_tracks_target(self, trained):
         # y = 2 + 1.5 x1 - 0.8 x2 + 0.05 x1 x2 at (5, 0) -> 9.5
@@ -399,9 +375,9 @@ class TestTrainedModelSanity:
         assert p.value == pytest.approx(9.5, abs=0.5)
 
     def test_deterministic_batches(self, trained, toy_dataset):
-        a = predict_batch(trained.model, toy_dataset)
-        b = predict_batch(trained.model, toy_dataset)
-        assert np.array_equal(a.values, b.values)
+        a, _, _ = predict_values(trained.model, toy_dataset)
+        b, _, _ = predict_values(trained.model, toy_dataset)
+        assert np.array_equal(a, b)
 
 
 def bits(a):
@@ -640,11 +616,8 @@ class TestClampEnvelope:
             assert np.isfinite(value) and lo - slack <= value <= hi + slack
 
         values, _, fallback = predict_values(model, cols)
-        batch = predict_batch(model, cols, detail=True)
         for row in range(n):
             check(values[row], fallback[row], row)
-            p = batch.predictions[row]
-            check(p.value, p.fallback_used, row)
             p = predict(model, {v: float(cols[v][row]) for v in cols})
             check(p.value, p.fallback_used, row)
 
@@ -657,8 +630,6 @@ class TestServeReference:
         want = np.array(doc["values"])
         values, _, _ = predict_values(model, rows)
         assert np.array_equal(bits(values), bits(want))
-        detail = predict_batch(model, rows, detail=True)
-        assert np.array_equal(bits([p.value for p in detail.predictions]), bits(want))
 
     def test_single_row_predict_reproduces_the_reference_bitwise(self):
         # one row adds its rules in the same order as a batch of rows does
@@ -686,19 +657,23 @@ class TestServeFiredRules:
             "serve", model.feature_names, rows, "y", np.array(doc["values"])
         )
 
-    def test_batch_detail_itemizes_what_single_row_predict_does(self):
+    def test_single_row_predict_itemizes_the_dense_rule_matrices(self):
         model, ds = self.serve()
         rows = ds.X[:200]
-        batch = predict_batch(model, dict(zip(model.feature_names, rows.T)), detail=True)
-        for got, row in zip(batch.predictions, rows):
-            want = predict(model, dict(zip(model.feature_names, row)))
-            assert len(got.fired_rules) == len(want.fired_rules)
-            for g, w in zip(got.fired_rules, want.fired_rules):
-                assert g.index == w.index
-                assert np.array_equal(
-                    bits([*g.firing, g.output, g.weight]),
-                    bits([*w.firing, w.output, w.weight]),
-                )
+        cols = dict(zip(model.feature_names, rows.T))
+        F_lo, F_hi, Y = oracles.rule_matrices(
+            model.rules, model.feature_partitions, cols, model.tnorm
+        )
+        dominance = np.array([r.error_dominance for r in model.rules])[:, None]
+        W = reduce_firing(F_lo, F_hi, model.firing_reduction) * dominance
+        for r, row in enumerate(rows):
+            got = predict(model, dict(zip(model.feature_names, row))).fired_rules
+            fired = np.flatnonzero(F_hi[:, r] > 0.0)
+            assert [g.index for g in got] == fired.tolist()
+            assert np.array_equal(
+                bits([[*g.firing, g.output, g.weight] for g in got]),
+                bits(np.array([F_lo, F_hi, Y, W])[:, fired, r].T),
+            )
 
     def test_active_rules_per_prediction_pinned(self):
         model, ds = self.serve()

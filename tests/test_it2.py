@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from hit2mtsk.it2 import (
     DegeneratePartitionError,
     IT2Set,
-    MembershipInterval,
     Partition,
     build_partition,
     fire,
-    membership,
     stack_sets,
     stacked_memberships,
 )
@@ -26,31 +24,27 @@ REF_SET = IT2Set(
 )
 
 
-class TestMembershipInterval:
-    def test_orders_bounds(self):
-        m = MembershipInterval(0.2, 0.8)
-        assert m.midpoint == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("lo,hi", [(-0.1, 0.5), (0.5, 1.1), (0.7, 0.3)])
-    def test_rejects_invalid(self, lo, hi):
-        with pytest.raises(ValueError):
-            MembershipInterval(lo, hi)
+def member(fuzzy_set: IT2Set, x: float) -> tuple[float, float]:
+    """``(lower, upper)`` membership of one value in one set, read from
+    `Partition.membership_matrix` of a partition holding the set."""
+    twin = IT2Set("twin", "trapezoid", (0, 1, 2, 3), (0, 1, 2, 3))
+    part = Partition("v", (fuzzy_set, twin), (0.0, 1.0))
+    lower, upper = part.membership_matrix([x])
+    return float(lower[0, 0]), float(upper[0, 0])
 
 
 class TestMembership:
     def test_plateau(self):
-        m = membership(REF_SET, 1.5)
-        assert (m.lower, m.upper) == (0.9, 1.0)
+        assert member(REF_SET, 1.5) == (0.9, 1.0)
 
     def test_ramp(self):
         # upper (0.5-0)/1 = 0.5; lower 0.9*(0.5-0.25)/0.75 = 0.3
-        m = membership(REF_SET, 0.5)
-        assert m.upper == pytest.approx(0.5)
-        assert m.lower == pytest.approx(0.3)
+        lower, upper = member(REF_SET, 0.5)
+        assert upper == pytest.approx(0.5)
+        assert lower == pytest.approx(0.3)
 
     def test_outside_support(self):
-        m = membership(REF_SET, -1.0)
-        assert (m.lower, m.upper) == (0.0, 0.0)
+        assert member(REF_SET, -1.0) == (0.0, 0.0)
 
     def test_left_shoulder_plateau_extends(self):
         s = IT2Set(
@@ -62,11 +56,10 @@ class TestMembership:
         )
         # plateau semantics: everything left of c has upper membership 1,
         # even beyond the serialized sentinel breakpoints
-        assert membership(s, 0.0).upper == 1.0
-        assert membership(s, -50.0).upper == 1.0
-        assert membership(s, 2.5).upper == pytest.approx(0.5)
-        m = membership(s, 3.5)
-        assert (m.lower, m.upper) == (0.0, 0.0)
+        assert member(s, 0.0)[1] == 1.0
+        assert member(s, -50.0)[1] == 1.0
+        assert member(s, 2.5)[1] == pytest.approx(0.5)
+        assert member(s, 3.5) == (0.0, 0.0)
 
     def test_right_shoulder_mirror(self):
         s = IT2Set(
@@ -76,18 +69,13 @@ class TestMembership:
             lower_params=(1.2, 2.0, 10.0, 10.0),
             fou_scale=0.9,
         )
-        assert membership(s, 50.0).upper == 1.0
-        m = membership(s, 0.5)
-        assert (m.lower, m.upper) == (0.0, 0.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            membership(REF_SET, float("nan"))
+        assert member(s, 50.0)[1] == 1.0
+        assert member(s, 0.5) == (0.0, 0.0)
 
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_interval_invariant(self, x):
-        m = membership(REF_SET, x)
-        assert 0.0 <= m.lower <= m.upper <= 1.0
+        lower, upper = member(REF_SET, x)
+        assert 0.0 <= lower <= upper <= 1.0
 
 
 class TestIT2SetValidation:
@@ -178,7 +166,7 @@ class TestBuildPartition:
 def fire_at_zero(clause_sets, tnorm="minimum"):
     """`fire` on the single row x = 0, one clause per given set."""
     mems = {
-        i: tuple(m[:, None] for m in s.membership_arrays([0.0]))
+        i: tuple(np.array([[m]]) for m in member(s, 0.0))
         for i, s in enumerate(clause_sets)
     }
     lo, hi = fire(mems, [(i, 0) for i in range(len(clause_sets))], tnorm)
@@ -210,7 +198,7 @@ class TestFiringStrength:
             fire({}, [], "minimum")
 
     def test_missing_variable(self):
-        mems = {"u": REF_SET.membership_arrays([1.0])}
+        mems = {"u": build_partition([0.0, 1.0]).membership_matrix([1.0])}
         with pytest.raises(KeyError):
             fire(mems, [("v", 0)], "minimum")
 
@@ -261,7 +249,7 @@ class TestFiringStrength:
         clauses = [(v, parts[v].sets[s]) for v, s in ant]
         for r in range(15):
             want = firing_strength(clauses, {v: rows[v][r] for v in names}, tnorm)
-            assert (lo[r], hi[r]) == (want.lower, want.upper)
+            assert (lo[r], hi[r]) == want
 
 
 def clause_set(lo: float, hi: float) -> IT2Set:

@@ -12,7 +12,6 @@ from hit2mtsk.rules import (
     RuleUnfittableError,
     clamp,
     design_matrix,
-    evaluate_rule,
     fit_consequent,
     monomial_exponents,
 )
@@ -239,12 +238,16 @@ CEMENT_RULE = HybridRule(
 )
 
 
-class TestEvaluateRule:
+def rule_output(rule: HybridRule, X) -> np.ndarray:
+    """Clamped outputs of ``rule`` on rows ``X`` of its polynomial's
+    variables, in their order."""
+    return clamp(rule.consequent_fn.evaluate(np.asarray(X)), rule.clamp_bounds)
+
+
+class TestRuleOutput:
     def test_worked_value(self):
-        got = evaluate_rule(
-            CEMENT_RULE, {"cement": 375.0, "blast_furnace_slag": 300.0}
-        )
-        assert got == pytest.approx(72.489375, abs=1e-9)
+        got = rule_output(CEMENT_RULE, [[375.0, 300.0]])
+        assert got[0] == pytest.approx(72.489375, abs=1e-9)
 
     def test_clamped_above(self):
         rule = CEMENT_RULE
@@ -255,17 +258,8 @@ class TestEvaluateRule:
 
     def test_output_always_within_bounds(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = {
-                "cement": float(rng.uniform(-500, 1500)),
-                "blast_furnace_slag": float(rng.uniform(-500, 1500)),
-            }
-            out = evaluate_rule(CEMENT_RULE, x)
-            assert 37.91 <= out <= 82.6
-
-    def test_non_finite_input(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            evaluate_rule(CEMENT_RULE, {"cement": np.inf, "blast_furnace_slag": 0.0})
+        out = rule_output(CEMENT_RULE, rng.uniform(-500, 1500, size=(200, 2)))
+        assert np.all((37.91 <= out) & (out <= 82.6))
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     @settings(max_examples=50)
@@ -378,9 +372,3 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="duplicate"):
             Polynomial(1, ("x",), ((1,), (1,)), (1.0, 2.0))
 
-    def test_evaluate_matches_evaluate_at(self):
-        p = CEMENT_RULE.consequent_fn
-        X = np.array([[375.0, 300.0]])
-        assert p.evaluate(X)[0] == pytest.approx(
-            p.evaluate_at({"cement": 375.0, "blast_furnace_slag": 300.0})
-        )

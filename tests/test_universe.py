@@ -72,7 +72,7 @@ class TestGeneration:
                 values = {
                     v: float(toy_dataset.column(v)[i]) for v, _ in rule.antecedent
                 }
-                if firing_strength(clauses, values).upper > 0:
+                if firing_strength(clauses, values)[1] > 0:
                     fired[i] = True
         assert fired.all()
 
@@ -134,7 +134,7 @@ class TestFiltering:
                 values = {
                     v: float(toy_dataset.column(v)[i]) for v, _ in rule.antecedent
                 }
-                if firing_strength(clauses, values).upper > 0:
+                if firing_strength(clauses, values)[1] > 0:
                     fired += 1
             assert fired >= need
 

@@ -211,6 +211,15 @@ class TestBatchScoring:
         values, _, _ = predict_values(lone, {"x": np.zeros(4)})
         assert rmse(values, np.full(4, 13.0)) == pytest.approx(3.0)
 
+    def test_dataset_input_scored_against_its_targets(self):
+        lone = two_rule_model(rules=(RULE_LOW,))
+        ds = Dataset(
+            "d", ("x",), np.array([[0.0], [1.0]]), "y", np.array([10.0, 10.0])
+        )
+        values, _, _ = predict_values(lone, ds)
+        assert np.array_equal(values, predict_values(lone, {"x": ds.X[:, 0]})[0])
+        assert rmse(values, ds.y) == 0.0
+
 
 class TestOnePredictionPath:
     def test_predict_is_one_row_of_predict_values(self, trained, toy_dataset):
@@ -248,6 +257,11 @@ class TestValidation:
             predict(two_rule_model(), {"z": 1.0})
         with pytest.raises(ValueError, match="lacks model feature"):
             predict_values(two_rule_model(), {"z": np.zeros(2)})
+
+    def test_dataset_lacking_a_feature_rejected(self):
+        ds = Dataset("d", ("z",), np.zeros((2, 1)), "y", np.zeros(2))
+        with pytest.raises(ValueError, match="dataset lacks model feature 'x'"):
+            predict_values(two_rule_model(), ds)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

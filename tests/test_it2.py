@@ -72,6 +72,17 @@ class TestMembership:
         assert member(s, 50.0)[1] == 1.0
         assert member(s, 0.5) == (0.0, 0.0)
 
+    def test_matrix_is_row_major_one_column_per_set(self):
+        part = build_partition([0.0, 10.0], num_sets=3)
+        xs = [-1.0, 0.0, 2.5, 5.0, 7.5, 11.0]
+        lower, upper = part.membership_matrix(xs)
+        for m in (lower, upper):
+            assert m.shape == (len(xs), 3)
+            assert m.flags.c_contiguous
+        for j, s in enumerate(part.sets):
+            for i, x in enumerate(xs):
+                assert (lower[i, j], upper[i, j]) == member(s, x)
+
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_interval_invariant(self, x):
         lower, upper = member(REF_SET, x)

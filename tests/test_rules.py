@@ -256,6 +256,10 @@ class TestRuleOutput:
     def test_clamped_below(self):
         assert float(clamp(30.0, CEMENT_RULE.clamp_bounds)) == 37.91
 
+    def test_clamp_rejects_inverted_bounds(self):
+        with pytest.raises(ValueError, match="inverted"):
+            clamp(1.0, (2.0, 1.0))
+
     def test_output_always_within_bounds(self):
         rng = np.random.default_rng(3)
         out = rule_output(CEMENT_RULE, rng.uniform(-500, 1500, size=(200, 2)))
@@ -361,6 +365,25 @@ class TestPolynomial:
         X = np.array(rows, dtype=float).reshape(len(rows), len(variables))
         got, want = poly.evaluate(X), polynomial_values(poly, X)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(sparse_polynomials())
+    @settings(max_examples=100)
+    def test_evaluate_row_by_row_matches_the_block_bitwise(self, case):
+        # single-row predict evaluates one row, predict_values a block
+        poly, variables, rows = case
+        X = np.array(rows, dtype=float).reshape(len(rows), len(variables))
+        block = poly.evaluate(X)
+        single = np.concatenate([poly.evaluate(X[r : r + 1]) for r in range(len(X))])
+        assert np.array_equal(block.view(np.int64), single.view(np.int64))
+
+    def test_evaluate_takes_one_row_as_a_vector(self):
+        p = CEMENT_RULE.consequent_fn
+        row = np.array([375.0, 300.0])
+        assert np.array_equal(p.evaluate(row), p.evaluate(row[None, :]))
+
+    def test_evaluate_rejects_wrong_arity(self):
+        with pytest.raises(ValueError, match="arity"):
+            CEMENT_RULE.consequent_fn.evaluate(np.zeros((2, 3)))
 
     def test_render_raw_units(self):
         text = CEMENT_RULE.consequent_fn.render()

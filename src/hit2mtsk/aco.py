@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .inference import compile_rules, reduce_firing, rule_matrices, weighted_mean
-from .rules import HybridRule, RuleUnfittableError
+from .rules import HybridRule, RuleUnfittableError, rmse
 from .universe import RuleUniverse
 
 PHEROMONE_FLOOR = 1e-12
@@ -166,7 +166,7 @@ def select_rules(
         # sel is sorted, so every row adds its rules in index order
         parts = [np.concatenate([of[r] for r in sel]) for of in per_rule]
         pred, _ = weighted_mean(*parts, y.size, fallback)
-        return float(np.sqrt(np.mean((pred - y) ** 2)))
+        return rmse(pred, y)
 
     heuristic = dom
     pheromone = np.full(total, config.initial_pheromone)

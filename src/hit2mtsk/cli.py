@@ -36,7 +36,6 @@ from .evaluate import (
     explainability_block,
     quantization_profile,
     reference_for,
-    rmse,
     run_cv,
 )
 from .inference import Model, NotTrainedError, predict, predict_values
@@ -50,7 +49,7 @@ from .persist import (
     write_xy_csv,
 )
 from .pipeline import TrainConfig, derive_seed, train_model
-from .rules import RuleUnfittableError
+from .rules import RuleUnfittableError, rmse
 from .universe import EmptyUniverseError
 
 EXIT_OK = 0
@@ -248,18 +247,19 @@ def cmd_explain(args) -> int:
             f"cannot explain model: manifest seed {json.dumps(seed)} is not an integer",
         )
     dataset = _load_dataset(args)
-    out = _outdir(args)
-    target = model.target_partition.variable
-    save_rules(
-        model.rules, target, out / "rules.txt", out / "rules.json",
-        manifest=model.manifest,
-    )
+    # a data error here must leave no partial artifact set behind
     try:
         block = explainability_block(
             model, dataset, seed=derive_seed(seed, 201)
         )
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
+    out = _outdir(args)
+    target = model.target_partition.variable
+    save_rules(
+        model.rules, target, out / "rules.txt", out / "rules.json",
+        manifest=model.manifest,
+    )
     doc = asdict(block)
     doc["manifest"] = {
         "model_manifest": dict(model.manifest),

@@ -11,7 +11,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class Dataset:
     X: np.ndarray
     target_name: str
     y: np.ndarray
-    declared_ranges: Mapping[str, tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
@@ -134,7 +133,6 @@ def load_keel(path) -> Dataset:
     lines = path.read_text().splitlines()
     relation = path.stem
     attributes: list[str] = []
-    ranges: dict[str, tuple[float, float]] = {}
     inputs: list[str] | None = None
     outputs: list[str] | None = None
     data_start: int | None = None
@@ -161,10 +159,10 @@ def load_keel(path) -> Dataset:
             if name in attributes:
                 raise ParseError(path, i, f"duplicate attribute {name!r}")
             attributes.append(name)
+            # a declared range is only checked: partitions come from the data
             if m.group("range"):
                 try:
-                    lo_s, hi_s = m.group("range").split(",")
-                    ranges[name] = (float(lo_s), float(hi_s))
+                    _, _ = map(float, m.group("range").split(","))
                 except ValueError:
                     raise ParseError(
                         path, i, f"malformed range for attribute {name!r}"
@@ -234,7 +232,6 @@ def load_keel(path) -> Dataset:
         X=X,
         target_name=target,
         y=y,
-        declared_ranges=ranges or None,
     )
 
 

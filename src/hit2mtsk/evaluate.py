@@ -14,7 +14,7 @@ from .data import Dataset, FoldSplit, split_holdout
 from .dominance import error_dominance
 from .inference import Model, _weigh, predict_values, reduce_firing
 from .pipeline import TrainConfig, derive_seed, train_model
-from .rules import Polynomial
+from .rules import Polynomial, rmse
 
 # Published 5-fold mean RMSEs for the KEEL suite (hybrid = this method).
 REFERENCE_RMSE: dict[str, dict[str, float]] = {
@@ -67,11 +67,6 @@ def reference_for(dataset_name: str) -> dict[str, float]:
     if key.startswith("california"):
         return dict(CALIFORNIA_REFERENCE)
     return {}
-
-
-def rmse(values: np.ndarray, targets: np.ndarray) -> float:
-    """Root mean squared error of predictions against targets."""
-    return float(np.sqrt(np.mean((values - targets) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +127,19 @@ def noise_robustness(
     Each feature is perturbed with Gaussian noise of standard deviation
     level * (that feature's training stddev); the reported number is the
     mean absolute prediction change as a percentage of the mean target,
-    averaged over ``repeats`` seeded draws.
+    averaged over ``repeats`` seeded draws.  The level at position i of
+    ``levels`` draws repeat r from stream ``(seed, i, r)``; the result is
+    keyed by level, so each level may appear only once.
     """
     if not all(np.isfinite(lv) and lv >= 0.0 for lv in levels):
         raise ValueError(
             f"noise levels must be finite and >= 0, got {list(levels)}"
         )
+    seen: set[float] = set()
+    for level in map(float, levels):
+        if level in seen:
+            raise ValueError(f"noise level {level} is repeated in {list(levels)}")
+        seen.add(level)
     if repeats < 1:
         raise ValueError(f"noise repeats must be >= 1, got {repeats}")
     base, _, _ = predict_values(model, rows)

@@ -163,6 +163,11 @@ def clamp(value: float | np.ndarray, bounds: tuple[float, float]):
     return np.clip(value, lo, hi)
 
 
+def rmse(values: np.ndarray, targets: np.ndarray) -> float:
+    """Root mean squared error of predictions against targets."""
+    return float(np.sqrt(np.mean((values - targets) ** 2)))
+
+
 @dataclass(frozen=True)
 class HybridRule:
     """One rule of the base.

@@ -3,9 +3,12 @@
 Every training instance seeds one maximal rule (per feature, the set
 with greatest upper membership; consequent likewise from the target).
 Seeds are then generalized by clause deletion into all shorter
-antecedents up to a configured length, deduplicated, graded by fuzzy
-dominance, capped, fitted, and graded again by fit error.  The result
-is the rule universe the subset selector searches over.
+antecedents up to a configured length, deduplicated and graded by
+fuzzy dominance, firing each antecedent once.  The candidates are
+capped, and rescued for coverage, from those firing rows alone, before
+any fit; then one loop fits every chosen candidate, one clause subset
+at a time, and grades it again by fit error.  The result is the rule
+universe the subset selector searches over.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .dominance import (
     support_interval,
 )
 from .it2 import TNORMS, Partition, fire
-from .rules import HybridRule, clamp, design_matrix, fit_consequent
+from .rules import HybridRule, clamp, design_matrix, fit_consequent, rmse
 
 
 class EmptyUniverseError(RuntimeError):
@@ -166,18 +169,22 @@ def generate_candidates(
         feat_arg, cons_arg, [len(p.sets) for p in fparts], max_len
     )
 
+    # grading fires each antecedent once; its fired rows and firing
+    # midpoints there are all that choosing and fitting read later
     records: list[_Candidate] = []
+    fired: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for ant, cons_list in by_ant.items():
         f_lo, f_hi = fire(mem, ant, config.tnorm)
-        rows = int(np.count_nonzero(f_hi > 0.0))
-        if rows == 0:
+        rows = np.flatnonzero(f_hi > 0.0)
+        if rows.size == 0:
             continue
+        fired[ant] = (rows, 0.5 * (f_lo[rows] + f_hi[rows]))
         for cons in cons_list:
             args = (f_lo, f_hi, t_low[:, cons], t_upp[:, cons])
             d = combine_dominance(
                 support_interval(*args), confidence_interval(*args)
             )
-            records.append(_Candidate(ant, cons, d.dominance, rows))
+            records.append(_Candidate(ant, cons, d.dominance, rows.size))
 
     def required_rows(cand: _Candidate) -> int:
         if config.min_rows is not None:
@@ -187,29 +194,44 @@ def generate_candidates(
     def order_key(cand: _Candidate):
         return (-cand.dominance[1], len(cand.ant), cand.ant, cand.cons)
 
-    viable = sorted(
-        (
-            c
-            for c in records
-            if c.rows >= required_rows(c)
-            and c.dominance[1] >= config.dominance_threshold
-        ),
-        key=order_key,
-    )
-    selected = viable[: config.max_candidates]
-    spare = viable[config.max_candidates :]
+    def passes(cand: _Candidate) -> bool:
+        return (
+            cand.rows >= required_rows(cand)
+            and cand.dominance[1] >= config.dominance_threshold
+        )
 
-    def subset_design(subset: tuple[int, ...]) -> np.ndarray:
-        """The design of every row over one clause subset's features."""
-        return design_matrix(dataset.X[:, [col_of[j] for j in subset]], config.degree)
+    viable = sorted(filter(passes, records), key=order_key)
+    if not viable:
+        raise EmptyUniverseError(
+            "no rule survived dominance and row-count filtering"
+        )
+    chosen = viable[: config.max_candidates]
+    covered = np.zeros(n, dtype=bool)
+    for cand in chosen:
+        covered[fired[cand.ant][0]] = True
+    if covered.mean() < config.min_coverage:
+        # rescue order: viable-but-capped first, then filter-rejected
+        # candidates, both by descending dominance
+        ladder = viable[config.max_candidates :] + sorted(
+            itertools.filterfalse(passes, records), key=order_key
+        )
+        for cand in ladder:
+            if covered.mean() >= config.min_coverage:
+                break
+            rows = fired[cand.ant][0]
+            if covered[rows].all():
+                continue
+            chosen.append(cand)
+            covered[rows] = True
 
-    def fit_rule(cand: _Candidate, design: np.ndarray, f_lo, f_hi, pos) -> HybridRule:
+    def fit_rule(cand: _Candidate, design: np.ndarray) -> HybridRule:
         var_names = tuple(feats[j] for j, _ in cand.ant)
+        rows, firing = fired[cand.ant]
         # the rows of the subset design this rule fires on; its linear
         # columns are the rule's own inputs
-        D = design.take(np.flatnonzero(pos), axis=0)
+        D = design.take(rows, axis=0)
         X_sub = D[:, 1 : 1 + len(var_names)]
-        y_sub = dataset.y[pos]
+        y_sub = dataset.y[rows]
         bounds = tpart.sets[cand.cons].support
         poly = fit_consequent(
             X_sub,
@@ -217,14 +239,13 @@ def generate_candidates(
             variables=var_names,
             degree=config.degree,
             ridge=config.ridge,
-            firing=0.5 * (f_lo[pos] + f_hi[pos]),
+            firing=firing,
             weighted=config.weighted_fit,
             clamp_bounds=bounds,
             design=D,
         )
         # a degraded fit may be a constant over none of the variables
         raw = poly.evaluate(X_sub[:, [var_names.index(v) for v in poly.variables]])
-        rmse = float(np.sqrt(np.mean((np.asarray(clamp(raw, bounds)) - y_sub) ** 2)))
         return HybridRule(
             antecedent=tuple(
                 (feats[j], fparts[j].sets[s].name) for j, s in cand.ant
@@ -233,54 +254,23 @@ def generate_candidates(
             consequent_fn=poly,
             clamp_bounds=bounds,
             fuzzy_dominance=cand.dominance,
-            error_dominance=error_dominance(rmse),
+            error_dominance=error_dominance(rmse(clamp(raw, bounds), y_sub)),
         )
-
-    def clause_subset(cand: _Candidate) -> tuple[int, ...]:
-        return tuple(j for j, _ in cand.ant)
 
     # fit one clause subset at a time, so that only one subset design is
-    # alive at once; the rules keep their dominance order
+    # alive at once; the rules keep their chosen order
     by_subset: dict[tuple[int, ...], list[int]] = {}
-    for i, cand in enumerate(selected):
-        by_subset.setdefault(clause_subset(cand), []).append(i)
-    rule_at: dict[int, HybridRule] = {}
-    covered = np.zeros(n, dtype=bool)
+    for i, cand in enumerate(chosen):
+        by_subset.setdefault(tuple(j for j, _ in cand.ant), []).append(i)
+    fitted = [None] * len(chosen)
     for subset, members in by_subset.items():
-        design = subset_design(subset)
+        design = design_matrix(
+            dataset.X[:, [col_of[j] for j in subset]], config.degree
+        )
         for i in members:
-            f_lo, f_hi = fire(mem, selected[i].ant, config.tnorm)
-            pos = f_hi > 0.0
-            rule_at[i] = fit_rule(selected[i], design, f_lo, f_hi, pos)
-            covered |= pos
+            fitted[i] = fit_rule(chosen[i], design)
         del design
-    fitted = [rule_at[i] for i in range(len(selected))]
 
-    if fitted and covered.mean() < config.min_coverage:
-        # rescue order: viable-but-capped first, then filter-rejected
-        # candidates, both by descending dominance
-        used = {(c.ant, c.cons) for c in selected} | {
-            (c.ant, c.cons) for c in spare
-        }
-        ladder = spare + sorted(
-            (c for c in records if (c.ant, c.cons) not in used),
-            key=order_key,
-        )
-        for cand in ladder:
-            if covered.mean() >= config.min_coverage:
-                break
-            f_lo, f_hi = fire(mem, cand.ant, config.tnorm)
-            pos = f_hi > 0.0
-            if not np.any(pos & ~covered):
-                continue
-            design = subset_design(clause_subset(cand))
-            fitted.append(fit_rule(cand, design, f_lo, f_hi, pos))
-            covered |= pos
-
-    if not fitted:
-        raise EmptyUniverseError(
-            "no rule survived dominance and row-count filtering"
-        )
     return RuleUniverse(
         rules=tuple(fitted),
         feature_partitions=tuple(fparts),

@@ -285,6 +285,7 @@ class TestBadRows:
         )
         assert code == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # no partial artifact set
 
 
 class TestCrossval:

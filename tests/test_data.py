@@ -45,7 +45,6 @@ class TestKeelParsing:
         assert ds.n_rows == 3
         np.testing.assert_allclose(ds.column("x1"), [0.5, 2.0, 9.5])
         np.testing.assert_allclose(ds.y, [10.25, 30.5, 88.0])
-        assert ds.declared_ranges["price"] == (1.0, 99.0)
 
     def test_inputs_line_optional(self, tmp_path):
         text = KEEL_SAMPLE.replace("@inputs x1, x2\n", "")
@@ -79,6 +78,8 @@ class TestKeelParsing:
             (lambda t: t.replace("2.0, 3, 30.5", "2.0, ?, 30.5"), "missing value", 9),
             (lambda t: t.replace("2.0, 3, 30.5", "2.0, abc, 30.5"), "non-numeric", 9),
             (lambda t: t + "@what\n", "", None),
+            (lambda t: t.replace("[0.0, 10.0]", "[0.0]"), "malformed range", 2),
+            (lambda t: t.replace("[0.0, 10.0]", "[0.0, x]"), "malformed range", 2),
         ],
     )
     def test_error_paths(self, tmp_path, mutate, needle, line):

@@ -111,6 +111,11 @@ class TestNoiseRobustness:
         with pytest.raises(ValueError, match="noise levels must be finite"):
             noise_robustness(trained.model, toy_dataset, levels=(0.01, level))
 
+    @pytest.mark.parametrize("levels", [(0.05, 0.05), (0.05, 0.01, 0.05)])
+    def test_repeated_level_rejected(self, trained, toy_dataset, levels):
+        with pytest.raises(ValueError, match="noise level 0.05 is repeated"):
+            noise_robustness(trained.model, toy_dataset, levels=levels)
+
     def test_zero_repeats_rejected(self, trained, toy_dataset):
         with pytest.raises(ValueError, match="repeats must be >= 1"):
             noise_robustness(trained.model, toy_dataset, repeats=0)

@@ -21,7 +21,7 @@ from hit2mtsk import (
     predict,
     save_model,
 )
-from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani, rmse
+from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
     compile_rules,
@@ -30,7 +30,7 @@ from hit2mtsk.inference import (
     rule_matrices,
 )
 from hit2mtsk.it2 import TNORMS, IT2Set, Partition
-from hit2mtsk.rules import monomial_exponents
+from hit2mtsk.rules import monomial_exponents, rmse
 
 import oracles
 

@@ -181,6 +181,31 @@ class TestCoverageRescue:
         assert uni.coverage >= 0.99
         assert len(uni) > 1  # the cap alone cannot cover the data
 
+    def test_fires_each_antecedent_once(self, toy_dataset, monkeypatch):
+        # with a cap of one the rescue runs, and it reuses grading's firing
+        calls = []
+
+        def counted(mem, ant, tnorm):
+            calls.append(ant)
+            return fire(mem, ant, tnorm)
+
+        monkeypatch.setattr("hit2mtsk.universe.fire", counted)
+        parts = partitions_for(toy_dataset)
+        cfg = GenerationConfig(
+            degree=1, dominance_threshold=0.0, min_rows=1, max_candidates=1
+        )
+        uni = generate_candidates(toy_dataset, parts, cfg)
+        assert len(uni) > 1
+        names = toy_dataset.feature_names
+        mem = [parts[v].membership_matrix(toy_dataset.column(v)) for v in names]
+        by_ant = _candidate_keys(
+            np.stack([u.argmax(axis=1) for _, u in mem], axis=1),
+            parts["y"].membership_matrix(toy_dataset.y)[1].argmax(axis=1),
+            [len(parts[v].sets) for v in names],
+            min(cfg.max_antecedent, len(names)),
+        )
+        assert len(calls) == len(by_ant)
+
     def test_cap_respected_when_coverage_already_met(self):
         # one feature, wide shoulder sets: a single best rule covers all rows
         rng = np.random.default_rng(7)

@@ -16,7 +16,6 @@ from .data import (
     load_keel,
     load_keel_folds,
     make_folds,
-    save_csv,
     split_holdout,
 )
 from .dominance import (

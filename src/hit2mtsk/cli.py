@@ -39,6 +39,7 @@ from .evaluate import (
     run_cv,
 )
 from .inference import Model, NotTrainedError, predict, predict_values
+from .it2 import DegeneratePartitionError
 from .persist import (
     decode,
     dumps,
@@ -104,16 +105,13 @@ def _load_dataset(args, labelled: bool = True):
     path = Path(args.data)
     if not path.exists():
         raise CliError(EXIT_DATA, f"data file not found: {path}")
-    try:
-        if args.format == "keel":
-            return load_keel(path)
-        if args.target:
-            return load_csv(path, args.target)
-        if labelled:
-            raise CliError(EXIT_CONFIG, "--target is required for csv data")
-        return read_csv(path)
-    except ParseError as exc:
-        raise CliError(EXIT_DATA, str(exc))
+    if args.format == "keel":
+        return load_keel(path)
+    if args.target:
+        return load_csv(path, args.target)
+    if labelled:
+        raise CliError(EXIT_CONFIG, "--target is required for csv data")
+    return read_csv(path)
 
 
 def _load_model(args) -> Model:
@@ -170,8 +168,6 @@ def cmd_predict(args) -> int:
         rows, target, fingerprint = dict(zip(header, table.T)), None, digest.hexdigest()
     try:
         values, fired_counts, fallback = predict_values(model, rows)
-    except NotTrainedError as exc:
-        raise CliError(EXIT_TRAIN, str(exc))
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)
@@ -196,10 +192,7 @@ def cmd_predict(args) -> int:
 def cmd_crossval(args) -> int:
     config = _load_config(args)
     if args.format == "keel" and Path(args.data).is_dir():
-        try:
-            folds = load_keel_folds(Path(args.data), args.name)
-        except (ParseError, FileNotFoundError) as exc:
-            raise CliError(EXIT_DATA, str(exc))
+        folds = load_keel_folds(Path(args.data), args.name)
     else:
         folds = make_folds(_load_dataset(args), k=5, seed=config.seed)
 
@@ -207,10 +200,7 @@ def cmd_crossval(args) -> int:
     if args.name and not reference_for(args.name):
         known = ", ".join(sorted(REFERENCE_RMSE))
         print(f"no stored reference for {args.name!r}; known: {known}")
-    try:
-        report = run_cv(folds, config, dataset_name=name, explain=args.explain)
-    except TrainingFailedError as exc:
-        raise CliError(EXIT_TRAIN, str(exc))
+    report = run_cv(folds, config, dataset_name=name, explain=args.explain)
     out = _outdir(args)
     doc = asdict(report)
     doc["manifest"] = {
@@ -293,10 +283,7 @@ def cmd_explain(args) -> int:
 def cmd_baseline(args) -> int:
     config = _load_config(args)
     dataset = _load_dataset(args)
-    try:
-        study = case_study(dataset, config, holdout_fraction=args.holdout)
-    except (EmptyUniverseError, RuleUnfittableError, TrainingFailedError) as exc:
-        raise CliError(EXIT_TRAIN, str(exc))
+    study = case_study(dataset, config, holdout_fraction=args.holdout)
     out = _outdir(args)
     manifest = study.hybrid_model.manifest
     distinct, single_rows, n_sets = quantization_profile(
@@ -395,7 +382,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, FileNotFoundError, DegeneratePartitionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except AcoConfigError as exc:

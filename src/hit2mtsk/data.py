@@ -1,7 +1,9 @@
 """Tabular regression data: KEEL-format and CSV loading, splits, folds.
 
 All loaders produce the same in-memory `Dataset`; downstream code never
-cares which format a table came from.  Splitting is seed-deterministic
+cares which format a table came from.  KEEL ``@data`` sections and CSV
+bodies go through one row reader, which skips blank lines and names the
+file's own line in every error.  Splitting is seed-deterministic
 and row-disjoint.  Fingerprints tie trained artifacts to the exact
 values they were trained on.
 """
@@ -73,14 +75,9 @@ class Dataset:
             raise KeyError(f"no column named {name!r}") from None
         return self.X[:, j]
 
-    def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None):
+    def subset(self, indices: np.ndarray | Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return replace(
-            self,
-            name=name if name is not None else self.name,
-            X=self.X[idx],
-            y=self.y[idx],
-        )
+        return replace(self, X=self.X[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,8 @@ def load_keel(path) -> Dataset:
             if not rest:
                 raise ParseError(path, i, f"{keyword} names no attribute")
             names = [t.strip() for t in rest[0].split(",")]
+            if len(set(names)) < len(names):
+                raise ParseError(path, i, f"{keyword} {names} repeats an attribute")
             if low.startswith("@inputs"):
                 inputs = names
             else:
@@ -200,92 +199,74 @@ def load_keel(path) -> Dataset:
             raise ParseError(path, data_start, f"input {name!r} not declared")
     if target in inputs:
         raise ParseError(path, data_start, f"output {target!r} listed as input")
+    table = _read_rows(path, lines, data_start, attributes)
+    return _select(relation, attributes, table, inputs, target)
 
-    rows: list[list[float]] = []
-    for i in range(data_start, len(lines)):
-        line = lines[i].strip()
-        if not line:
+
+def _read_rows(path, lines: list[str], start: int, names: Sequence[str]) -> np.ndarray:
+    """The float rows of ``lines[start:]``, one value per column of
+    ``names``.  Blank lines are skipped; every error names the file's own
+    1-based line."""
+    rows = []
+    for i, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
             continue
         tokens = line.split(",")
-        if len(tokens) != len(attributes):
+        if len(tokens) != len(names):
             raise ParseError(
-                path,
-                i + 1,
-                f"expected {len(attributes)} values, found {len(tokens)}",
+                path, i, f"expected {len(names)} values, found {len(tokens)}"
             )
-        rows.append(
-            [
-                _parse_number(tok, path, i + 1, attributes[j])
-                for j, tok in enumerate(tokens)
-            ]
-        )
+        rows.append([_parse_number(t, path, i, n) for t, n in zip(tokens, names)])
     if not rows:
-        raise ParseError(path, len(lines), "no data rows")
+        raise ParseError(path, None, "no data rows")
+    return np.array(rows, dtype=float)
 
-    table = np.array(rows, dtype=float)
-    col_index = {a: j for j, a in enumerate(attributes)}
-    X = table[:, [col_index[n] for n in inputs]]
-    y = table[:, col_index[target]]
+
+def _select(name: str, columns: Sequence[str], table: np.ndarray,
+            inputs: Sequence[str], target: str) -> Dataset:
+    """The `Dataset` of ``inputs`` and ``target`` among ``table``'s
+    ``columns``."""
+    col = {c: j for j, c in enumerate(columns)}
     return Dataset(
-        name=relation,
+        name=name,
         feature_names=tuple(inputs),
-        X=X,
+        X=table[:, [col[c] for c in inputs]],
         target_name=target,
-        y=y,
+        y=table[:, col[target]],
     )
+
+
+def _csv_header(path: Path) -> tuple[list[str], int, tuple[str, ...]]:
+    """A CSV file's lines, the 1-based number of its header line (the
+    first non-blank one) and the header's column names."""
+    lines = path.read_text().splitlines()
+    at = next((i for i, line in enumerate(lines, start=1) if line.strip()), None)
+    if at is None:
+        raise ParseError(path, None, "empty file")
+    header = tuple(h.strip() for h in lines[at - 1].split(","))
+    if len(set(header)) < len(header):
+        raise ParseError(path, at, f"header {list(header)} repeats a column name")
+    return lines, at, header
 
 
 def read_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Header and float rows of a plain numeric CSV."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(path, None, "empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if len(set(header)) < len(header):
-        raise ParseError(path, 1, f"header {list(header)} repeats a column name")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        tokens = line.split(",")
-        if len(tokens) != len(header):
-            raise ParseError(
-                path, i, f"expected {len(header)} values, found {len(tokens)}"
-            )
-        rows.append(
-            [_parse_number(t, path, i, header[j]) for j, t in enumerate(tokens)]
-        )
-    if not rows:
-        raise ParseError(path, None, "no data rows")
-    return header, np.array(rows, dtype=float)
+    lines, at, header = _csv_header(path)
+    return header, _read_rows(path, lines, at, header)
 
 
 def load_csv(path, target_column: str) -> Dataset:
     """Load a plain numeric CSV with a header row."""
-    header, table = read_csv(path)
+    path = Path(path)
+    lines, at, header = _csv_header(path)
     if target_column not in header:
         raise ParseError(
-            path, 1, f"target column {target_column!r} not in header {list(header)}"
+            path, at, f"target column {target_column!r} not in header {list(header)}"
         )
-    t_idx = header.index(target_column)
-    feat_idx = [j for j in range(len(header)) if j != t_idx]
-    return Dataset(
-        name=Path(path).stem,
-        feature_names=tuple(header[j] for j in feat_idx),
-        X=table[:, feat_idx],
-        target_name=target_column,
-        y=table[:, t_idx],
-    )
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset back out as CSV (floats via repr, round-trip exact)."""
-    path = Path(path)
-    cols = list(dataset.feature_names) + [dataset.target_name]
-    out = [",".join(cols)]
-    for i in range(dataset.n_rows):
-        vals = [repr(float(v)) for v in dataset.X[i]] + [repr(float(dataset.y[i]))]
-        out.append(",".join(vals))
-    path.write_text("\n".join(out) + "\n")
+    inputs = [h for h in header if h != target_column]
+    table = _read_rows(path, lines, at, header)
+    return _select(path.stem, header, table, inputs, target_column)
 
 
 def split_holdout(

@@ -171,17 +171,6 @@ def _set_names(k: int) -> tuple[str, ...]:
     return tuple(f"Set{i + 1}" for i in range(k))
 
 
-def _lower_from_upper(
-    shape: str,
-    upper: tuple[float, float, float, float],
-    fou_width: float,
-) -> tuple[float, float, float, float]:
-    # each foot moves inward proportionally to its own ramp length, so the
-    # plateau is preserved and the lower curve never crosses the upper one
-    a, b, c, d = upper
-    return (a + fou_width * (b - a), b, c, d - fou_width * (d - c))
-
-
 def build_partition(
     values: np.ndarray | Sequence[float],
     num_sets: int = 3,
@@ -253,7 +242,10 @@ def build_partition(
                 mids[i] + eps[i],
             )
             support = (upper[0], upper[3])
-        lower = _lower_from_upper(shape, upper, fou_width)
+        # each foot moves inward proportionally to its own ramp length, so
+        # the plateau is preserved and the lower curve never crosses the upper
+        a, b, c, d = upper
+        lower = (a + fou_width * (b - a), b, c, d - fou_width * (d - c))
         sets.append(
             IT2Set(
                 name=names[i],

@@ -26,7 +26,7 @@ from .dominance import (
     error_dominance,
     support_interval,
 )
-from .it2 import TNORMS, Partition, fire
+from .it2 import TNORMS, DegeneratePartitionError, Partition, fire
 from .rules import HybridRule, clamp, design_matrix, fit_consequent, rmse
 
 
@@ -143,6 +143,8 @@ def generate_candidates(
 
     Raises
     ------
+    DegeneratePartitionError
+        If no feature has a partition (every feature is constant).
     EmptyUniverseError
         If no candidate survives viability filtering.
     """
@@ -150,7 +152,9 @@ def generate_candidates(
         raise ValueError("partitions must include the target variable")
     feats = [f for f in dataset.feature_names if f in partitions]
     if not feats:
-        raise ValueError("no partitioned feature available for antecedents")
+        raise DegeneratePartitionError(
+            "no partitioned feature available for antecedents"
+        )
     fparts = [partitions[f] for f in feats]
     tpart = partitions[dataset.target_name]
     col_of = [dataset.feature_names.index(f) for f in feats]

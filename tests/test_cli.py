@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hit2mtsk import load_model, predict_values, save_csv
+from hit2mtsk import load_model, predict_values, write_xy_csv
 from hit2mtsk.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -37,11 +37,15 @@ KEEL_TEXT = """\
 """
 
 
+def write_csv(ds, path):
+    write_xy_csv(path, (*ds.feature_names, ds.target_name), (*ds.X.T, ds.y))
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory, toy_dataset):
     root = tmp_path_factory.mktemp("cli")
     csv = root / "toy.csv"
-    save_csv(toy_dataset, csv)
+    write_csv(toy_dataset, csv)
     cfg = root / "config.json"
     cfg.write_text(json.dumps(CLI_CONFIG))
     keel = root / "mini.dat"
@@ -575,7 +579,7 @@ class TestExitCodes:
             "hit2mtsk.pipeline.generate_candidates", lambda *args: uni
         )
         csv = tmp_path / "big.csv"
-        save_csv(with_huge_row(ds), csv)
+        write_csv(with_huge_row(ds), csv)
         code = main(
             ["train", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
         )
@@ -583,6 +587,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("training error: rule 4 (IF x1 is High) outputs NaN on ")
         assert err.count("\n") == 1
+
+    def test_keel_inputs_repeating_an_attribute(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text(KEEL_TEXT.replace("@inputs a, b", "@inputs a, a") + "1,2,3\n")
+        code = main(
+            [
+                "train", "--data", str(bad), "--format", "keel",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {bad}:5: @inputs ['a', 'a'] repeats an attribute"
+        )
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("{i},{j},5", "variable 'y' is constant at 5.0"),
+            ("1,2,{i}", "no partitioned feature available for antecedents"),
+        ],
+        ids=["constant-target", "constant-features"],
+    )
+    def test_constant_columns_are_a_data_error(
+        self, tmp_path, capsys, command, row, message
+    ):
+        csv = tmp_path / "flat.csv"
+        rows = (row.format(i=i, j=(7 * i) % 11) for i in range(40))
+        csv.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        code = main(
+            [command, "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+    def test_crossval_without_fold_files_is_a_data_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "crossval", "--data", str(tmp_path), "--format", "keel",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: no *-5-1tra.dat under ")
+
+    @pytest.mark.parametrize("command", ["crossval", "baseline"])
+    def test_untrainable_data_prefix(self, ws, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generation": {"dominance_threshold": 1.5}}))
+        code = main(
+            [
+                command, "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_TRAIN
+        assert capsys.readouterr().err.startswith("training error: ")
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,8 +7,8 @@ from hit2mtsk import (
     load_csv,
     load_keel,
     make_folds,
-    save_csv,
     split_holdout,
+    write_xy_csv,
 )
 from hit2mtsk.data import (
     dataset_fingerprint,
@@ -111,6 +111,18 @@ class TestKeelParsing:
         with pytest.raises(ParseError, match="exactly one"):
             load_keel(write(tmp_path, "bad.dat", text))
 
+    @pytest.mark.parametrize("header,line", [("@inputs x1, x2", 5), ("@outputs price", 6)])
+    def test_header_repeating_an_attribute(self, tmp_path, header, line):
+        keyword, first = header.split()[:2]
+        text = KEEL_SAMPLE.replace(header, f"{keyword} {first.rstrip(',')}, {first.rstrip(',')}")
+        with pytest.raises(ParseError, match=f"bad.dat:{line}: {keyword} .* repeats an attribute"):
+            load_keel(write(tmp_path, "bad.dat", text))
+
+    def test_blank_lines_in_data_keep_line_numbers(self, tmp_path):
+        text = KEEL_SAMPLE.replace("2.0, 3, 30.5", "\n  \n2.0, x, 30.5")
+        with pytest.raises(ParseError, match="bad.dat:11: non-numeric value 'x' in column 'x2'"):
+            load_keel(write(tmp_path, "bad.dat", text))
+
     def test_no_rows_rejected(self, tmp_path):
         text = KEEL_SAMPLE.split("@data")[0] + "@data\n"
         with pytest.raises(ParseError, match="no data rows"):
@@ -120,7 +132,8 @@ class TestKeelParsing:
 class TestCsv:
     def test_roundtrip_bit_exact(self, tmp_path, toy_dataset):
         p = tmp_path / "toy.csv"
-        save_csv(toy_dataset, p)
+        ds = toy_dataset
+        write_xy_csv(p, (*ds.feature_names, ds.target_name), (*ds.X.T, ds.y))
         back = load_csv(p, target_column=toy_dataset.target_name)
         assert back.feature_names == toy_dataset.feature_names
         assert np.array_equal(back.X, toy_dataset.X)
@@ -154,6 +167,32 @@ class TestCsv:
         with pytest.raises(ParseError, match="t.csv:1: .* repeats a column name"):
             load_csv(p, target_column="y")
         with pytest.raises(ParseError, match="repeats a column name"):
+            read_csv(p)
+
+    def test_bad_row_after_blank_lines_names_its_own_line(self, tmp_path):
+        p = write(tmp_path, "blank.csv", "a,y\n\n1,2\n\nx,3\n")
+        with pytest.raises(ParseError, match="blank.csv:5: non-numeric value 'x' in column 'a'"):
+            load_csv(p, target_column="y")
+        with pytest.raises(ParseError, match="blank.csv:5: "):
+            read_csv(p)
+
+    def test_header_is_the_first_non_blank_line(self, tmp_path):
+        p = write(tmp_path, "t.csv", "\n  \ny,a\n1,2\n\n3,4\n")
+        ds = load_csv(p, target_column="y")
+        assert ds.feature_names == ("a",)
+        assert np.array_equal(ds.y, [1.0, 3.0])
+        with pytest.raises(ParseError, match="t.csv:3: target column 'z'"):
+            load_csv(p, target_column="z")
+
+    def test_repeated_name_after_a_blank_line(self, tmp_path):
+        p = write(tmp_path, "t.csv", "\na,a,y\n1,2,3\n")
+        with pytest.raises(ParseError, match="t.csv:2: .* repeats a column name"):
+            read_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "a,y\n\n"])
+    def test_empty_or_headless(self, tmp_path, text):
+        p = write(tmp_path, "t.csv", text)
+        with pytest.raises(ParseError, match="empty file" if not text.strip() else "no data rows"):
             read_csv(p)
 
     def test_read_without_a_target(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the in-repo sources."""
+"""Every narrative demo runs to completion against the in-repo sources,
+with every warning an error and nothing written to stderr."""
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -22,3 +23,4 @@ def test_demo_exits_cleanly(script, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hit2mtsk import (
     Dataset,
+    DegeneratePartitionError,
     EmptyUniverseError,
     GenerationConfig,
     generate_candidates,
@@ -114,7 +115,7 @@ class TestGeneration:
 
     def test_no_features_rejected(self, toy_dataset):
         parts = {toy_dataset.target_name: partitions_for(toy_dataset)["y"]}
-        with pytest.raises(ValueError, match="feature"):
+        with pytest.raises(DegeneratePartitionError, match="feature"):
             generate_candidates(toy_dataset, parts, OPEN_CONFIG)
 
 

@@ -8,13 +8,14 @@ improvement.  Fully deterministic for a fixed seed: every ant draws
 from its own (seed, iteration, ant) derived stream, its subset size and
 then one uniform per rule, which keys the rules for one top-k draw.
 
-A subset is scored over each rule's firing rows only.  Every rule's
-weights and weighted outputs are stored once, for the rows it fires on,
-and a subset's prediction is their `weighted_mean`, in index order.  A rule
-adds nothing where it does not fire, so its polynomial there (even an
-overflow) never enters a score.  A rule whose output is NaN on a row
-where it fires would make every subset holding it cost NaN; it is
-refused with `RuleUnfittableError` before the search starts.
+A subset is scored through inference's own steps: the scoring rows'
+feature table, `rule_matrices` and `weigh` run once before the search,
+and each rule's live weights and weighted outputs are stored for the
+rows it fires on; a subset's prediction is their `weighted_mean`, in
+index order.  A rule adds nothing where it does not fire, so its
+polynomial there (even an overflow) never enters a score.  A rule whose
+output is NaN on a scoring row where it fires (fit rows first, then
+validation rows) is refused by `weigh` before the search starts.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .inference import compile_rules, reduce_firing, rule_matrices, weighted_mean
-from .rules import HybridRule, RuleUnfittableError, rmse
+from .inference import _feature_rows, compile_rules, rule_matrices, weigh, weighted_mean
+from .rules import HybridRule, rmse
 from .universe import RuleUniverse
 
 PHEROMONE_FLOOR = 1e-12
@@ -125,39 +126,14 @@ def select_rules(
     hi = min(config.subset_size_range[1], total)
 
     scoring = [d for d in (train_data, validation_data) if d is not None]
-    x = np.array(
-        [
-            np.concatenate([d.column(p.variable) for d in scoring])
-            for p in universe.feature_partitions
-        ]
-    )
+    x = np.hstack([_feature_rows(universe.feature_partitions, d) for d in scoring])
     y = np.concatenate([d.y for d in scoring])
     fallback = float(train_data.y.mean())
 
     tables = compile_rules(rules, universe.feature_partitions, universe.config.tnorm)
-    # a polynomial that overflows where its rule does not fire is never scored
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = rule_matrices(tables, x)
-    dom = tables.dominance
-    w = reduce_firing(cells.lo, cells.hi, firing_reduction) * dom[cells.rule]
-    live = w > 0.0
-    rule, rows, w = cells.rule[live], cells.row[live], w[live]
-    wy = w * cells.y[live]
-    nan = np.flatnonzero(np.isnan(wy))
-    if nan.size:
-        # a NaN cost would reach the pheromone and stop the search unnamed
-        i, row = int(rule[nan[0]]), int(rows[nan[0]])
-        fit_rows = train_data.n_rows
-        where = (
-            f"training row {row}"
-            if row < fit_rows
-            else f"validation row {row - fit_rows}"
-        )
-        clauses = " AND ".join(f"{v} is {s}" for v, s in rules[i].antecedent)
-        raise RuleUnfittableError(
-            f"rule {i} (IF {clauses}) outputs NaN on {where}, where it "
-            "fires: its polynomial overflows there"
-        )
+    # looked up in this module, so selection's firing is timed apart
+    cells = rule_matrices(tables, x)
+    _, rule, rows, w, wy = weigh(rules, tables, cells, firing_reduction)
     # each rule's (rows, weights, weighted outputs) where it weighs in
     cuts = np.searchsorted(rule, np.arange(1, total))
     per_rule = [np.split(a, cuts) for a in (rows, w, wy)]
@@ -168,7 +144,7 @@ def select_rules(
         pred, _ = weighted_mean(*parts, y.size, fallback)
         return rmse(pred, y)
 
-    heuristic = dom
+    heuristic = tables.dominance
     pheromone = np.full(total, config.initial_pheromone)
     best_indices: tuple[int, ...] | None = None
     best_cost = math.inf

@@ -269,9 +269,8 @@ def cmd_explain(args) -> int:
         )
         for fr in sorted(p.fired_rules, key=lambda r: -r.weight)[:5]:
             rule = model.rules[fr.index]
-            clause = " AND ".join(f"{v} is {s}" for v, s in rule.antecedent)
             lines.append(
-                f"    rule {fr.index}: IF {clause} THEN {target} is "
+                f"    rule {fr.index}: IF {rule.antecedent_text()} THEN {target} is "
                 f"{rule.consequent_set}; firing [{fr.firing[0]:.3f}, "
                 f"{fr.firing[1]:.3f}], output {fr.output:.6g}, weight {fr.weight:.4f}"
             )

@@ -3,7 +3,9 @@
 Each rule contributes its clamped polynomial output weighted by a
 scalarized firing strength times its error dominance; the prediction is
 the weighted mean.  Rows no rule fires on fall back to the training
-target mean with an explicit flag, never silently.
+target mean with an explicit flag, never silently.  ACO selection scores
+through the same `rule_matrices` and `weigh`, so one check refuses a rule
+that overflows where it fires, in training and in prediction alike.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .it2 import TNORMS, Partition, fire, stack_sets, stacked_memberships
-from .rules import HybridRule, evaluate_terms
+from .rules import HybridRule, RuleUnfittableError, evaluate_terms
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 # rule_matrices fires rules over chunks of at most this many (rules or
@@ -249,7 +251,9 @@ def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     rule, row, lo, hi = (np.concatenate(a) for a in zip(*pieces))
     order = np.argsort(rule, kind="stable")
     rule, row, lo, hi = rule[order], row[order], lo[order], hi[order]
-    raw = evaluate_cells(tables, x, rule, row)
+    # an overflowing polynomial is refused by `weigh`, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = evaluate_cells(tables, x, rule, row)
     return FiredCells(
         rule, row, lo, hi, np.clip(raw, tables.lo[rule], tables.hi[rule])
     )
@@ -280,6 +284,29 @@ def weighted_mean(
     return np.where(fell, fallback, psum / np.where(fell, 1.0, wsum)), fell
 
 
+def weigh(
+    rules: Sequence[HybridRule], tables: RuleTables, cells: FiredCells, reduction: str
+) -> tuple[np.ndarray, ...]:
+    """Every cell's weight (reduced firing times error dominance) and the
+    (rule, row, weight, weighted output) of the live cells, those of
+    positive weight.  A live cell whose output is NaN would make a
+    prediction or an ACO cost NaN: the first, in rule-major order, is
+    refused with `RuleUnfittableError` naming its rule and row."""
+    w = reduce_firing(cells.lo, cells.hi, reduction) * tables.dominance[cells.rule]
+    # a rule that fires with weight 0 (lower reduction) adds no 0 x NaN
+    live = w > 0.0
+    rule, row, w_live = cells.rule[live], cells.row[live], w[live]
+    wy = w_live * cells.y[live]
+    nan = np.flatnonzero(np.isnan(wy))
+    if nan.size:
+        i, r = int(rule[nan[0]]), int(row[nan[0]])
+        raise RuleUnfittableError(
+            f"rule {i} (IF {rules[i].antecedent_text()}) outputs NaN on row {r}, "
+            "where it fires: its polynomial overflows there"
+        )
+    return w, rule, row, w_live, wy
+
+
 class _Weighed(NamedTuple):
     """One pass of inference: the fired cells, their weights, per-row results."""
 
@@ -296,25 +323,11 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
         raise NotTrainedError("model has no rules")
     x = _feature_rows(model.feature_partitions, data)
     n = x.shape[1]
-    tables = model.tables
-    # an overflowing polynomial is reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = rule_matrices(tables, x)
-    w = (
-        reduce_firing(cells.lo, cells.hi, model.firing_reduction)
-        * tables.dominance[cells.rule]
+    cells = rule_matrices(model.tables, x)
+    w, _, rows, w_live, wy = weigh(
+        model.rules, model.tables, cells, model.firing_reduction
     )
-    # a rule that fires with weight 0 (lower reduction) adds no 0 x NaN
-    live = w > 0.0
-    values, fallback = weighted_mean(
-        cells.row[live], w[live], w[live] * cells.y[live], n, model.fallback_value
-    )
-    nan_rows = np.flatnonzero(np.isnan(values))
-    if nan_rows.size:
-        raise ValueError(
-            f"prediction for row {nan_rows[0]} is NaN: a rule polynomial "
-            "overflowed on this input"
-        )
+    values, fallback = weighted_mean(rows, w_live, wy, n, model.fallback_value)
     return _Weighed(cells, w, values, np.bincount(cells.row, minlength=n), fallback)
 
 

@@ -174,14 +174,14 @@ def rules_text(
     """Human-readable rule listing; dominance shown at 3 decimals."""
     blocks = []
     for i, rule in enumerate(rules, start=1):
-        clauses = " AND ".join(f"{v} is {s}" for v, s in rule.antecedent)
         lo, hi = rule.clamp_bounds
         d_lo, d_hi = rule.fuzzy_dominance
         blocks.append(
             "\n".join(
                 [
                     f"RULE {i}",
-                    f"  IF {clauses} THEN {target_variable} is {rule.consequent_set}",
+                    f"  IF {rule.antecedent_text()} THEN {target_variable} is "
+                    f"{rule.consequent_set}",
                     f"  {target_variable} = {rule.consequent_fn.render(precision)}",
                     f"  clamp bounds: [{lo:.{precision}g}, {hi:.{precision}g}]",
                     f"  fuzzy dominance: [{d_lo:.3f}, {d_hi:.3f}]",

@@ -62,18 +62,21 @@ def design_matrix(X: np.ndarray, degree: int) -> np.ndarray:
         raise ValueError("X must be 2-d (rows, variables)")
     n, v = X.shape
     exps = monomial_exponents(v, degree)
-    powers = [
-        [np.ones(n)] + [X[:, j] ** k for k in range(1, degree + 1)]
-        for j in range(v)
-    ]
+    powers = [None] + [[X[:, j] ** k for j in range(v)] for k in range(1, degree + 1)]
     cols = np.empty((n, len(exps)))
-    for c, e in enumerate(exps):
-        col = np.ones(n)
+    for c, term in enumerate(_terms(exps, itertools.repeat(1.0), powers)):
+        cols[:, c] = term
+    return cols
+
+
+def _terms(exponents: Iterable, starts: Iterable, powers: Sequence) -> Iterable:
+    """Each term ``((start * p1) * p2)``, its powers in variable order,
+    where ``powers[k][j]`` is variable j to the power k."""
+    for e, term in zip(exponents, starts):
         for j, k in enumerate(e):
             if k:
-                col = col * powers[j][k]
-        cols[:, c] = col
-    return cols
+                term = term * powers[k][j]
+        yield term
 
 
 def evaluate_terms(
@@ -94,11 +97,7 @@ def evaluate_terms(
     # powers[k][j] is cols[j] ** k: one array per power, not per term
     powers = [None, cols] + [cols**k for k in range(2, degree + 1)]
     out = np.zeros(cols.shape[1])
-    for e, coef in zip(exponents, coefficients):
-        term = coef
-        for j, k in enumerate(e):
-            if k:
-                term = term * powers[k][j]
+    for term in _terms(exponents, coefficients, powers):
         out += term
     return out
 
@@ -210,14 +209,17 @@ class HybridRule:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.antecedent)
 
+    def antecedent_text(self) -> str:
+        """The IF part, ``x1 is A1 AND x2 is A2``."""
+        return " AND ".join(f"{v} is {s}" for v, s in self.antecedent)
+
     def describe(self, target_variable: str, precision: int = 6) -> str:
         """Human-readable IF/THEN text with the bounded polynomial."""
-        clauses = " AND ".join(f"{v} is {s}" for v, s in self.antecedent)
         poly = self.consequent_fn.render(precision)
         lo, hi = self.clamp_bounds
         return (
-            f"IF {clauses} THEN {target_variable} is {self.consequent_set}"
-            f" with {target_variable} = {poly}"
+            f"IF {self.antecedent_text()} THEN {target_variable} is "
+            f"{self.consequent_set} with {target_variable} = {poly}"
             f" clamped to [{lo:.{precision}g}, {hi:.{precision}g}]"
         )
 

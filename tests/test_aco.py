@@ -15,7 +15,10 @@ from hit2mtsk import (
     AcoConfigError,
     Dataset,
     GenerationConfig,
+    Model,
     generate_candidates,
+    predict,
+    predict_values,
     select_rules,
 )
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
@@ -263,22 +266,49 @@ class TestSearchContracts:
             *((it, 1.1740159440491624) for it in range(11, 16)),
         )
 
-    def test_overflow_where_a_rule_fires_names_the_rule_and_row(self):
+    @pytest.mark.parametrize(
+        "path,row",
+        [
+            ("select-fit", 80),
+            ("select-validation", 81),  # validation row 1 after 80 fit rows
+            ("predict", 0),
+            ("predict_values", 80),
+        ],
+    )
+    def test_overflow_where_a_rule_fires_names_the_rule_and_row(self, path, row):
         # rule 4 (x1 is High) fires at x1 = 1e300, where its x1^2 - x1^3
-        # is inf - inf = NaN: no subset holding it has a cost
+        # is inf - inf = NaN: no subset holding it has a cost, and no model
+        # holding it a prediction; selection and prediction refuse it alike
         ds, uni = small_universe(cap=6)
         assert uni.rules[4].antecedent == (("x1", "High"),)
         uni = with_cubic_rule(uni, 4)
+        model = Model(uni.feature_partitions, uni.target_partition, uni.rules)
         cfg = AcoConfig(
             num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
         )
+        calls = {
+            "select-fit": lambda: select_rules(uni, with_huge_row(ds), None, cfg),
+            "select-validation": lambda: select_rules(
+                uni, ds, with_huge_row(ds.subset([0])), cfg
+            ),
+            "predict": lambda: predict(model, {"x1": 1e300, "x2": 0.0}),
+            "predict_values": lambda: predict_values(model, with_huge_row(ds)),
+        }
         with pytest.raises(
             RuleUnfittableError,
-            match=r"rule 4 \(IF x1 is High\) outputs NaN on training row 80,",
+            match=rf"^rule 4 \(IF x1 is High\) outputs NaN on row {row}, where it "
+            "fires: its polynomial overflows there$",
         ):
-            select_rules(uni, with_huge_row(ds), None, cfg, seed=0)
-        with pytest.raises(RuleUnfittableError, match="on validation row 1,"):
-            select_rules(uni, ds, with_huge_row(ds.subset([0])), cfg, seed=0)
+            calls[path]()
+
+    @pytest.mark.parametrize("lacking", ["fit", "validation"])
+    def test_scoring_dataset_lacking_a_feature_rejected(self, lacking):
+        ds, uni = small_universe()
+        narrow = Dataset("d", ("x1",), ds.X[:, :1], "y", ds.y)
+        fit, validation = (narrow, ds) if lacking == "fit" else (ds, narrow)
+        cfg = AcoConfig(num_ants=1, num_iterations=1, subset_size_range=(1, 1))
+        with pytest.raises(ValueError, match="dataset lacks model feature 'x2'"):
+            select_rules(uni, fit, validation, cfg)
 
     def test_overflow_where_a_rule_does_not_fire_is_not_scored(self):
         # rule 0 (x1 is Medium) does not fire at x1 = 1e300, where its

@@ -1,10 +1,11 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hit2mtsk import load_model, predict_values, write_xy_csv
+from hit2mtsk import Dataset, load_model, predict_values, split_holdout, write_xy_csv
 from hit2mtsk.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -13,6 +14,7 @@ from hit2mtsk.cli import (
     build_parser,
     main,
 )
+from hit2mtsk.pipeline import derive_seed
 
 from test_aco import small_universe, with_cubic_rule, with_huge_row
 
@@ -587,6 +589,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("training error: rule 4 (IF x1 is High) outputs NaN on ")
         assert err.count("\n") == 1
+
+    def test_baseline_holdout_overflow_is_a_training_error(self, tmp_path, capsys):
+        # the model baseline has just trained is NaN on a holdout row where a
+        # rule fires: refused as train refuses it on a training row, not as
+        # a config error
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(0.0, 10.0, (2, 200))
+        y = a**2 - 3.0 * b + rng.normal(0.0, 0.5, 200)
+        ds = Dataset("d", ("a", "b"), np.column_stack([a, b]), "y", y)
+        _, test = split_holdout(ds, 0.2, derive_seed(0, 101))
+        a[np.flatnonzero(a == test.X[0, 0])] = 1e300  # holdout row 0
+        csv = tmp_path / "big.csv"
+        write_xy_csv(csv, ("a", "b", "y"), (a, b, y))
+        code = main(
+            [
+                "baseline", "--data", str(csv), "--target", "y", "--seed", "0",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_TRAIN
+        assert re.fullmatch(
+            r"training error: rule \d+ \(IF a is High[^)]*\) outputs NaN on row 0, "
+            r"where it fires: its polynomial overflows there\n",
+            capsys.readouterr().err,
+        )
 
     def test_keel_inputs_repeating_an_attribute(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"

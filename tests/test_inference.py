@@ -30,7 +30,7 @@ from hit2mtsk.inference import (
     rule_matrices,
 )
 from hit2mtsk.it2 import TNORMS, IT2Set, Partition
-from hit2mtsk.rules import monomial_exponents, rmse
+from hit2mtsk.rules import RuleUnfittableError, monomial_exponents, rmse
 
 import oracles
 
@@ -283,7 +283,10 @@ class TestValidation:
             rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC))
         )
         row = 0 if path == "predict" else 1
-        raises = pytest.raises(ValueError, match=f"row {row} is NaN")
+        raises = pytest.raises(
+            RuleUnfittableError,
+            match=rf"^rule 1 \(IF x is High\) outputs NaN on row {row}, where it fires",
+        )
         with raises, np.errstate(all="ignore"):
             if path == "predict":
                 predict(model, {"x": 1e300})
@@ -314,7 +317,7 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert predict_values(masked, rows)[0][1] == 20.0
-            with pytest.raises(ValueError, match="row 1 is NaN"):
+            with pytest.raises(RuleUnfittableError, match="outputs NaN on row 1,"):
                 predict_values(fired, rows)
 
     @pytest.mark.parametrize(
@@ -540,6 +543,18 @@ class TestRuleMatricesAgainstPerRuleLoop:
         assert F_hi[0, 0] == 0.0 and Y[0, 0] == 0.0
         assert Y[1, 0] == 20.0
         assert cells.rule.tolist() == [1]
+
+
+    def test_overflow_where_a_rule_fires_is_nan_not_a_warning(self):
+        # `weigh` refuses the NaN; firing alone neither warns nor masks it
+        model = two_rule_model(
+            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = rule_matrices(model.tables, np.array([[1e300]]))
+        assert cells.rule.tolist() == [1]
+        assert np.isnan(cells.y[0])
 
 
 class TestCompiledTables:

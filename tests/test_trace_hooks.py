@@ -37,3 +37,23 @@ def test_every_hook_point_fires_on_a_toy_train_and_predict(toy_dataset):
     # every candidate is fitted once, through the traced name
     summary = spans.SpanSummary(tracer.spans)
     assert summary.calls("universe.fit") == len(result.universe)
+
+
+def test_selection_fires_through_its_own_hook(toy_dataset):
+    # ACO scores with inference's steps but fires through aco.rule_matrices,
+    # so that aco.rule_matrices_s keeps measuring selection's firing
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        train_model(toy_dataset, small_train_config())
+    by_id = {s.id: s for s in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    (aco,) = [s for s in tracer.spans if s.name == "aco.rule_matrices"]
+    assert by_id[aco.parent].name == "aco.select"
+    for s in tracer.spans:
+        if s.name == "inference.rule_matrices":
+            assert "aco.select" not in ancestors(s)

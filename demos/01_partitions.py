@@ -19,24 +19,24 @@ for s in part.sets:
     print(f"    upper trapezoid: {s.upper_params}")
 
 # membership is a (lower, upper) interval: the width is the footprint
-# of uncertainty at that point; membership_matrix gives one row per
-# value and one column per set
+# of uncertainty at that point; membership_matrix gives one row per set
+# and one column per value
 print("\nmembership intervals at sample points")
 xs = (5.0, 20.0, 45.0, 80.0)
 lower, upper = part.membership_matrix(xs)
 for i, x in enumerate(xs):
     row = "  x={:5.1f}".format(x)
     for k, s in enumerate(part.sets):
-        row += f"   {s.name}=[{lower[i, k]:.3f}, {upper[i, k]:.3f}]"
+        row += f"   {s.name}=[{lower[k, i]:.3f}, {upper[k, i]:.3f}]"
     print(row)
 
 # a conjunction of clauses fires with the t-norm of the memberships;
-# fire() folds it over membership-matrix columns, one row per input
+# fire() folds rows of one (sets, inputs) table, here both partitions'
+# tables stacked: dosage's Medium is row 1, and age's Low, the first
+# set after dosage's, is row len(part)
 other = build_partition(rng.uniform(18, 90, 400), num_sets=3, variable="age")
-memberships = {
-    "dosage": part.membership_matrix([30.0]),
-    "age": other.membership_matrix([25.0]),
-}
-lo, hi = fire(memberships, [("dosage", 1), ("age", 0)], "minimum")
+dosage, age = part.membership_matrix([30.0]), other.membership_matrix([25.0])
+lower, upper = np.vstack([dosage[0], age[0]]), np.vstack([dosage[1], age[1]])
+lo, hi = fire(lower, upper, [1, len(part)], "minimum")
 print(f"\nfiring of (dosage is {part.sets[1].name}) AND (age is {other.sets[0].name})")
 print(f"  at dosage=30, age=25: [{lo[0]:.3f}, {hi[0]:.3f}]")

@@ -119,6 +119,17 @@ _ATTR_RE = re.compile(
 )
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped."""
+    try:
+        return path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise ParseError(
+            path, line, f"byte {exc.object[exc.start]:#04x} is not UTF-8 text"
+        ) from None
+
+
 def load_keel(path) -> Dataset:
     """Parse one KEEL-format .dat regression file.
 
@@ -127,7 +138,7 @@ def load_keel(path) -> Dataset:
     Exactly one numeric output attribute is supported.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     relation = path.stem
     attributes: list[str] = []
     inputs: list[str] | None = None
@@ -239,7 +250,7 @@ def _select(name: str, columns: Sequence[str], table: np.ndarray,
 def _csv_header(path: Path) -> tuple[list[str], int, tuple[str, ...]]:
     """A CSV file's lines, the 1-based number of its header line (the
     first non-blank one) and the header's column names."""
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     at = next((i for i, line in enumerate(lines, start=1) if line.strip()), None)
     if at is None:
         raise ParseError(path, None, "empty file")

@@ -42,13 +42,15 @@ def support_interval(
     firing_hi: np.ndarray,
     target_lo: np.ndarray,
     target_hi: np.ndarray,
+    n: int | None = None,
 ) -> tuple[float, float]:
-    """Mean over rows of firing x consequent-membership, per bound."""
-    n = firing_lo.size
+    """Mean over ``n`` rows (by default, those given) of firing x
+    consequent-membership, per bound; rows not given add nothing."""
+    n = firing_lo.size if n is None else n
     if n == 0:
         raise ValueError("empty dataset")
-    lo = float(np.dot(firing_lo, target_lo) / n)
-    hi = float(np.dot(firing_hi, target_hi) / n)
+    lo = float((firing_lo * target_lo).sum() / n)
+    hi = float((firing_hi * target_hi).sum() / n)
     return (lo, hi)
 
 
@@ -67,20 +69,15 @@ def confidence_interval(
     den_hi = float(firing_hi.sum())
     if den_hi <= 0.0:
         raise ZeroSupportError("rule fires nowhere on this dataset")
-    lo = float(np.dot(firing_lo, target_lo) / den_lo) if den_lo > 0.0 else 0.0
-    hi = float(np.dot(firing_hi, target_hi) / den_hi)
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, 0.0), 1.0)
-    return (lo, hi) if lo <= hi else (hi, lo)
+    lo = float((firing_lo * target_lo).sum() / den_lo) if den_lo > 0.0 else 0.0
+    hi = float((firing_hi * target_hi).sum() / den_hi)
+    return tuple(sorted(min(max(v, 0.0), 1.0) for v in (lo, hi)))
 
 
 def combine_dominance(
     support: tuple[float, float], confidence: tuple[float, float]
 ) -> FuzzyDominance:
-    lo = support[0] * confidence[0]
-    hi = support[1] * confidence[1]
-    if lo > hi:
-        lo, hi = hi, lo
+    lo, hi = sorted((support[0] * confidence[0], support[1] * confidence[1]))
     return FuzzyDominance(support=support, confidence=confidence, dominance=(lo, hi))
 
 
@@ -93,22 +90,18 @@ def fuzzy_dominance(
     partitions; the rule references sets by name within them.  Raises
     `ZeroSupportError` when the rule fires on no row.
     """
-    mems = {
-        var: partitions[var].membership_matrix(dataset.column(var))
-        for var, _ in rule.antecedent
-    }
-    f_lo, f_hi = fire(
-        mems,
-        [(var, partitions[var].index_of(name)) for var, name in rule.antecedent],
-        tnorm,
+    # one table row per clause, the consequent's last; graded on the
+    # fired rows alone, as `generate_candidates` grades
+    clauses = (*rule.antecedent, (dataset.target_name, rule.consequent_set))
+    mems = [partitions[v].membership_matrix(dataset.column(v)) for v, _ in clauses]
+    at = [partitions[v].index_of(s) for v, s in clauses]
+    lower, upper = (np.array([m[b][k] for m, k in zip(mems, at)]) for b in (0, 1))
+    f_lo, f_hi = fire(lower, upper, range(len(clauses) - 1), tnorm)
+    rows = np.flatnonzero(f_hi > 0.0)
+    args = (f_lo[rows], f_hi[rows], lower[-1, rows], upper[-1, rows])
+    return combine_dominance(
+        support_interval(*args, dataset.n_rows), confidence_interval(*args)
     )
-    # the strided column `generate_candidates` dots, so the grades keep its bits
-    target = partitions[dataset.target_name]
-    k = target.index_of(rule.consequent_set)
-    t_lo, t_hi = (m[:, k] for m in target.membership_matrix(dataset.y))
-    s = support_interval(f_lo, f_hi, t_lo, t_hi)
-    c = confidence_interval(f_lo, f_hi, t_lo, t_hi)
-    return combine_dominance(s, c)
 
 
 def error_dominance(rmse: float) -> float:

@@ -238,15 +238,13 @@ def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     pieces = []
     for start in range(0, max(n, 1), step):  # no rows make one empty chunk
         chunk = x[tables.feature, start : start + step]
-        lower, upper = stacked_memberships(sets, chunk)
-        ones = np.ones((1, lower.shape[1]))
-        table = ((np.vstack([lower, ones]).T, np.vstack([upper, ones]).T),)
-        lo, hi = fire(table, [(0, c) for c in clauses], tables.tnorm)
-        # (rules, rows) cells in C order are rule-major; fire keeps the
-        # table's column-major layout, so lo.T and hi.T ravel without a copy
-        flat = np.flatnonzero(hi.T > 0.0)
-        rule, row = np.divmod(flat, hi.shape[0])
-        pieces.append((rule, row + start, lo.T.ravel()[flat], hi.T.ravel()[flat]))
+        ones = np.ones((1, chunk.shape[1]))
+        lower, upper = (np.vstack([m, ones]) for m in stacked_memberships(sets, chunk))
+        lo, hi = fire(lower, upper, clauses, tables.tnorm)
+        # (rules, rows) cells in C order are rule-major
+        flat = np.flatnonzero(hi > 0.0)
+        rule, row = np.divmod(flat, hi.shape[1])
+        pieces.append((rule, row + start, lo.ravel()[flat], hi.ravel()[flat]))
     # each chunk's cells are rule-major: a stable sort by rule merges them
     rule, row, lo, hi = (np.concatenate(a) for a in zip(*pieces))
     order = np.argsort(rule, kind="stable")

@@ -11,7 +11,7 @@ nonzero membership somewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,12 +153,8 @@ class Partition:
     def membership_matrix(
         self, values: np.ndarray | Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(n, k) lower/upper memberships of ``values`` in all k sets."""
-        x = np.asarray(values, dtype=float).ravel()
-        lower, upper = stacked_memberships(stack_sets(self.sets), x)
-        # row-major as ever: dominance grading dots these columns, and
-        # BLAS rounds a strided column's sum differently from a contiguous one
-        return np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
+        """(k, n) lower/upper memberships of ``values`` in all k sets."""
+        return stacked_memberships(stack_sets(self.sets), np.ravel(values))
 
 
 def _set_names(k: int) -> tuple[str, ...]:
@@ -260,32 +256,31 @@ def build_partition(
 
 
 def fire(
-    memberships: Mapping | Sequence,
-    antecedent: Sequence[tuple],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    clauses: Sequence,
     tnorm: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Firing interval ``(lower, upper)`` of one antecedent on every row.
 
-    ``memberships[key]`` is a ``(lower, upper)`` pair of (n, k) matrices
-    as returned by `Partition.membership_matrix`; ``antecedent`` pairs
-    each clause's key with the set index (column) it must match.  The
-    t-norm folds the chosen columns in clause order, separately for the
-    lower and the upper bounds.  With an array of set indices per clause
-    it folds that many antecedents at once, one result column each.
-    This is the only t-norm implementation.
+    ``lower`` and ``upper`` are (sets, rows) membership tables, one
+    partition's from `Partition.membership_matrix` or several stacked;
+    ``clauses`` holds the table row of the set each clause must match.
+    The t-norm folds those rows in clause order, for each bound apart.
+    With an array of rows per clause it folds that many antecedents at
+    once, one result row each.  This is the only t-norm implementation.
     """
     if tnorm not in TNORMS:
         raise ValueError(f"unknown t-norm {tnorm!r}")
-    if not antecedent:
+    if not len(clauses):
         raise ValueError("rule antecedent must not be empty")
     fold = np.minimum if tnorm == "minimum" else np.multiply
 
-    def folded(bound: int) -> np.ndarray:
-        # into a fresh array that keeps the columns' memory layout
-        cols = (memberships[key][bound][:, s] for key, s in antecedent)
-        out = np.array(next(cols))
-        for col in cols:
-            fold(out, col, out=out)
+    def folded(table: np.ndarray) -> np.ndarray:
+        first, *rest = clauses
+        out = np.take(table, first, axis=0)  # a fresh array
+        for c in rest:
+            fold(out, table[c], out=out)
         return out
 
-    return folded(0), folded(1)
+    return folded(lower), folded(upper)

@@ -161,11 +161,13 @@ def generate_candidates(
     n = dataset.n_rows
 
     mem = [p.membership_matrix(dataset.X[:, c]) for p, c in zip(fparts, col_of)]
+    lower, upper = (np.vstack(bound) for bound in zip(*mem))  # one (sets, rows) table
+    offset = np.cumsum([0] + [len(p.sets) for p in fparts])  # partitions' first rows
     t_low, t_upp = tpart.membership_matrix(dataset.y)
 
     # instance seeding: strongest set per feature and for the target
-    feat_arg = np.stack([u.argmax(axis=1) for _, u in mem], axis=1)
-    cons_arg = t_upp.argmax(axis=1)
+    feat_arg = np.stack([u.argmax(axis=0) for _, u in mem], axis=1)
+    cons_arg = t_upp.argmax(axis=0)
 
     # clause-deletion generalization, deduplicated
     max_len = min(config.max_antecedent, len(feats))
@@ -173,20 +175,21 @@ def generate_candidates(
         feat_arg, cons_arg, [len(p.sets) for p in fparts], max_len
     )
 
-    # grading fires each antecedent once; its fired rows and firing
-    # midpoints there are all that choosing and fitting read later
+    # grading fires each antecedent once and reads its fired rows alone;
+    # they and the firing midpoints there are all that is read later
     records: list[_Candidate] = []
     fired: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for ant, cons_list in by_ant.items():
-        f_lo, f_hi = fire(mem, ant, config.tnorm)
+        f_lo, f_hi = fire(lower, upper, [offset[j] + s for j, s in ant], config.tnorm)
         rows = np.flatnonzero(f_hi > 0.0)
         if rows.size == 0:
             continue
-        fired[ant] = (rows, 0.5 * (f_lo[rows] + f_hi[rows]))
+        f_lo, f_hi = f_lo[rows], f_hi[rows]
+        fired[ant] = (rows, 0.5 * (f_lo + f_hi))
         for cons in cons_list:
-            args = (f_lo, f_hi, t_low[:, cons], t_upp[:, cons])
+            args = (f_lo, f_hi, t_low[cons, rows], t_upp[cons, rows])
             d = combine_dominance(
-                support_interval(*args), confidence_interval(*args)
+                support_interval(*args, n), confidence_interval(*args)
             )
             records.append(_Candidate(ant, cons, d.dominance, rows.size))
 

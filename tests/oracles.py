@@ -59,11 +59,13 @@ def rule_matrices(
     F_hi = np.empty((m, n))
     Y = np.empty((m, n))
     for i, rule in enumerate(rules):
-        F_lo[i], F_hi[i] = fire(
-            mems,
-            [(var, parts[var].index_of(name)) for var, name in rule.antecedent],
-            tnorm,
-        )
+        # one table row per clause: the row of its set in its partition's table
+        table = [
+            tuple(m[parts[var].index_of(name)] for m in mems[var])
+            for var, name in rule.antecedent
+        ]
+        lower, upper = (np.array(bound) for bound in zip(*table))
+        F_lo[i], F_hi[i] = fire(lower, upper, range(len(table)), tnorm)
         fn = rule.consequent_fn
         cols = np.array([columns[v] for v in fn.variables])
         raw = polynomial_values(fn, cols.reshape(len(fn.variables), n).T)

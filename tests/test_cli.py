@@ -248,6 +248,26 @@ class TestPredict:
         )
         assert code == EXIT_CONFIG
 
+    def test_byte_order_mark_is_not_part_of_a_column_name(self, ws, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + ws.csv.read_bytes())
+        code = main(
+            [
+                "train", "--data", str(marked), "--target", "y",
+                "--config", str(ws.cfg), "--out", str(tmp_path / "b"),
+            ]
+        )
+        assert code == EXIT_OK
+        model = tmp_path / "b" / "model.json"
+        assert load_model(model).feature_names == ("x1", "x2")
+        code = main(
+            [
+                "predict", "--data", str(ws.csv), "--target", "y",
+                "--model", str(model), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_OK
+
     def test_missing_model_file(self, ws):
         code = main(
             [
@@ -455,6 +475,26 @@ class TestExitCodes:
         assert "bad.csv:3: non-finite value '1e400' in column 'y'" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("csv", "caf\xe9,y\n1,2\n"),
+            ("keel", KEEL_TEXT.replace("minikeel", "caf\xe9")),
+        ],
+        ids=["csv", "keel"],
+    )
+    def test_data_file_that_is_not_utf8(self, tmp_path, capsys, fmt, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        code = main(
+            [
+                "train", "--data", str(bad), "--format", fmt, "--target", "y",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "bad.txt:1: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
 
     def test_csv_without_target_flag(self, ws):
         code = main(

@@ -233,3 +233,39 @@ def test_fuzzy_dominance_grades_as_generation_bitwise(seed, tnorm):
     universe = generate_candidates(ds, parts, GenerationConfig(degree=2, tnorm=tnorm))
     for rule in universe.rules:
         assert fuzzy_dominance(rule, ds, parts, tnorm).dominance == rule.fuzzy_dominance
+
+
+def test_grades_read_only_the_rows_where_the_rule_fires():
+    # rows where `a` sits on its High plateau fire no rule on a Low or
+    # Medium `a`; interleaved into the data, they must leave each such
+    # rule's confidence as it was, bit for bit
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.0, 10.0, (3000, 2))
+    y = X[:, 0] + np.sin(X[:, 1]) + rng.normal(0.0, 0.5, 3000)
+    base = Dataset("base", ("a", "b"), X, "t", y)
+    parts = partitions_for(base)
+    plateau = parts["a"].set_named("High").upper_params[1]
+    extra = np.column_stack(
+        [rng.uniform(plateau, 10.0, 1000), rng.uniform(0.0, 10.0, 1000)]
+    )
+    at = np.repeat(np.arange(0, 3000, 30), 10)  # blocks of 10 every 30 rows
+    wide = Dataset(
+        "wide",
+        ("a", "b"),
+        np.insert(X, at, extra, axis=0),
+        "t",
+        np.insert(y, at, rng.uniform(y.min(), y.max(), 1000)),
+    )
+    antecedents = [(("a", "Low"),), (("a", "Medium"),), (("a", "Medium"), ("b", "Low"))]
+    for antecedent in antecedents:
+        for cons in ("Low", "Medium", "High"):
+            rule = HybridRule(
+                antecedent=antecedent,
+                consequent_set=cons,
+                consequent_fn=Polynomial(1, (), ((),), (0.0,)),
+                clamp_bounds=parts["t"].set_named(cons).support,
+            )
+            assert (
+                fuzzy_dominance(rule, wide, parts).confidence
+                == fuzzy_dominance(rule, base, parts).confidence
+            )

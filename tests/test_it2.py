@@ -72,16 +72,15 @@ class TestMembership:
         assert member(s, 50.0)[1] == 1.0
         assert member(s, 0.5) == (0.0, 0.0)
 
-    def test_matrix_is_row_major_one_column_per_set(self):
+    def test_matrix_holds_one_row_per_set(self):
         part = build_partition([0.0, 10.0], num_sets=3)
         xs = [-1.0, 0.0, 2.5, 5.0, 7.5, 11.0]
         lower, upper = part.membership_matrix(xs)
         for m in (lower, upper):
-            assert m.shape == (len(xs), 3)
-            assert m.flags.c_contiguous
-        for j, s in enumerate(part.sets):
+            assert m.shape == (3, len(xs))
+        for k, s in enumerate(part.sets):
             for i, x in enumerate(xs):
-                assert (lower[i, j], upper[i, j]) == member(s, x)
+                assert (lower[k, i], upper[k, i]) == member(s, x)
 
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_interval_invariant(self, x):
@@ -120,7 +119,7 @@ class TestBuildPartition:
         # every point in the observed domain has positive upper membership
         grid = np.linspace(part.domain[0], part.domain[1], 1001)
         _, upper = part.membership_matrix(grid)
-        assert np.all(upper.max(axis=1) > 0.0)
+        assert np.all(upper.max(axis=0) > 0.0)
 
     def test_adjacent_supports_overlap(self):
         values = np.random.default_rng(4).normal(50.0, 10.0, 400)
@@ -176,11 +175,8 @@ class TestBuildPartition:
 
 def fire_at_zero(clause_sets, tnorm="minimum"):
     """`fire` on the single row x = 0, one clause per given set."""
-    mems = {
-        i: tuple(np.array([[m]]) for m in member(s, 0.0))
-        for i, s in enumerate(clause_sets)
-    }
-    lo, hi = fire(mems, [(i, 0) for i in range(len(clause_sets))], tnorm)
+    lower, upper = np.array([member(s, 0.0) for s in clause_sets]).T[:, :, None]
+    lo, hi = fire(lower, upper, range(len(clause_sets)), tnorm)
     return float(lo[0]), float(hi[0])
 
 
@@ -206,12 +202,12 @@ class TestFiringStrength:
 
     def test_empty_antecedent(self):
         with pytest.raises(ValueError, match="antecedent"):
-            fire({}, [], "minimum")
+            fire(np.ones((2, 1)), np.ones((2, 1)), [], "minimum")
 
-    def test_missing_variable(self):
-        mems = {"u": build_partition([0.0, 1.0]).membership_matrix([1.0])}
-        with pytest.raises(KeyError):
-            fire(mems, [("v", 0)], "minimum")
+    def test_set_position_past_the_table(self):
+        lower, upper = build_partition([0.0, 1.0]).membership_matrix([1.0])
+        with pytest.raises(IndexError):
+            fire(lower, upper, [3], "minimum")
 
     def test_unknown_tnorm(self):
         with pytest.raises(ValueError, match="t-norm"):
@@ -255,8 +251,11 @@ class TestFiringStrength:
         ant = [
             (names[j], int(rng.integers(len(parts[names[j]])))) for j in chosen
         ]
-        mems = {v: parts[v].membership_matrix(rows[v]) for v in names}
-        lo, hi = fire(mems, ant, tnorm)
+        # every partition's table stacked, each clause a position in it
+        mems = [parts[v].membership_matrix(rows[v]) for v in names]
+        lower, upper = (np.vstack(bound) for bound in zip(*mems))
+        first_set = dict(zip(names, np.cumsum([0] + [len(parts[v]) for v in names])))
+        lo, hi = fire(lower, upper, [first_set[v] + s for v, s in ant], tnorm)
         clauses = [(v, parts[v].sets[s]) for v, s in ant]
         for r in range(15):
             want = firing_strength(clauses, {v: rows[v][r] for v in names}, tnorm)
@@ -339,6 +338,6 @@ class TestStackedMemberships:
         x = np.linspace(-5.0, 15.0, 201)
         lower, upper = part.membership_matrix(x)
         stacked = stacked_memberships(stack_sets(part.sets), x)
-        assert lower.shape == upper.shape == (201, 4)
-        assert np.array_equal(lower, stacked[0].T)
-        assert np.array_equal(upper, stacked[1].T)
+        assert lower.shape == upper.shape == (4, 201)
+        assert np.array_equal(lower, stacked[0])
+        assert np.array_equal(upper, stacked[1])

@@ -186,9 +186,9 @@ class TestCoverageRescue:
         # with a cap of one the rescue runs, and it reuses grading's firing
         calls = []
 
-        def counted(mem, ant, tnorm):
-            calls.append(ant)
-            return fire(mem, ant, tnorm)
+        def counted(lower, upper, clauses, tnorm):
+            calls.append(clauses)
+            return fire(lower, upper, clauses, tnorm)
 
         monkeypatch.setattr("hit2mtsk.universe.fire", counted)
         parts = partitions_for(toy_dataset)
@@ -200,8 +200,8 @@ class TestCoverageRescue:
         names = toy_dataset.feature_names
         mem = [parts[v].membership_matrix(toy_dataset.column(v)) for v in names]
         by_ant = _candidate_keys(
-            np.stack([u.argmax(axis=1) for _, u in mem], axis=1),
-            parts["y"].membership_matrix(toy_dataset.y)[1].argmax(axis=1),
+            np.stack([u.argmax(axis=0) for _, u in mem], axis=1),
+            parts["y"].membership_matrix(toy_dataset.y)[1].argmax(axis=0),
             [len(parts[v].sets) for v in names],
             min(cfg.max_antecedent, len(names)),
         )
@@ -376,13 +376,18 @@ class TestEnumeration:
         )
         mem = [parts[v].membership_matrix(ds.column(v)) for v in names]
         t_upp = parts["y"].membership_matrix(ds.y)[1]
-        seeds = np.stack([u.argmax(axis=1) for _, u in mem], axis=1)
+        seeds = np.stack([u.argmax(axis=0) for _, u in mem], axis=1)
+
+        def fires(ant):
+            lower, upper = (np.array([m[b][s] for m, s in ant]) for b in (0, 1))
+            return np.any(fire(lower, upper, range(len(ant)), tnorm)[1] > 0.0)
+
         want = {
             (ant, cons)
             for ant, cons in candidate_keys(
-                seeds, t_upp.argmax(axis=1), max_antecedent
+                seeds, t_upp.argmax(axis=0), max_antecedent
             )
-            if np.any(fire(mem, ant, tnorm)[1] > 0.0)
+            if fires([(mem[j], s) for j, s in ant])
         }
         got = {
             (
@@ -401,12 +406,28 @@ class TestPinnedOutput:
     """sha256 of generation's artifacts, recorded with the tuple-at-a-time
     enumeration and per-rule designs that the integer-coded enumeration
     and the per-subset designs replaced: both must produce every byte
-    as before.  The floats depend on the numpy and BLAS build; these
+    as before.  The masked digests are of the same documents with every
+    ``fuzzy_dominance`` field removed, recorded before grading moved from
+    a BLAS dot over every row to a numpy sum over the fired rows: that
+    move changed the grades' last bits and nothing else.  The grades no
+    longer depend on the BLAS build, but the consequent fits do; these
     were recorded with numpy 2.4 and OpenBLAS on x86-64."""
 
     @staticmethod
     def sha256(path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @staticmethod
+    def masked_sha256(path) -> str:
+        def strip(node):
+            if isinstance(node, dict):
+                return {k: strip(v) for k, v in node.items() if k != "fuzzy_dominance"}
+            if isinstance(node, list):
+                return [strip(v) for v in node]
+            return node
+
+        text = dumps(strip(json.loads(path.read_text())))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def test_trained_universe_and_model(self, tmp_path):
         result = train_model(four_feature_dataset(), small_train_config(degree=3))
@@ -414,10 +435,16 @@ class TestPinnedOutput:
         save_model(result.model, tmp_path / "model.json")
         assert len(result.universe) == 125
         assert self.sha256(tmp_path / "universe.json") == (
-            "b5c4f3923343b7e25d1ba6006520472b664dd83e4ebaeb11c68addfe7cf7fe8a"
+            "f47ffe57873f3d498768d34a66fcc15c571be574a0657a58ce3c4e36f683aace"
         )
         assert self.sha256(tmp_path / "model.json") == (
-            "9987e22b1c21f0e5abba851fb8afdccbc10c1dfc797399c873ccc8880f9bb27f"
+            "86784dc086844df76ab902d4f55b60fc0d4eda2d53fa12e782e28c2009fdd11a"
+        )
+        assert self.masked_sha256(tmp_path / "universe.json") == (
+            "8c7a4f4eda770db39fc43e9626424d37d66c92bb9cb8ca610ccff469dff00794"
+        )
+        assert self.masked_sha256(tmp_path / "model.json") == (
+            "dfe6372fe7db9eb18814788ebab54fa5e87f22c028b8f3c4e9e62ca095238925"
         )
 
     def test_rescued_universe(self, tmp_path):
@@ -428,5 +455,8 @@ class TestPinnedOutput:
         save_universe(uni, tmp_path / "universe.json")
         assert len(uni) == 5  # three rules rescued past the cap of two
         assert self.sha256(tmp_path / "universe.json") == (
-            "d48e3113221a4088e5a7cc378effd6b3174444e239d70aa26f4f404a4f66df5c"
+            "459d2c2c1b874b9f2077da78829b319b245df4d928432cb540109836b7fecc9d"
+        )
+        assert self.masked_sha256(tmp_path / "universe.json") == (
+            "5ccefe755f98a9e59495ba5f91c2d70ef88fe9113befe1a41e9e07f14f29bfef"
         )

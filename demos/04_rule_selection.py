@@ -43,7 +43,9 @@ config = AcoConfig(
     subset_size_range=(4, 20),
     patience=15,
 )
-subset, trace = select_rules(universe, ds, None, config, seed=1)
+# a subset's cost is the RMSE on ds of the model it makes: rows that none
+# of its rules fires on get ds's target mean, as a model trained on ds does
+subset, trace = select_rules(universe, ds, config, seed=1)
 
 print(f"\nselected {len(subset.indices)} of {len(universe)} rules, cost {subset.cost:.4f}")
 print("convergence (iteration, best cost so far):")
@@ -56,6 +58,6 @@ if trace[-1][0] != it:
 all_cfg = dataclasses.replace(
     config, subset_size_range=(len(universe), len(universe)), num_iterations=1
 )
-full, _ = select_rules(universe, ds, None, all_cfg)
+full, _ = select_rules(universe, ds, all_cfg)
 print(f"\nall {len(universe)} rules at once would cost {full.cost:.4f}")
 print("a good small subset matches or beats the full universe while staying legible")

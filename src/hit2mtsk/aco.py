@@ -2,20 +2,21 @@
 
 Ants repeatedly sample rule subsets with probability proportional to
 pheromone^alpha * heuristic^beta (heuristic = error dominance), score
-each subset by full-pipeline RMSE on the fit+validation rows, evaporate
+each subset by the RMSE of its model on the training rows, evaporate
 and deposit pheromone, and stop early after a patience window without
 improvement.  Fully deterministic for a fixed seed: every ant draws
 from its own (seed, iteration, ant) derived stream, its subset size and
 then one uniform per rule, which keys the rules for one top-k draw.
 
-A subset is scored through inference's own steps: the scoring rows'
+A subset is scored through inference's own steps: the training rows'
 feature table, `rule_matrices` and `weigh` run once before the search,
 and each rule's live weights and weighted outputs are stored for the
 rows it fires on; a subset's prediction is their `weighted_mean`, in
-index order.  A rule adds nothing where it does not fire, so its
-polynomial there (even an overflow) never enters a score.  A rule whose
-output is NaN on a scoring row where it fires (fit rows first, then
-validation rows) is refused by `weigh` before the search starts.
+index order, with the saved model's fallback (the training target
+mean) where none fires.  A rule adds nothing where it does not fire,
+so its polynomial there (even an overflow) never enters a score.  A
+rule whose output is NaN on a training row where it fires is refused
+by `weigh`, naming that row, before the search starts.
 """
 from __future__ import annotations
 
@@ -104,19 +105,16 @@ def sample_subset(
 
 def select_rules(
     universe: RuleUniverse,
-    train_data: Dataset,
-    validation_data: Dataset | None,
+    dataset: Dataset,
     config: AcoConfig = AcoConfig(),
     firing_reduction: str = "midpoint",
     seed: int = 0,
 ) -> tuple[RuleSubset, tuple[tuple[int, float], ...]]:
-    """Search for the lowest-RMSE rule subset.
-
-    Scoring rows are the concatenation of ``train_data`` and
-    ``validation_data`` (the latter may be None).  ``seed`` fixes every
-    ant's draws.  Subset sizes beyond the universe size are clamped down
-    to it.  Returns the best subset and the (iteration, best RMSE so far)
-    trace.
+    """Search for the rule subset whose model has the lowest RMSE on
+    ``dataset`` (rows no rule fires on get its target mean).  ``seed``
+    fixes every ant's draws.  Subset sizes beyond the universe size are
+    clamped down to it.  Returns the best subset and the (iteration,
+    best RMSE so far) trace.
     """
     rules = universe.rules
     total = len(rules)
@@ -125,10 +123,9 @@ def select_rules(
     lo = min(config.subset_size_range[0], total)
     hi = min(config.subset_size_range[1], total)
 
-    scoring = [d for d in (train_data, validation_data) if d is not None]
-    x = np.hstack([_feature_rows(universe.feature_partitions, d) for d in scoring])
-    y = np.concatenate([d.y for d in scoring])
-    fallback = float(train_data.y.mean())
+    x = _feature_rows(universe.feature_partitions, dataset)
+    y = dataset.y
+    fallback = float(y.mean())
 
     tables = compile_rules(rules, universe.feature_partitions, universe.config.tnorm)
     # looked up in this module, so selection's firing is timed apart

@@ -89,7 +89,7 @@ def _load_config(args) -> TrainConfig:
     flags: dict = {}
     if getattr(args, "variant", None):
         flags["generation"] = {"degree": int(args.variant.lower().lstrip("d"))}
-    if getattr(args, "sets", None):
+    if getattr(args, "sets", None) is not None:
         flags["num_sets"] = args.sets
     if getattr(args, "seed", None) is not None:
         flags["seed"] = args.seed

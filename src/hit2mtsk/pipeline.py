@@ -1,9 +1,10 @@
 """End-to-end training: partitions -> rule universe -> subset -> model.
 
 The training fold is internally re-split: rules are generated and
-fitted on the larger part, while the subset search scores candidates on
-fit+validation rows together.  All randomness flows from one seed
-through named substreams, so a config+seed pair pins every artifact.
+fitted on the larger part only, and the subset search scores them on
+the whole fold as the saved model predicts it.  All randomness flows
+from one seed through named substreams, so a config+seed pair pins
+every artifact.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ class TrainConfig:
             raise ValueError(
                 f"unknown firing reduction {self.firing_reduction!r}"
             )
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def variant(self) -> str:
@@ -103,19 +106,18 @@ def train_model(
 
     n_val = int(round(dataset.n_rows * config.validation_fraction))
     if 0 < n_val < dataset.n_rows:
-        fit_data, val_data = split_holdout(
+        fit_data, _ = split_holdout(
             dataset,
             config.validation_fraction,
             derive_seed(config.seed, _STREAM_VALIDATION_SPLIT),
         )
     else:
-        fit_data, val_data = dataset, None
+        fit_data = dataset
 
     universe = generate_candidates(fit_data, partitions, config.generation)
     subset, trace = select_rules(
         universe,
-        fit_data,
-        val_data,
+        dataset,
         config.aco,
         firing_reduction=config.firing_reduction,
         seed=derive_seed(config.seed, _STREAM_ACO),

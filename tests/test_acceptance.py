@@ -139,7 +139,7 @@ def test_criterion_3_oracle_equivalence():
             subset_size_range=(1, total),
             patience=12,
         )
-        subset, _ = select_rules(uni, ds, None, cfg, seed=seed)
+        subset, _ = select_rules(uni, ds, cfg, seed=seed)
         if subset.cost <= best * 1.05 + 1e-12:
             hits += 1
     assert hits >= 19

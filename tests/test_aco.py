@@ -123,7 +123,7 @@ class TestExhaustiveOptimality:
                 subset_size_range=(1, total),
                 patience=12,
             )
-            subset, _ = select_rules(uni, ds, None, cfg, seed=seed)
+            subset, _ = select_rules(uni, ds, cfg, seed=seed)
             # cross-check the reported cost against the oracle scorer
             assert subset.cost == pytest.approx(
                 oracle_cost(W, Y, ds.y, subset.indices, fallback), abs=1e-9
@@ -136,7 +136,7 @@ class TestExhaustiveOptimality:
         ds, uni = small_universe(cap=1)
         assert len(uni) == 1
         cfg = AcoConfig(num_ants=3, num_iterations=3, subset_size_range=(1, 5))
-        subset, _ = select_rules(uni, ds, None, cfg)
+        subset, _ = select_rules(uni, ds, cfg)
         assert subset.indices == (0,)
         assert subset.rules == (uni.rules[0],)
 
@@ -242,7 +242,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=6, num_iterations=30, subset_size_range=(1, len(uni))
         )
-        subset, trace = select_rules(uni, ds, None, cfg, seed=4)
+        subset, trace = select_rules(uni, ds, cfg, seed=4)
         assert [it for it, _ in trace] == list(range(1, len(trace) + 1))
         costs = [c for _, c in trace]
         assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
@@ -256,7 +256,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=4, num_iterations=15, subset_size_range=(2, 10), patience=6
         )
-        subset, trace = select_rules(uni, ds, None, cfg, seed=2)
+        subset, trace = select_rules(uni, ds, cfg, seed=2)
         assert subset.indices == (0, 1, 3, 4, 5, 7, 8)
         assert subset.cost == 1.1740159440491624
         assert trace == (
@@ -269,8 +269,7 @@ class TestSearchContracts:
     @pytest.mark.parametrize(
         "path,row",
         [
-            ("select-fit", 80),
-            ("select-validation", 81),  # validation row 1 after 80 fit rows
+            ("select", 80),
             ("predict", 0),
             ("predict_values", 80),
         ],
@@ -287,10 +286,7 @@ class TestSearchContracts:
             num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
         )
         calls = {
-            "select-fit": lambda: select_rules(uni, with_huge_row(ds), None, cfg),
-            "select-validation": lambda: select_rules(
-                uni, ds, with_huge_row(ds.subset([0])), cfg
-            ),
+            "select": lambda: select_rules(uni, with_huge_row(ds), cfg),
             "predict": lambda: predict(model, {"x1": 1e300, "x2": 0.0}),
             "predict_values": lambda: predict_values(model, with_huge_row(ds)),
         }
@@ -301,14 +297,12 @@ class TestSearchContracts:
         ):
             calls[path]()
 
-    @pytest.mark.parametrize("lacking", ["fit", "validation"])
-    def test_scoring_dataset_lacking_a_feature_rejected(self, lacking):
+    def test_scoring_dataset_lacking_a_feature_rejected(self):
         ds, uni = small_universe()
         narrow = Dataset("d", ("x1",), ds.X[:, :1], "y", ds.y)
-        fit, validation = (narrow, ds) if lacking == "fit" else (ds, narrow)
         cfg = AcoConfig(num_ants=1, num_iterations=1, subset_size_range=(1, 1))
         with pytest.raises(ValueError, match="dataset lacks model feature 'x2'"):
-            select_rules(uni, fit, validation, cfg)
+            select_rules(uni, narrow, cfg)
 
     def test_overflow_where_a_rule_does_not_fire_is_not_scored(self):
         # rule 0 (x1 is Medium) does not fire at x1 = 1e300, where its
@@ -322,7 +316,7 @@ class TestSearchContracts:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            subset, trace = select_rules(uni, big, None, cfg, seed=0)
+            subset, trace = select_rules(uni, big, cfg, seed=0)
         assert all(np.isfinite(cost) for _, cost in trace)
         W, Y = oracle_rule_tables(uni, big)
         assert subset.cost == pytest.approx(
@@ -338,7 +332,7 @@ class TestSearchContracts:
             subset_size_range=(1, len(uni)),
             patience=patience,
         )
-        _, trace = select_rules(uni, ds, None, cfg, seed=2)
+        _, trace = select_rules(uni, ds, cfg, seed=2)
         costs = [c for _, c in trace]
         improvements = [
             i for i in range(1, len(costs)) if costs[i] < costs[i - 1]
@@ -352,8 +346,8 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=5, num_iterations=15, subset_size_range=(1, len(uni))
         )
-        a = select_rules(uni, ds, None, cfg, seed=8)
-        b = select_rules(uni, ds, None, cfg, seed=8)
+        a = select_rules(uni, ds, cfg, seed=8)
+        b = select_rules(uni, ds, cfg, seed=8)
         assert a[0].indices == b[0].indices
         assert a[0].cost == b[0].cost
         assert a[1] == b[1]
@@ -363,7 +357,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=3, num_iterations=5, subset_size_range=(1, len(uni)), patience=5
         )
-        traces = {select_rules(uni, ds, None, cfg, seed=seed)[1] for seed in range(4)}
+        traces = {select_rules(uni, ds, cfg, seed=seed)[1] for seed in range(4)}
         assert len(traces) > 1
 
     def test_size_range_clamped_to_universe(self):
@@ -371,7 +365,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=4, num_iterations=5, subset_size_range=(50, 100)
         )
-        subset, _ = select_rules(uni, ds, None, cfg, seed=1)
+        subset, _ = select_rules(uni, ds, cfg, seed=1)
         assert len(subset.indices) == len(uni)
 
     def test_full_evaporation_with_floor_still_runs(self):
@@ -383,27 +377,9 @@ class TestSearchContracts:
             subset_size_range=(1, len(uni)),
         )
         assert PHEROMONE_FLOOR > 0.0
-        subset, trace = select_rules(uni, ds, None, cfg, seed=0)
+        subset, trace = select_rules(uni, ds, cfg, seed=0)
         assert np.isfinite(subset.cost)
         assert len(trace) >= 1
-
-    def test_validation_rows_join_the_scoring_pool(self):
-        ds, uni = small_universe()
-        val = make_dataset(seed=77, n=40)
-        cfg = AcoConfig(
-            num_ants=5, num_iterations=10, subset_size_range=(1, len(uni))
-        )
-        subset, _ = select_rules(uni, ds, val, cfg, seed=3)
-        W, Y = oracle_rule_tables(uni, ds)
-        Wv, Yv = oracle_rule_tables(uni, val)
-        cost = oracle_cost(
-            np.hstack([W, Wv]),
-            np.hstack([Y, Yv]),
-            np.concatenate([ds.y, val.y]),
-            subset.indices,
-            float(ds.y.mean()),
-        )
-        assert subset.cost == pytest.approx(cost, abs=1e-9)
 
 
 class TestConfig:

@@ -1,10 +1,14 @@
 """The package exports exactly the names README's Library API table lists,
-and none of the names its "Removed names" table retires."""
+and none of the names its "Removed names" table retires; its
+"Configuration defaults" table names every config field once."""
+import dataclasses
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import hit2mtsk
+from hit2mtsk import AcoConfig, GenerationConfig, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +56,20 @@ def test_removed_names_stay_removed():
     removed = removed_names()
     assert {"predict_batch", "membership", "evaluate_rule"} <= removed
     assert not removed & exported()
+
+
+def test_configuration_table_names_every_field_once():
+    # a row's first name is qualified; the bare names after it share its class
+    named: Counter[str] = Counter()
+    for cells in table_cells("## Configuration defaults"):
+        names = re.findall(r"`([A-Za-z_.]+)`", cells[0])
+        if names:
+            owner, first = names[0].split(".")
+            named.update(f"{owner}.{name}" for name in (first, *names[1:]))
+    fields = Counter(
+        f"{cls.__name__}.{f.name}"
+        for cls in (TrainConfig, GenerationConfig, AcoConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in ("generation", "aco")  # the nested configs themselves
+    )
+    assert named == fields

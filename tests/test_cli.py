@@ -537,6 +537,26 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--sets", "0", "num_sets must be >= 2"),
+            ("--seed", "-1", "seed must be >= 0"),
+        ],
+    )
+    def test_bad_flag_value_rejected_before_reading_data(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # the data file does not exist: the flags are checked first
+        code = main(
+            [
+                "train", "--data", str(tmp_path / "absent.csv"), "--target", "y",
+                flag, value, "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+
     def test_generation_seed_rejected(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"generation": {"seed": 3}}))
@@ -627,8 +647,11 @@ class TestExitCodes:
         )
         assert code == EXIT_TRAIN
         err = capsys.readouterr().err
-        assert err.startswith("training error: rule 4 (IF x1 is High) outputs NaN on ")
-        assert err.count("\n") == 1
+        # the refusal names the row as the file holds it: data row 80 of 81
+        assert err == (
+            "training error: rule 4 (IF x1 is High) outputs NaN on row 80, where "
+            "it fires: its polynomial overflows there\n"
+        )
 
     def test_baseline_holdout_overflow_is_a_training_error(self, tmp_path, capsys):
         # the model baseline has just trained is NaN on a holdout row where a

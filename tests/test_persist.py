@@ -244,8 +244,8 @@ class TestUniverseFiles:
         path = tmp_path / "universe.json"
         save_universe(trained.universe, path)
         config = AcoConfig(num_ants=4, num_iterations=3)
-        want = select_rules(trained.universe, toy_dataset, None, config, seed=1)
-        got = select_rules(load_universe(path), toy_dataset, None, config, seed=1)
+        want = select_rules(trained.universe, toy_dataset, config, seed=1)
+        got = select_rules(load_universe(path), toy_dataset, config, seed=1)
         assert got == want
 
     def test_resave_is_byte_identical(self, trained, tmp_path):
@@ -469,6 +469,23 @@ class TestDeterministicSerialization:
         vals = [1e-300, 0.1 + 0.2, np.pi, -1.5e300]
         text = dumps(vals)
         assert json.loads(text) == vals
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"num_sets": 1}, "num_sets must be >= 2"),
+            ({"fou_width": 0.5}, "fou_width must be in"),
+            ({"fou_scale": 0.0}, "fou_scale must be in"),
+            ({"validation_fraction": 1.0}, "validation_fraction must be in"),
+            ({"firing_reduction": "mean"}, "unknown firing reduction"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
 
 
 class TestConfigDicts:

@@ -14,12 +14,14 @@ from hit2mtsk import (
     EmptyUniverseError,
     GenerationConfig,
     generate_candidates,
+    predict_values,
     save_model,
     save_universe,
     train_model,
 )
 from hit2mtsk.it2 import TNORMS, build_partition, fire
 from hit2mtsk.persist import decode, dumps, universe_to_dict
+from hit2mtsk.rules import rmse
 from hit2mtsk.universe import _candidate_keys
 
 from conftest import make_dataset, small_train_config
@@ -411,17 +413,20 @@ class TestPinnedOutput:
     a BLAS dot over every row to a numpy sum over the fired rows: that
     move changed the grades' last bits and nothing else.  The grades no
     longer depend on the BLAS build, but the consequent fits do; these
-    were recorded with numpy 2.4 and OpenBLAS on x86-64."""
+    were recorded with numpy 2.4 and OpenBLAS on x86-64.  The model's
+    digest without its ``manifest`` was recorded before selection
+    scored the whole training fold instead of fit rows then validation
+    rows: that move changed only the manifest's ``selection_cost``."""
 
     @staticmethod
     def sha256(path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     @staticmethod
-    def masked_sha256(path) -> str:
+    def masked_sha256(path, key="fuzzy_dominance") -> str:
         def strip(node):
             if isinstance(node, dict):
-                return {k: strip(v) for k, v in node.items() if k != "fuzzy_dominance"}
+                return {k: strip(v) for k, v in node.items() if k != key}
             if isinstance(node, list):
                 return [strip(v) for v in node]
             return node
@@ -438,14 +443,26 @@ class TestPinnedOutput:
             "f47ffe57873f3d498768d34a66fcc15c571be574a0657a58ce3c4e36f683aace"
         )
         assert self.sha256(tmp_path / "model.json") == (
-            "86784dc086844df76ab902d4f55b60fc0d4eda2d53fa12e782e28c2009fdd11a"
+            "b02267b85ef01eac19a57a45c5bcc841ed9435d6b7c42a954053f105e2d6784c"
         )
         assert self.masked_sha256(tmp_path / "universe.json") == (
             "8c7a4f4eda770db39fc43e9626424d37d66c92bb9cb8ca610ccff469dff00794"
         )
         assert self.masked_sha256(tmp_path / "model.json") == (
-            "dfe6372fe7db9eb18814788ebab54fa5e87f22c028b8f3c4e9e62ca095238925"
+            "f2059a30ca6fff81b6e1dc1a250cf02e228490a4d51247c53f6b9cc8ec7c3722"
         )
+        assert self.masked_sha256(tmp_path / "model.json", key="manifest") == (
+            "e843561578302b0989e0250947b4405b6f9f3b4b3267c7ca0c7a529728aca32d"
+        )
+
+    def test_selection_cost_is_the_saved_models_rmse(self):
+        # one training row is fired by no selected rule, so the cost holds
+        # only if selection falls back to the model's own fallback value
+        ds = four_feature_dataset()
+        model = train_model(ds, small_train_config(degree=3)).model
+        values, _, fallback = predict_values(model, ds)
+        assert fallback.sum() == 1
+        assert model.manifest["selection_cost"] == rmse(values, ds.y)
 
     def test_rescued_universe(self, tmp_path):
         ds = four_feature_dataset()

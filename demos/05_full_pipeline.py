@@ -13,9 +13,8 @@ from hit2mtsk import (
     Dataset,
     GenerationConfig,
     TrainConfig,
-    active_rules_per_prediction,
+    explainability_block,
     load_model,
-    noise_robustness,
     predict,
     predict_values,
     save_model,
@@ -55,14 +54,15 @@ rmse = np.sqrt(np.mean((values - ds.y) ** 2))
 print(f"\ntraining rmse {rmse:.4f}, fallback rate {fallback.mean():.3f}")
 
 # explainability: how many rules matter, how fragile predictions are
-active = active_rules_per_prediction(model, ds)
-print("\nmean active rules by firing threshold")
-for t in sorted(active):
-    print(f"  >{t:.2f}: {active[t]:.2f}")
-noise = noise_robustness(model, ds)
+block = explainability_block(model, ds)
+print(f"\ncoverage {block.dataset_coverage:.3f}, "
+      f"prediction range fraction {block.prediction_range_fraction:.3f}")
+print("mean active rules by firing threshold")
+for t, count in sorted(block.active_rules.items()):
+    print(f"  >{t:.2f}: {count:.2f}")
 print("prediction change under feature noise (% of mean target)")
-for lv in sorted(noise):
-    print(f"  level {lv:.2f}: {noise[lv]:.2f}%")
+for lv, pct in sorted(block.noise_deltas.items()):
+    print(f"  level {lv:.2f}: {pct:.2f}%")
 
 # persistence: the saved bundle reloads to an equivalent model
 with tempfile.TemporaryDirectory() as tmp:

@@ -32,12 +32,9 @@ from .evaluate import (
     EvalReport,
     Explainability,
     TrainingFailedError,
-    active_rules_per_prediction,
     case_study,
-    coverage_metrics,
     derive_mamdani,
     explainability_block,
-    noise_robustness,
     quantization_profile,
     run_cv,
 )
@@ -58,11 +55,9 @@ from .it2 import (
 )
 from .persist import (
     load_model,
-    load_rules,
     load_universe,
     rules_text,
     save_model,
-    save_rules,
     save_universe,
     write_xy_csv,
 )

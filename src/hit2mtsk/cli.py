@@ -44,8 +44,9 @@ from .persist import (
     decode,
     dumps,
     load_model,
+    loads,
+    rules_text,
     save_model,
-    save_rules,
     save_universe,
     write_xy_csv,
 )
@@ -80,8 +81,8 @@ def _load_config(args) -> TrainConfig:
         if not path.exists():
             raise CliError(EXIT_CONFIG, f"config file not found: {path}")
         try:
-            written = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            written = loads(path.read_text())
+        except ValueError as exc:
             raise CliError(EXIT_CONFIG, f"config is not valid JSON: {exc}")
         if type(written) is not dict:
             raise CliError(EXIT_CONFIG, "config must be a JSON object")
@@ -138,13 +139,7 @@ def cmd_train(args) -> int:
     out = _outdir(args)
     manifest = result.model.manifest
     save_model(result.model, out / "model.json")
-    save_rules(
-        result.model.rules,
-        dataset.target_name,
-        out / "rules.txt",
-        out / "rules.json",
-        manifest=manifest,
-    )
+    (out / "rules.txt").write_text(rules_text(result.model.rules, dataset.target_name))
     write_xy_csv(
         out / "aco_trace.csv", ("iteration", "best_rmse"), zip(*result.trace), manifest
     )
@@ -171,10 +166,7 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)
-    manifest = {
-        "model_manifest": dict(model.manifest),
-        "data_fingerprint": fingerprint,
-    }
+    manifest = {"model_manifest": dict(model.manifest), "data_fingerprint": fingerprint}
     columns = {"prediction": values, "target": target,
                "fired_rules": fired_counts, "fallback": fallback}
     score = ""
@@ -194,7 +186,14 @@ def cmd_crossval(args) -> int:
     if args.format == "keel" and Path(args.data).is_dir():
         folds = load_keel_folds(Path(args.data), args.name)
     else:
-        folds = make_folds(_load_dataset(args), k=5, seed=config.seed)
+        dataset = _load_dataset(args)
+        if dataset.n_rows < 5:
+            raise CliError(
+                EXIT_DATA,
+                f"5-fold cross-validation needs at least 5 rows; {args.data} "
+                f"has {dataset.n_rows}",
+            )
+        folds = make_folds(dataset, k=5, seed=config.seed)
 
     name = args.name or folds[0].train.name
     if args.name and not reference_for(args.name):
@@ -206,9 +205,7 @@ def cmd_crossval(args) -> int:
     doc["manifest"] = {
         "config": asdict(config),
         "seed": config.seed,
-        "fold_fingerprints": [
-            dataset_fingerprint(f.train) for f in folds
-        ],
+        "fold_fingerprints": [dataset_fingerprint(f.train) for f in folds],
     }
     (out / "report.json").write_text(dumps(doc))
     print(f"{name} [{report.variant}] mean rmse {report.mean_rmse:.6g} "
@@ -239,17 +236,12 @@ def cmd_explain(args) -> int:
     dataset = _load_dataset(args)
     # a data error here must leave no partial artifact set behind
     try:
-        block = explainability_block(
-            model, dataset, seed=derive_seed(seed, 201)
-        )
+        block = explainability_block(model, dataset, seed=derive_seed(seed, 201))
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)
     target = model.target_partition.variable
-    save_rules(
-        model.rules, target, out / "rules.txt", out / "rules.json",
-        manifest=model.manifest,
-    )
+    (out / "rules.txt").write_text(rules_text(model.rules, target))
     doc = asdict(block)
     doc["manifest"] = {
         "model_manifest": dict(model.manifest),
@@ -260,8 +252,7 @@ def cmd_explain(args) -> int:
     lines = []
     limit = min(args.max_rows, dataset.n_rows)
     for i in range(limit):
-        x = {name: float(dataset.X[i, j]) for j, name in enumerate(dataset.feature_names)}
-        p = predict(model, x)
+        p = predict(model, dict(zip(dataset.feature_names, dataset.X[i].tolist())))
         lines.append(
             f"row {i}: prediction {p.value:.6g}, target {dataset.y[i]:.6g}, "
             f"{len(p.fired_rules)} rules fired"

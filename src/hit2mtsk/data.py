@@ -29,6 +29,9 @@ class ParseError(ValueError):
 
 
 MISSING_TOKENS = {"?", "<null>", "", "na", "nan"}
+# every target value is squared in an error: beyond this magnitude a sum
+# of squared errors over even a few rows overflows
+TARGET_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,13 @@ class Dataset:
             raise ValueError("target duplicated among features")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise ValueError("dataset contains non-finite values")
+        if np.abs(y).max() > TARGET_LIMIT:
+            i = int(np.argmax(np.abs(y) > TARGET_LIMIT))
+            raise ValueError(
+                f"target {self.target_name!r} holds {float(y[i])!r} on data row "
+                f"{i + 1}, beyond magnitude {TARGET_LIMIT:g}, where squared "
+                "errors overflow"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -211,7 +221,7 @@ def load_keel(path) -> Dataset:
     if target in inputs:
         raise ParseError(path, data_start, f"output {target!r} listed as input")
     table = _read_rows(path, lines, data_start, attributes)
-    return _select(relation, attributes, table, inputs, target)
+    return _select(path, relation, attributes, table, inputs, target)
 
 
 def _read_rows(path, lines: list[str], start: int, names: Sequence[str]) -> np.ndarray:
@@ -233,18 +243,21 @@ def _read_rows(path, lines: list[str], start: int, names: Sequence[str]) -> np.n
     return np.array(rows, dtype=float)
 
 
-def _select(name: str, columns: Sequence[str], table: np.ndarray,
+def _select(path, name: str, columns: Sequence[str], table: np.ndarray,
             inputs: Sequence[str], target: str) -> Dataset:
     """The `Dataset` of ``inputs`` and ``target`` among ``table``'s
-    ``columns``."""
+    ``columns``; a value it refuses is a `ParseError` of ``path``."""
     col = {c: j for j, c in enumerate(columns)}
-    return Dataset(
-        name=name,
-        feature_names=tuple(inputs),
-        X=table[:, [col[c] for c in inputs]],
-        target_name=target,
-        y=table[:, col[target]],
-    )
+    try:
+        return Dataset(
+            name=name,
+            feature_names=tuple(inputs),
+            X=table[:, [col[c] for c in inputs]],
+            target_name=target,
+            y=table[:, col[target]],
+        )
+    except ValueError as exc:
+        raise ParseError(path, None, str(exc)) from None
 
 
 def _csv_header(path: Path) -> tuple[list[str], int, tuple[str, ...]]:
@@ -277,7 +290,7 @@ def load_csv(path, target_column: str) -> Dataset:
         )
     inputs = [h for h in header if h != target_column]
     table = _read_rows(path, lines, at, header)
-    return _select(path.stem, header, table, inputs, target_column)
+    return _select(path, path.stem, header, table, inputs, target_column)
 
 
 def split_holdout(

@@ -6,7 +6,7 @@ reports for side-by-side display; they are never recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ CALIFORNIA_EXPLAIN_REFERENCE = {
 
 ACTIVE_RULE_THRESHOLDS = (0.15, 0.25, 0.5)
 NOISE_LEVELS = (0.0, 0.01, 0.05, 0.10)
+NOISE_REPEATS = 5  # seeded noise draws averaged per level
 
 
 class TrainingFailedError(RuntimeError):
@@ -95,102 +96,6 @@ class EvalReport:
     warning: str | None = None
 
 
-def active_rules_per_prediction(
-    model: Model,
-    rows: Dataset | Mapping[str, np.ndarray],
-    thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
-) -> dict[float, float]:
-    """Mean count of rules whose firing midpoint exceeds each threshold
-    (each >= 0, so that a rule that does not fire counts under none)."""
-    if not all(t >= 0.0 for t in thresholds):  # NaN fails this too
-        raise ValueError(
-            f"active-rule thresholds must be >= 0, got {list(thresholds)}"
-        )
-    w = _weigh(model, rows)
-    mid = reduce_firing(w.cells.lo, w.cells.hi, "midpoint")
-    n = w.values.size
-    return {
-        float(t): float(np.mean(np.bincount(w.cells.row[mid > t], minlength=n)))
-        for t in thresholds
-    }
-
-
-def noise_robustness(
-    model: Model,
-    rows: Dataset,
-    levels: Sequence[float] = NOISE_LEVELS,
-    seed: int = 0,
-    repeats: int = 5,
-) -> dict[float, float]:
-    """Prediction sensitivity to feature noise, per level.
-
-    Each feature is perturbed with Gaussian noise of standard deviation
-    level * (that feature's training stddev); the reported number is the
-    mean absolute prediction change as a percentage of the mean target,
-    averaged over ``repeats`` seeded draws.  The level at position i of
-    ``levels`` draws repeat r from stream ``(seed, i, r)``; the result is
-    keyed by level, so each level may appear only once.
-    """
-    if not all(np.isfinite(lv) and lv >= 0.0 for lv in levels):
-        raise ValueError(
-            f"noise levels must be finite and >= 0, got {list(levels)}"
-        )
-    seen: set[float] = set()
-    for level in map(float, levels):
-        if level in seen:
-            raise ValueError(f"noise level {level} is repeated in {list(levels)}")
-        seen.add(level)
-    if repeats < 1:
-        raise ValueError(f"noise repeats must be >= 1, got {repeats}")
-    base, _, _ = predict_values(model, rows)
-    denom = abs(float(np.mean(rows.y)))
-    if denom == 0.0:
-        raise ValueError("mean target is zero; percentage change undefined")
-    stds = {name: std for name, _, std in model.feature_stats}
-    missing = [n for n in model.feature_names if n not in stds]
-    if missing:
-        raise ValueError(
-            f"model has no feature statistics for {', '.join(missing)}"
-        )
-    out: dict[float, float] = {}
-    for li, level in enumerate(levels):
-        if level == 0.0:
-            out[float(level)] = 0.0
-            continue
-        deltas = []
-        for rep in range(repeats):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, li, rep])
-            )
-            noisy = {}
-            for p in model.feature_partitions:
-                col = np.asarray(rows.column(p.variable), dtype=float)
-                sd = stds[p.variable]
-                noisy[p.variable] = col + rng.normal(0.0, level * sd, col.size)
-            values, _, _ = predict_values(model, noisy)
-            deltas.append(float(np.mean(np.abs(values - base))))
-        out[float(level)] = 100.0 * float(np.mean(deltas)) / denom
-    return out
-
-
-def coverage_metrics(
-    model: Model, rows: Dataset
-) -> tuple[float, float, float]:
-    """(classes_covered, dataset_coverage, prediction_range_fraction)."""
-    if rows.n_rows == 0:
-        raise ValueError("empty evaluation set")
-    values, fired_counts, _ = predict_values(model, rows)
-    classes = len({r.consequent_set for r in model.rules}) / len(
-        model.target_partition.sets
-    )
-    coverage = float(np.mean(fired_counts > 0))
-    target_span = float(np.ptp(rows.y))
-    if target_span == 0.0:
-        raise ValueError("constant targets; range fraction undefined")
-    range_fraction = float(np.ptp(values)) / target_span
-    return float(classes), coverage, range_fraction
-
-
 def explainability_block(
     model: Model,
     rows: Dataset,
@@ -198,17 +103,68 @@ def explainability_block(
     thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
     noise_levels: Sequence[float] = NOISE_LEVELS,
 ) -> Explainability:
-    classes, coverage, range_fraction = coverage_metrics(model, rows)
+    """The case-study metrics of ``model`` on ``rows``, all read from one
+    inference pass but the noisy ones.
+
+    ``active_rules`` holds, per threshold, the mean count of rules whose
+    firing midpoint exceeds it; thresholds must be >= 0, so that a rule
+    that does not fire counts under none.  ``noise_deltas`` holds, per
+    level, the mean absolute prediction change as a percentage of the
+    mean target when each feature gets Gaussian noise of standard
+    deviation level * (that feature's training stddev), averaged over
+    NOISE_REPEATS draws.  The level at position i of ``noise_levels``
+    draws repeat r from stream ``(seed, i, r)``; the result is keyed by
+    level, so each level may appear only once.
+    """
+    if not all(t >= 0.0 for t in thresholds):  # NaN fails this too
+        raise ValueError(
+            f"active-rule thresholds must be >= 0, got {list(thresholds)}"
+        )
+    levels = [float(lv) for lv in noise_levels]
+    if not all(np.isfinite(lv) and lv >= 0.0 for lv in levels):
+        raise ValueError(f"noise levels must be finite and >= 0, got {levels}")
+    again = [lv for i, lv in enumerate(levels) if lv in levels[:i]]
+    if again:
+        raise ValueError(f"noise level {again[0]} is repeated in {levels}")
+    base = _weigh(model, rows)
+    target_span = float(np.ptp(rows.y))
+    if target_span == 0.0:
+        raise ValueError("constant targets; range fraction undefined")
+    denom = abs(float(np.mean(rows.y)))
+    if denom == 0.0:
+        raise ValueError("mean target is zero; percentage change undefined")
+    stds = {name: std for name, _, std in model.feature_stats}
+    missing = [n for n in model.feature_names if n not in stds]
+    if missing:
+        raise ValueError(f"model has no feature statistics for {', '.join(missing)}")
+
+    mid = reduce_firing(base.cells.lo, base.cells.hi, "midpoint")
+    n = rows.n_rows
+    active = {
+        float(t): float(np.mean(np.bincount(base.cells.row[mid > t], minlength=n)))
+        for t in thresholds
+    }
+    noise = {}
+    for li, level in enumerate(levels):
+        deltas = []
+        for rep in range(NOISE_REPEATS if level else 0):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, li, rep]))
+            noisy = {
+                v: rows.column(v) + rng.normal(0.0, level * stds[v], n)
+                for v in model.feature_names
+            }
+            values = _weigh(model, noisy).values
+            deltas.append(float(np.mean(np.abs(values - base.values))))
+        noise[level] = 100.0 * float(np.mean(deltas)) / denom if deltas else 0.0
     return Explainability(
-        classes_covered=classes,
-        active_rules=active_rules_per_prediction(model, rows, thresholds),
+        classes_covered=len({r.consequent_set for r in model.rules})
+        / len(model.target_partition.sets),
+        active_rules=active,
         rule_count=len(model.rules),
-        mean_antecedents=float(
-            np.mean([len(r.antecedent) for r in model.rules])
-        ),
-        dataset_coverage=coverage,
-        prediction_range_fraction=range_fraction,
-        noise_deltas=noise_robustness(model, rows, noise_levels, seed=seed),
+        mean_antecedents=float(np.mean([len(r.antecedent) for r in model.rules])),
+        dataset_coverage=float(np.mean(base.fired_counts > 0)),
+        prediction_range_fraction=float(np.ptp(base.values)) / target_span,
+        noise_deltas=noise,
     )
 
 
@@ -257,9 +213,7 @@ def run_cv(
         explainability=block,
         fallback_rate=float(np.mean([fb for *_, fb in done])),
         failed_folds=tuple(failed),
-        warning=(
-            f"{len(failed)} fold(s) failed to train" if failed else None
-        ),
+        warning=f"{len(failed)} fold(s) failed to train" if failed else None,
     )
 
 
@@ -297,8 +251,7 @@ def derive_mamdani(model: Model, train: Dataset) -> Model:
                 error_dominance=err_dom,
             )
         )
-    manifest = dict(model.manifest)
-    manifest["baseline"] = "mamdani_centroid"
+    manifest = {**model.manifest, "baseline": "mamdani_centroid"}
     return replace(model, rules=tuple(new_rules), manifest=manifest)
 
 
@@ -315,15 +268,11 @@ class CaseStudyResult:
     baseline_values: np.ndarray
 
 
-def quantization_profile(
-    model: Model, rows: Dataset
-) -> tuple[int, int, int]:
+def quantization_profile(model: Model, rows: Dataset) -> tuple[int, int, int]:
     """Banding check: (distinct values on single-fire rows, single-fire
     row count, number of target sets)."""
     values, fired_counts, _ = predict_values(model, rows)
     mask = fired_counts == 1
-    if not np.any(mask):
-        return 0, 0, len(model.target_partition.sets)
     distinct = int(np.unique(np.round(values[mask], 9)).size)
     return distinct, int(mask.sum()), len(model.target_partition.sets)
 
@@ -334,9 +283,8 @@ def case_study(
     holdout_fraction: float = 0.2,
 ) -> CaseStudyResult:
     """80/20 train/test comparison: hybrid vs shared-structure baseline."""
-    train, test = split_holdout(
-        dataset, holdout_fraction, derive_seed(config.seed, 101)
-    )
+    seed = derive_seed(config.seed, 101)
+    train, test = split_holdout(dataset, holdout_fraction, seed)
     result = train_model(train, config)
     hybrid_model = result.model
     baseline_model = derive_mamdani(hybrid_model, train)

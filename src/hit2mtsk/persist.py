@@ -4,13 +4,15 @@ Every document is its dataclass fields (``dataclasses.asdict``) under a
 ``format``/``version`` header, as JSON with sorted keys; floats serialize
 via repr so a reloaded artifact is byte-identical when re-saved.  One
 reader, ``decode``, builds every record back from parsed JSON, checking
-each key and type; the loaders also refuse any other format or version.
+each key and type; the loaders also refuse any other format or version,
+and every JSON read (`loads`) any number that is not finite.
 No timestamps, no environment-dependent content: same model in, same
 bytes out.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields, is_dataclass
 from functools import cache
 from itertools import repeat
@@ -26,12 +28,27 @@ from .universe import RuleUniverse
 
 MODEL_FORMAT = "hit2mtsk-model"
 UNIVERSE_FORMAT = "hit2mtsk-universe"
-RULES_FORMAT = "hit2mtsk-rules"
 FORMAT_VERSION = 1
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: a non-finite number raises instead of writing a
+    # token that `loads` refuses
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite(token: str) -> float:
+    value = float(token)  # float() reads the NaN and Infinity tokens too
+    if not math.isfinite(value):
+        raise ValueError(f"JSON number {token} is not finite")
+    return value
+
+
+def loads(text: str):
+    """Parsed JSON whose every number is finite: the NaN and Infinity
+    tokens that Python's json reads, and literals such as 1e400 that
+    overflow to inf, raise ValueError."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
 def _document(fmt: str, **content) -> dict:
@@ -142,7 +159,7 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    d = json.loads(Path(path).read_text())
+    d = loads(Path(path).read_text())
     return decode(Model, _check_header(d, MODEL_FORMAT))
 
 
@@ -161,7 +178,7 @@ def save_universe(universe: RuleUniverse, path) -> None:
 
 
 def load_universe(path) -> RuleUniverse:
-    body = _check_header(json.loads(Path(path).read_text()), UNIVERSE_FORMAT)
+    body = _check_header(loads(Path(path).read_text()), UNIVERSE_FORMAT)
     m = body.pop("manifest", None)
     if type(m) is not dict or m.keys() != set(_UNIVERSE_MANIFEST) or m.keys() & body:
         raise TypeError(f"universe manifest must hold exactly {_UNIVERSE_MANIFEST}")
@@ -190,30 +207,6 @@ def rules_text(
             )
         )
     return "\n\n".join(blocks) + "\n"
-
-
-def save_rules(
-    rules: Sequence[HybridRule],
-    target_variable: str,
-    text_path,
-    json_path=None,
-    manifest: Mapping | None = None,
-) -> None:
-    """Write the text export and (optionally) its bit-exact JSON mirror."""
-    Path(text_path).write_text(rules_text(rules, target_variable))
-    if json_path is not None:
-        doc = _document(
-            RULES_FORMAT,
-            target_variable=target_variable,
-            rules=[asdict(r) for r in rules],
-            manifest=dict(manifest) if manifest else {},
-        )
-        Path(json_path).write_text(dumps(doc))
-
-
-def load_rules(json_path) -> list[HybridRule]:
-    body = _check_header(json.loads(Path(json_path).read_text()), RULES_FORMAT)
-    return list(decode(tuple[HybridRule, ...], body["rules"]))
 
 
 def write_xy_csv(

@@ -98,6 +98,16 @@ def build_partitions(
     return partitions
 
 
+def _moments(col: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of a finite column, both finite: a
+    column whose squares overflow is scaled into [-1, 1] first."""
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(col.mean() + col.std()):
+            scale = float(np.abs(col).max())
+    return scale * float((col / scale).mean()), scale * float((col / scale).std())
+
+
 def train_model(
     dataset: Dataset, config: TrainConfig = TrainConfig()
 ) -> TrainResult:
@@ -124,11 +134,7 @@ def train_model(
     )
 
     stats = tuple(
-        (
-            p.variable,
-            float(dataset.column(p.variable).mean()),
-            float(dataset.column(p.variable).std()),
-        )
+        (p.variable, *_moments(dataset.column(p.variable)))
         for p in universe.feature_partitions
     )
     manifest = {

@@ -271,11 +271,14 @@ def generate_candidates(
         by_subset.setdefault(tuple(j for j, _ in cand.ant), []).append(i)
     fitted = [None] * len(chosen)
     for subset, members in by_subset.items():
-        design = design_matrix(
-            dataset.X[:, [col_of[j] for j in subset]], config.degree
-        )
-        for i in members:
-            fitted[i] = fit_rule(chosen[i], design)
+        # a monomial may overflow on a huge input: a fit it makes
+        # non-finite degrades to a constant, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            design = design_matrix(
+                dataset.X[:, [col_of[j] for j in subset]], config.degree
+            )
+            for i in members:
+                fitted[i] = fit_rule(chosen[i], design)
         del design
 
     return RuleUniverse(

@@ -29,11 +29,7 @@ from hit2mtsk import (
     train_model,
 )
 from hit2mtsk.data import make_folds
-from hit2mtsk.evaluate import (
-    CALIFORNIA_EXPLAIN_REFERENCE,
-    active_rules_per_prediction,
-    noise_robustness,
-)
+from hit2mtsk.evaluate import CALIFORNIA_EXPLAIN_REFERENCE, explainability_block
 from hit2mtsk.persist import dumps, model_to_dict, universe_to_dict
 from hit2mtsk.rules import clamp, fit_consequent
 
@@ -228,15 +224,17 @@ def test_criterion_6_case_study_reproduction():
 
 
 def test_criterion_7_explainability_laws(trained, toy_dataset):
-    counts = active_rules_per_prediction(
-        trained.model, toy_dataset, thresholds=(0.1, 0.15, 0.25, 0.5, 0.75)
+    block = explainability_block(
+        trained.model,
+        toy_dataset,
+        thresholds=(0.1, 0.15, 0.25, 0.5, 0.75),
+        noise_levels=(0.0, 0.01, 0.05, 0.10),
     )
+    counts = block.active_rules
     ordered = [counts[t] for t in sorted(counts)]
     assert all(a >= b for a, b in zip(ordered, ordered[1:]))
 
-    deltas = noise_robustness(
-        trained.model, toy_dataset, levels=(0.0, 0.01, 0.05, 0.10)
-    )
+    deltas = block.noise_deltas
     vals = [deltas[lv] for lv in sorted(deltas)]
     assert vals[0] == 0.0
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))

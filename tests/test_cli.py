@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hit2mtsk import Dataset, load_model, predict_values, split_holdout, write_xy_csv
 from hit2mtsk.cli import (
@@ -14,6 +20,7 @@ from hit2mtsk.cli import (
     build_parser,
     main,
 )
+from hit2mtsk.persist import loads
 from hit2mtsk.pipeline import derive_seed
 
 from test_aco import small_universe, with_cubic_rule, with_huge_row
@@ -102,9 +109,9 @@ class TestParser:
 
 class TestTrain:
     def test_bundle_contents(self, bundle):
-        for name in ("model.json", "rules.txt", "rules.json", "aco_trace.csv",
-                     "universe.json"):
-            assert (bundle / name).exists(), name
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "aco_trace.csv", "model.json", "rules.txt", "universe.json"
+        ]
 
     def test_model_manifest_records_run(self, bundle):
         model = load_model(bundle / "model.json")
@@ -131,8 +138,7 @@ class TestTrain:
     def test_retrain_is_byte_identical(self, ws, bundle):
         out = ws.root / "again"
         assert run_train(ws, out, "--save-universe") == EXIT_OK
-        for name in ("model.json", "rules.json", "rules.txt", "aco_trace.csv",
-                     "universe.json"):
+        for name in ("model.json", "rules.txt", "aco_trace.csv", "universe.json"):
             assert (out / name).read_bytes() == (bundle / name).read_bytes(), name
 
     def test_other_seed_changes_model(self, ws, bundle):
@@ -314,6 +320,62 @@ class TestBadRows:
         assert not (tmp_path / "o").exists()  # no partial artifact set
 
 
+def huge_value_csv(path, column, row, value):
+    """A 60-row (a, b, y) CSV whose ``column`` holds ``value`` on ``row``."""
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0.0, 10.0, (2, 60))
+    y = 2.0 + 1.5 * a - 0.8 * b + rng.normal(0.0, 0.3, 60)
+    {"a": a, "y": y}[column][row] = value
+    write_xy_csv(path, ("a", "b", "y"), (a, b, y))
+    return path
+
+
+class TestHugeTrainingValues:
+    """A finite feature of any size trains without a warning into a model
+    of finite numbers; a target beyond TARGET_LIMIT is a data error."""
+
+    @pytest.mark.parametrize(
+        "value,variant,row",
+        [(1e200, "d1", 7), (1e308, "d1", 7), (1e110, "d3", 12)],
+        ids=["std-overflow-1e200", "std-overflow-1e308", "cube-overflow-1e110"],
+    )
+    def test_huge_feature_trains_to_finite_numbers(
+        self, ws, tmp_path, value, variant, row
+    ):
+        csv = huge_value_csv(tmp_path / "huge.csv", "a", row, value)
+        out = tmp_path / "o"
+        code = main(
+            [
+                "train", "--data", str(csv), "--target", "y", "--config", str(ws.cfg),
+                "--variant", variant, "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        model = load_model(out / "model.json")  # refuses a non-finite number
+        assert np.isfinite([v for _, *stats in model.feature_stats for v in stats]).all()
+        code = main(
+            [
+                "explain", "--data", str(csv), "--target", "y",
+                "--model", str(out / "model.json"), "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == EXIT_OK
+
+    def test_huge_target_is_a_data_error(self, ws, tmp_path, capsys):
+        csv = huge_value_csv(tmp_path / "huge.csv", "y", 7, 1e308)
+        code = main(
+            [
+                "train", "--data", str(csv), "--target", "y", "--config", str(ws.cfg),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {csv}: target 'y' holds 1e+308 on data row 8, beyond "
+            "magnitude 1e+150, where squared errors overflow\n"
+        )
+
+
 class TestCrossval:
     def test_report_written(self, ws):
         out = ws.root / "cv"
@@ -374,9 +436,9 @@ class TestExplain:
             ]
         )
         assert code == EXIT_OK
-        for name in ("rules.txt", "rules.json", "explain.json",
-                     "row_explanations.txt"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "explain.json", "row_explanations.txt", "rules.txt"
+        ]
         doc = json.loads((out / "explain.json").read_text())
         assert set(doc["active_rules"]) == {"0.15", "0.25", "0.5"}
         assert doc["noise_deltas"]["0.0"] == 0.0
@@ -525,6 +587,33 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_CONFIG
+
+    def test_config_non_finite_number(self, ws, tmp_path, capsys):
+        # an infinite ridge trained and was written back as Infinity
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"generation": {"ridge": Infinity}}')
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(bad), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config is not valid JSON: JSON number Infinity is not finite\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_crossval_on_fewer_than_five_rows_is_a_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "four.csv"
+        csv.write_text("a,y\n1,2\n2,3\n3,5\n4,4\n")
+        code = main(
+            ["crossval", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: 5-fold cross-validation needs at least 5 rows; {csv} has 4\n"
+        )
 
     def test_config_bad_values(self, ws, tmp_path):
         bad = tmp_path / "bad.json"
@@ -854,3 +943,105 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert "no feature statistics for x1, x2" in err
         assert "Traceback" not in err
+
+
+FUZZ_HEADERS = {
+    "csv": "a,b,y",
+    "keel": "@relation fuzz\n@attribute a real\n@attribute b real\n"
+    "@attribute y real\n@inputs a, b\n@outputs y\n@data",
+}
+# each token, as a mutation, takes the place of a drawn number
+FUZZ_TOKENS = ["oops", "inf", "-inf", "1e308", "-1e308", "5e-324"]
+FUZZ_MUTATIONS = [
+    *FUZZ_TOKENS, "cut line", "blank lines", "crlf", "bom", "non-utf8",
+    "repeated name",
+]
+
+
+def mutated_file(fmt: str, mutation: str | None, draw) -> bytes:
+    """A 60-row (a, b, y) CSV or KEEL file after one drawn ``mutation``."""
+    a, b = np.linspace(0.0, 10.0, 60), np.linspace(-5.0, 5.0, 60) ** 2 % 10 - 5
+    y = 2.0 + 1.5 * a - 0.8 * b
+    lines = [",".join(map(repr, r)) for r in zip(a.tolist(), b.tolist(), y.tolist())]
+    header = FUZZ_HEADERS[fmt]
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "cut line":
+        lines[at] = lines[at][: draw(st.integers(0, len(lines[at]) - 1))]
+    elif mutation == "blank lines":
+        lines[at:at] = ["", "  "]
+    elif mutation == "repeated name":
+        header = header.replace("a,b,y", "a,a,y").replace("@inputs a, b", "@inputs a, a")
+    elif mutation in FUZZ_TOKENS:
+        cells = lines[at].split(",")
+        cells[draw(st.integers(0, 2))] = mutation
+        lines[at] = ",".join(cells)
+    end = "\r\n" if mutation == "crlf" else "\n"
+    data = (end.join([header, *lines]) + end).encode()
+    if mutation == "bom":
+        data = b"\xef\xbb\xbf" + data
+    if mutation == "non-utf8":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xe9" + data[cut:]
+    return data
+
+
+def assert_finite_artifacts(root) -> None:
+    """Every artifact in the folders under ``root`` holds finite numbers
+    only: its JSON parses strictly, its CSV cells are finite floats, and
+    its text names no nan or inf."""
+    for path in root.glob("*/*"):
+        text = path.read_text()
+        if path.suffix == ".json":
+            loads(text)
+        elif path.suffix == ".csv":
+            for line in text.splitlines()[2:]:
+                assert np.isfinite([float(c) for c in line.split(",")]).all(), path
+        else:
+            assert not re.search(r"\b(nan|inf)\b", text), path
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(ws):
+    """A model trained on the unmutated file, for when training fails."""
+    clean = ws.root / "fuzz.csv"
+    clean.write_bytes(mutated_file("csv", None, lambda _: 0))
+    out = ws.root / "fuzz"
+    assert main(
+        ["train", "--data", str(clean), "--target", "y", "--config", str(ws.cfg),
+         "--out", str(out)]
+    ) == EXIT_OK
+    return out / "model.json"
+
+
+class TestFuzzedDataFiles:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(["csv", "keel"]),
+        mutation=st.sampled_from(FUZZ_MUTATIONS),
+    )
+    def test_commands_end_in_a_documented_exit_code(
+        self, ws, fuzz_model, data, fmt, mutation
+    ):
+        # tier-1 turns every warning into an exception that ends the test
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / f"rows.{fmt}"  # outside the artifact folders
+            path.write_bytes(mutated_file(fmt, mutation, data.draw))
+            source = ["--data", str(path), "--format", fmt, "--target", "y"]
+            trained = root / "train" / "model.json"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                codes = [
+                    main(["train", *source, "--config", str(ws.cfg),
+                          "--out", str(trained.parent)])
+                ]
+                model = trained if codes[0] == EXIT_OK else fuzz_model
+                codes += [
+                    main([command, *source, "--model", str(model),
+                          "--out", str(root / command)])
+                    for command in ("predict", "explain")
+                ]
+            assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_TRAIN}
+            assert_finite_artifacts(root)

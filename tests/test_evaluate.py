@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -12,16 +13,15 @@ from hit2mtsk import (
     derive_mamdani,
     run_cv,
 )
+from hit2mtsk import inference
 from hit2mtsk.data import FoldSplit, make_folds
 from hit2mtsk.evaluate import (
     ACTIVE_RULE_THRESHOLDS,
     CALIFORNIA_REFERENCE,
     NOISE_LEVELS,
+    NOISE_REPEATS,
     REFERENCE_RMSE,
-    active_rules_per_prediction,
-    coverage_metrics,
     explainability_block,
-    noise_robustness,
     quantization_profile,
     reference_for,
 )
@@ -29,7 +29,7 @@ from hit2mtsk.inference import predict_values
 from hit2mtsk.persist import dumps
 
 from conftest import small_train_config
-from test_inference import RULE_LOW, two_rule_model
+from test_inference import RULE_HIGH, RULE_LOW, two_rule_model
 
 
 def xy_rows(xs, ys):
@@ -37,33 +37,38 @@ def xy_rows(xs, ys):
     return Dataset("hand", ("x",), xs.reshape(-1, 1), "y", np.asarray(ys, float))
 
 
+def hand_block(xs, ys, rules=(RULE_LOW, RULE_HIGH), **kwargs):
+    """The block of the two-rule model, with feature statistics, on (x, y)."""
+    model = two_rule_model(rules=rules, feature_stats=(("x", 4.0, 2.0),))
+    return explainability_block(model, xy_rows(xs, ys), **kwargs)
+
+
+@pytest.fixture(scope="module")
+def toy_block(trained, toy_dataset):
+    return explainability_block(trained.model, toy_dataset)
+
+
 class TestActiveRules:
     def test_hand_counts_at_each_threshold(self):
         # at x=6 firing midpoints are 0.5 (Low) and 1.0 (High)
-        counts = active_rules_per_prediction(two_rule_model(), {"x": np.array([6.0])})
+        counts = hand_block([6.0, 6.0], [10.0, 20.0]).active_rules
         assert counts == {0.15: 2.0, 0.25: 2.0, 0.5: 1.0}
 
     def test_threshold_above_one_counts_nothing(self):
-        counts = active_rules_per_prediction(
-            two_rule_model(), {"x": np.array([0.0, 6.0])}, thresholds=(1.01,)
-        )
-        assert counts == {1.01: 0.0}
+        block = hand_block([0.0, 6.0], [10.0, 20.0], thresholds=(1.01,))
+        assert block.active_rules == {1.01: 0.0}
 
     def test_negative_threshold_rejected(self):
         # a rule that does not fire has midpoint 0, which no count may include
         with pytest.raises(ValueError, match="thresholds must be >= 0"):
-            active_rules_per_prediction(
-                two_rule_model(), {"x": np.array([0.0])}, thresholds=(-0.1,)
-            )
+            hand_block([0.0, 9.0], [10.0, 20.0], thresholds=(-0.1,))
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="thresholds must be >= 0"):
-            active_rules_per_prediction(
-                two_rule_model(), {"x": np.array([0.0])}, thresholds=(float("nan"),)
-            )
+            hand_block([0.0, 9.0], [10.0, 20.0], thresholds=(float("nan"),))
 
-    def test_counts_weakly_decrease_with_threshold(self, trained, toy_dataset):
-        counts = active_rules_per_prediction(trained.model, toy_dataset)
+    def test_counts_weakly_decrease_with_threshold(self, toy_block):
+        counts = toy_block.active_rules
         ordered = [counts[t] for t in sorted(counts)]
         assert all(a >= b for a, b in zip(ordered, ordered[1:]))
         assert all(v >= 0.0 for v in ordered)
@@ -71,11 +76,11 @@ class TestActiveRules:
 
 class TestNoiseRobustness:
     def test_zero_level_is_exactly_zero(self, trained, toy_dataset):
-        out = noise_robustness(trained.model, toy_dataset, levels=(0.0,))
-        assert out == {0.0: 0.0}
+        block = explainability_block(trained.model, toy_dataset, noise_levels=(0.0,))
+        assert block.noise_deltas == {0.0: 0.0}
 
-    def test_weakly_increasing_with_level(self, trained, toy_dataset):
-        out = noise_robustness(trained.model, toy_dataset, levels=NOISE_LEVELS)
+    def test_weakly_increasing_with_level(self, toy_block):
+        out = toy_block.noise_deltas
         vals = [out[lv] for lv in sorted(out)]
         assert vals[0] == 0.0
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
@@ -86,77 +91,64 @@ class TestNoiseRobustness:
         model = two_rule_model(
             rules=(RULE_LOW,), feature_stats=(("x", 2.0, 0.5),)
         )
-        rows = xy_rows([2.0, 2.5, 3.0], [10.0, 10.0, 10.0])
-        out = noise_robustness(model, rows, levels=(0.01,), repeats=3)
+        rows = xy_rows([2.0, 2.5, 3.0], [10.0, 10.0, 11.0])
+        out = explainability_block(model, rows, noise_levels=(0.01,)).noise_deltas
         assert out[0.01] == 0.0
 
     def test_zero_mean_target_rejected(self):
-        model = two_rule_model(feature_stats=(("x", 2.0, 0.5),))
-        rows = xy_rows([2.0, 3.0], [-1.0, 1.0])
         with pytest.raises(ValueError, match="mean target"):
-            noise_robustness(model, rows)
+            hand_block([2.0, 3.0], [-1.0, 1.0])
 
     def test_feature_without_stats_rejected(self):
-        model = two_rule_model()
         rows = xy_rows([2.0, 3.0], [10.0, 12.0])
         with pytest.raises(ValueError, match="no feature statistics for x"):
-            noise_robustness(model, rows)
+            explainability_block(two_rule_model(), rows)
 
-    def test_negative_level_rejected(self, trained, toy_dataset):
+    def test_negative_level_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            noise_robustness(trained.model, toy_dataset, levels=(-0.1,))
+            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=(-0.1,))
 
     @pytest.mark.parametrize("level", [float("nan"), float("inf")])
-    def test_non_finite_level_rejected(self, trained, toy_dataset, level):
+    def test_non_finite_level_rejected(self, level):
         with pytest.raises(ValueError, match="noise levels must be finite"):
-            noise_robustness(trained.model, toy_dataset, levels=(0.01, level))
+            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=(0.01, level))
 
     @pytest.mark.parametrize("levels", [(0.05, 0.05), (0.05, 0.01, 0.05)])
-    def test_repeated_level_rejected(self, trained, toy_dataset, levels):
+    def test_repeated_level_rejected(self, levels):
         with pytest.raises(ValueError, match="noise level 0.05 is repeated"):
-            noise_robustness(trained.model, toy_dataset, levels=levels)
-
-    def test_zero_repeats_rejected(self, trained, toy_dataset):
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            noise_robustness(trained.model, toy_dataset, repeats=0)
+            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=levels)
 
     def test_seed_determinism(self, trained, toy_dataset):
-        a = noise_robustness(trained.model, toy_dataset, levels=(0.05,), seed=3)
-        b = noise_robustness(trained.model, toy_dataset, levels=(0.05,), seed=3)
+        a, b = (
+            explainability_block(trained.model, toy_dataset, 3, noise_levels=(0.05,))
+            for _ in range(2)
+        )
         assert a == b
 
 
 class TestCoverage:
     def test_hand_values(self):
-        rows = xy_rows([0.0, 9.0], [10.0, 20.0])
-        classes, coverage, range_fraction = coverage_metrics(
-            two_rule_model(), rows
-        )
-        assert classes == 1.0  # both target sets appear as consequents
-        assert coverage == 1.0
-        assert range_fraction == pytest.approx(1.0)
+        block = hand_block([0.0, 9.0], [10.0, 20.0])
+        assert block.classes_covered == 1.0  # both target sets are consequents
+        assert block.dataset_coverage == 1.0
+        assert block.prediction_range_fraction == pytest.approx(1.0)
 
     def test_single_class_model(self):
-        rows = xy_rows([0.0, 2.0], [10.0, 12.0])
-        classes, _, _ = coverage_metrics(two_rule_model(rules=(RULE_LOW,)), rows)
-        assert classes == 0.5
+        block = hand_block([0.0, 2.0], [10.0, 12.0], rules=(RULE_LOW,))
+        assert block.classes_covered == 0.5
 
     def test_uncovered_rows_lower_coverage(self):
-        rows = xy_rows([0.0, 9.0], [10.0, 20.0])
-        _, coverage, _ = coverage_metrics(two_rule_model(rules=(RULE_LOW,)), rows)
-        assert coverage == 0.5
+        block = hand_block([0.0, 9.0], [10.0, 20.0], rules=(RULE_LOW,))
+        assert block.dataset_coverage == 0.5
 
     def test_constant_target_rejected(self):
-        rows = xy_rows([0.0, 9.0], [5.0, 5.0])
         with pytest.raises(ValueError, match="constant"):
-            coverage_metrics(two_rule_model(), rows)
+            hand_block([0.0, 9.0], [5.0, 5.0])
 
 
 class TestExplainabilityBlock:
     def test_hand_model_fields(self):
-        model = two_rule_model(feature_stats=(("x", 4.0, 2.0),))
-        rows = xy_rows([0.0, 6.0, 9.0], [10.0, 15.0, 20.0])
-        block = explainability_block(model, rows)
+        block = hand_block([0.0, 6.0, 9.0], [10.0, 15.0, 20.0])
         assert block.rule_count == 2
         assert block.mean_antecedents == 1.0
         assert block.classes_covered == 1.0
@@ -166,6 +158,36 @@ class TestExplainabilityBlock:
         d = json.loads(dumps(asdict(block)))
         assert d["rule_count"] == 2
         assert "0.5" in d["active_rules"]
+
+    @pytest.mark.parametrize(
+        "levels, passes",
+        [
+            (NOISE_LEVELS, 1 + 3 * NOISE_REPEATS),
+            ((0.0,), 1),
+            ((0.05,), 1 + NOISE_REPEATS),
+        ],
+    )
+    def test_one_inference_pass_besides_the_noisy_ones(
+        self, monkeypatch, levels, passes
+    ):
+        calls = []
+        real = inference.rule_matrices
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(inference, "rule_matrices", counted)
+        hand_block([0.0, 6.0, 9.0], [10.0, 15.0, 20.0], noise_levels=levels)
+        assert len(calls) == passes
+
+    def test_digest_pinned(self):
+        xs = np.linspace(0.0, 9.0, 31)
+        block = hand_block(xs, 10.0 + xs, seed=7)
+        digest = hashlib.sha256(dumps(asdict(block)).encode()).hexdigest()
+        assert digest == (
+            "ae6092e1f481ffcf4258a6d8644ed1e9157438fe9ce627e7460f37101aa16837"
+        )
 
 
 class TestReferenceLookup:

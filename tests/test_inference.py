@@ -1,7 +1,7 @@
 import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from hit2mtsk import (
     predict,
     save_model,
 )
-from hit2mtsk.evaluate import active_rules_per_prediction, derive_mamdani
+from hit2mtsk.evaluate import derive_mamdani, explainability_block
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
     compile_rules,
@@ -30,6 +30,7 @@ from hit2mtsk.inference import (
     rule_matrices,
 )
 from hit2mtsk.it2 import TNORMS, IT2Set, Partition
+from hit2mtsk.persist import dumps
 from hit2mtsk.rules import RuleUnfittableError, monomial_exponents, rmse
 
 import oracles
@@ -706,9 +707,16 @@ class TestServeFiredRules:
 
     def test_active_rules_per_prediction_pinned(self):
         model, ds = self.serve()
-        assert active_rules_per_prediction(model, ds) == {
+        assert explainability_block(model, ds).active_rules == {
             0.15: 5.691, 0.25: 4.937, 0.5: 3.232
         }
+
+    def test_explainability_block_pinned(self):
+        model, ds = self.serve()
+        block = explainability_block(model, ds, seed=7)
+        assert hashlib.sha256(dumps(asdict(block)).encode()).hexdigest() == (
+            "2c70c2f9f17450cc6c8703006c766310a74db33b11cac9b904ae78d52c2ea300"
+        )
 
     def test_mamdani_twin_dominances_pinned(self):
         model, ds = self.serve()

@@ -22,10 +22,8 @@ from hit2mtsk import (
 from hit2mtsk.persist import (
     decode,
     dumps,
-    load_rules,
     model_to_dict,
     rules_text,
-    save_rules,
     universe_to_dict,
     write_xy_csv,
 )
@@ -313,44 +311,6 @@ class TestRulesExport:
         assert "error dominance: 0.500" in text
         assert "clamp bounds: [0, 30]" in text
 
-    def test_json_mirror_round_trips(self, tmp_path):
-        txt = tmp_path / "rules.txt"
-        js = tmp_path / "rules.json"
-        save_rules(
-            [RULE_LOW, RULE_HIGH], "y", txt, js, manifest={"note": "x"}
-        )
-        assert load_rules(js) == [RULE_LOW, RULE_HIGH]
-        doc = json.loads(js.read_text())
-        assert doc["target_variable"] == "y"
-        assert doc["manifest"] == {"note": "x"}
-
-    @pytest.mark.parametrize("doc", NON_OBJECTS)
-    def test_non_object_rejected(self, tmp_path, doc):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(TypeError, match="rules file must hold a JSON object"):
-            load_rules(path)
-
-    def test_text_only_export(self, tmp_path):
-        txt = tmp_path / "rules.txt"
-        save_rules([RULE_LOW], "y", txt)
-        assert txt.exists()
-
-    def test_wrong_format_rejected(self, trained, tmp_path):
-        path = tmp_path / "r.json"
-        save_model(trained.model, path)
-        with pytest.raises(ValueError, match="not a rules file"):
-            load_rules(path)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        js = tmp_path / "rules.json"
-        save_rules([RULE_LOW], "y", tmp_path / "rules.txt", js)
-        doc = json.loads(js.read_text())
-        doc["version"] = 2
-        js.write_text(dumps(doc))
-        with pytest.raises(ValueError, match="unsupported rules file version 2"):
-            load_rules(js)
-
 
 def nested(doc):
     """Every object and array of a model document outside its manifest."""
@@ -405,12 +365,32 @@ def manifest_as_list(doc, draw):
     return True
 
 
+def non_finite_number(doc, draw):
+    # json.dumps writes these as the NaN, Infinity and -Infinity tokens
+    places = [
+        (node, key)
+        for node in nested(doc)
+        for key in (sorted(node) if isinstance(node, dict) else range(len(node)))
+        if type(node[key]) is float
+    ]
+    node, key = draw(st.sampled_from(places))
+    node[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    return True
+
+
 class TestFuzzedModelFiles:
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
         mutate=st.sampled_from(
-            [drop_key, add_key, swap_type, truncate_list, manifest_as_list]
+            [
+                drop_key,
+                add_key,
+                swap_type,
+                truncate_list,
+                manifest_as_list,
+                non_finite_number,
+            ]
         ),
     )
     def test_load_fails_only_as_a_data_error(self, data, mutate):
@@ -427,6 +407,54 @@ class TestFuzzedModelFiles:
                 assert exc.value.code == EXIT_DATA
             else:
                 assert not must_fail, "the mutated model file loaded"
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity tokens and overflows 1e400 to
+    inf; no file the package loads may hold any of them."""
+
+    def unbounded_rule(self, tmp_path, text=None):
+        # rule 0 unclamped, its consequent 0 + 1e300 x: -inf at x = -1e10
+        doc = json.loads(GOLDEN_MODEL.read_text())
+        rule = doc["rules"][0]
+        rule["clamp_bounds"] = [float("-inf"), float("inf")]
+        rule["consequent_fn"].update(
+            coefficients=[0.0, 1e300], exponents=[[0], [1]], variables=["x"]
+        )
+        path = tmp_path / "model.json"
+        path.write_text(text or json.dumps(doc))
+        return path
+
+    def test_model_token_refused(self, tmp_path):
+        path = self.unbounded_rule(tmp_path)
+        assert "-Infinity" in path.read_text()
+        with pytest.raises(ValueError, match="JSON number -Infinity is not finite"):
+            load_model(path)
+        with pytest.raises(CliError) as exc:
+            _load_model(SimpleNamespace(model=str(path)))
+        assert exc.value.code == EXIT_DATA
+
+    def test_overflowing_literal_refused(self, tmp_path):
+        text = self.unbounded_rule(tmp_path).read_text()
+        path = self.unbounded_rule(
+            tmp_path, text.replace("-Infinity", "-1e400").replace("Infinity", "1e400")
+        )
+        with pytest.raises(ValueError, match="JSON number -1e400 is not finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_universe_token_refused(self, trained, tmp_path, token):
+        path = tmp_path / "u.json"
+        save_universe(trained.universe, path)
+        doc = json.loads(path.read_text())
+        doc["rules"][0]["error_dominance"] = "TOKEN"
+        path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        with pytest.raises(ValueError, match=f"JSON number {token} is not finite"):
+            load_universe(path)
+
+    def test_writing_a_non_finite_number_raises(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps({"x": float("nan")})
 
 
 class TestCsvEmission:

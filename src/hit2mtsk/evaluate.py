@@ -14,7 +14,7 @@ from .data import Dataset, FoldSplit, split_holdout
 from .dominance import error_dominance
 from .inference import Model, _weigh, predict_values, reduce_firing
 from .pipeline import TrainConfig, derive_seed, train_model
-from .rules import Polynomial, rmse
+from .rules import Polynomial, RuleUnfittableError, rmse
 
 # Published 5-fold mean RMSEs for the KEEL suite (hybrid = this method).
 REFERENCE_RMSE: dict[str, dict[str, float]] = {
@@ -153,7 +153,11 @@ def explainability_block(
                 v: rows.column(v) + rng.normal(0.0, level * stds[v], n)
                 for v in model.feature_names
             }
-            values = _weigh(model, noisy).values
+            try:
+                values = _weigh(model, noisy).values
+            except RuleUnfittableError as exc:
+                msg = f"noise level {level}, draw {rep}: {exc} (a row of a noisy copy)"
+                raise RuleUnfittableError(msg) from exc
             deltas.append(float(np.mean(np.abs(values - base.values))))
         noise[level] = 100.0 * float(np.mean(deltas)) / denom if deltas else 0.0
     return Explainability(

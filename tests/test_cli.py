@@ -361,6 +361,33 @@ class TestHugeTrainingValues:
         )
         assert code == EXIT_OK
 
+    def test_noise_pass_overflow_names_the_noisy_copy(self, ws, tmp_path, capsys):
+        # noise of 1% of std(a) ~ 1e198 sends a noisy copy of an ordinary
+        # row where a cubic rule overflows; the data's own rows do not
+        csv = huge_value_csv(tmp_path / "huge.csv", "a", 7, 1e200)
+        out = tmp_path / "o"
+        code = main(
+            [
+                "train", "--data", str(csv), "--target", "y", "--config", str(ws.cfg),
+                "--variant", "d3", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = main(
+            [
+                "explain", "--data", str(csv), "--target", "y",
+                "--model", str(out / "model.json"), "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: noise level 0.01, draw 0: rule 0 (IF a is Low AND b is Medium) "
+            "outputs NaN on row 3, where it fires: its polynomial overflows there "
+            "(a row of a noisy copy)\n"
+        )
+        assert not (tmp_path / "e").exists()
+
     def test_huge_target_is_a_data_error(self, ws, tmp_path, capsys):
         csv = huge_value_csv(tmp_path / "huge.csv", "y", 7, 1e308)
         code = main(

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,9 +27,10 @@ from hit2mtsk.evaluate import (
 )
 from hit2mtsk.inference import predict_values
 from hit2mtsk.persist import dumps
+from hit2mtsk.rules import RuleUnfittableError
 
 from conftest import small_train_config
-from test_inference import RULE_HIGH, RULE_LOW, two_rule_model
+from test_inference import CUBIC, RULE_HIGH, RULE_LOW, two_rule_model
 
 
 def xy_rows(xs, ys):
@@ -117,6 +118,21 @@ class TestNoiseRobustness:
     def test_repeated_level_rejected(self, levels):
         with pytest.raises(ValueError, match="noise level 0.05 is repeated"):
             hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=levels)
+
+    def test_overflow_on_a_noisy_copy_names_level_and_draw(self):
+        # rule 1 outputs x^2 - x^3, NaN at x ~ 1e300 where High fires: the
+        # rows are ordinary, but noise of 1e300 x std sends their copies there
+        model = two_rule_model(
+            rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC)),
+            feature_stats=(("x", 4.0, 1.0),),
+        )
+        rows = xy_rows([0.0, 6.0], [10.0, 20.0])
+        with pytest.raises(RuleUnfittableError) as caught:
+            explainability_block(model, rows, noise_levels=(1e300,))
+        assert str(caught.value) == (
+            "noise level 1e+300, draw 0: rule 1 (IF x is High) outputs NaN on row 0, "
+            "where it fires: its polynomial overflows there (a row of a noisy copy)"
+        )
 
     def test_seed_determinism(self, trained, toy_dataset):
         a, b = (

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -24,10 +25,13 @@ from hit2mtsk import (
 from hit2mtsk.evaluate import derive_mamdani, explainability_block
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
+    FiredCells,
     compile_rules,
     predict_values,
     reduce_firing,
     rule_matrices,
+    weigh,
+    weighted_mean,
 )
 from hit2mtsk.it2 import TNORMS, IT2Set, Partition
 from hit2mtsk.persist import dumps
@@ -334,6 +338,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="names no set"):
             two_rule_model(rules=(RULE_LOW, rule))
 
+    def test_two_dimensional_column_rejected(self):
+        model = load_model(FIXTURES / "serve_model.json")
+        rows = {v: np.ones((5, 1)) for v in model.feature_names}
+        name = model.feature_names[0]
+        with pytest.raises(ValueError, match=f"^input for '{name}' is not one-dimens"):
+            predict_values(model, rows)
+
     def test_inconsistent_column_lengths(self):
         part2 = Partition(
             variable="z",
@@ -556,6 +567,90 @@ class TestRuleMatricesAgainstPerRuleLoop:
             cells = rule_matrices(model.tables, np.array([[1e300]]))
         assert cells.rule.tolist() == [1]
         assert np.isnan(cells.y[0])
+
+
+class TestRuleMatricesPeakMemory:
+    def test_many_chunks_hold_each_cell_about_once(self, monkeypatch):
+        # a small block keeps every chunk's temporaries small, so the cells
+        # themselves set the peak: pieces, result, and no third copy
+        monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", 8192)
+        model = load_model(FIXTURES / "serve_model.json")
+        rng = np.random.default_rng(0)
+        x = np.array([rng.uniform(*p.domain, 20000) for p in model.feature_partitions])
+        tables = model.tables
+        tracemalloc.start()
+        try:
+            cells = rule_matrices(tables, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = 8192 // max(len(model.rules), tables.feature.size)
+        assert x.shape[1] / step >= 20 and cells.rule.size >= 10**5
+        assert peak <= 1.75 * sum(a.nbytes for a in cells)
+
+
+def masked_weigh(tables, cells, reduction):
+    """`weigh` with every cell masked by liveness, copies and all."""
+    w = reduce_firing(cells.lo, cells.hi, reduction) * tables.dominance[cells.rule]
+    live = w > 0.0
+    return w, cells.rule[live], cells.row[live], w[live], w[live] * cells.y[live]
+
+
+def random_cells(seed, reduction, n=500):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, reduction=reduction)
+    cols = random_rows(rng, model, n)
+    x = np.array([cols[v] for v in model.feature_names])
+    return model, cols, rule_matrices(model.tables, x)
+
+
+class TestWeigh:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_all_live_cells_are_weighed_in_place(self, seed):
+        model, _, cells = random_cells(seed, "midpoint")
+        got = weigh(model.rules, model.tables, cells, "midpoint")
+        want = masked_weigh(model.tables, cells, "midpoint")
+        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
+        w, rule, row, w_live, _ = got
+        assert rule is cells.rule and row is cells.row and w_live is w
+
+    def test_dead_cells_are_dropped_under_lower_reduction(self):
+        dead = 0
+        for seed in range(12):
+            model, cols, cells = random_cells(seed, "lower")
+            got = weigh(model.rules, model.tables, cells, "lower")
+            want = masked_weigh(model.tables, cells, "lower")
+            assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
+            dead += cells.rule.size - got[1].size
+            values, _, fallback = predict_values(model, cols)
+            ref = weighted_mean(*want[2:], 500, model.fallback_value)
+            assert np.array_equal(bits(values), bits(ref[0]))
+            assert np.array_equal(fallback, ref[1])
+        assert dead > 0
+
+    def test_refusal_names_the_first_live_nan_cell_in_rule_order(self):
+        # rule 0's NaN on row 0 is dead (lower bound 0) and dropped; its NaN
+        # on row 3 comes before rule 1's on row 1 in rule order
+        model = two_rule_model()
+        nan = float("nan")
+
+        def cells(y):
+            return FiredCells(
+                np.array([0, 0, 1, 1]),
+                np.array([0, 3, 1, 2]),
+                np.array([0.0, 0.5, 0.5, 0.5]),
+                np.full(4, 0.5),
+                np.array(y),
+            )
+
+        dead_nan = cells([nan, 1.0, 2.0, 3.0])
+        _, rule, row, _, wy = weigh(model.rules, model.tables, dead_nan, "lower")
+        assert rule.tolist() == [0, 1, 1] and row.tolist() == [3, 1, 2]
+        assert np.isfinite(wy).all()
+        with pytest.raises(
+            RuleUnfittableError, match=r"^rule 0 \(IF x is Low\) outputs NaN on row 3,"
+        ):
+            weigh(model.rules, model.tables, cells([nan, nan, nan, 3.0]), "lower")
 
 
 class TestCompiledTables:

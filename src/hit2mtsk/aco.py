@@ -10,14 +10,14 @@ then one uniform per rule, which keys the rules for one top-k draw.
 
 A subset is scored through inference's own steps: the training rows'
 feature table, `rule_matrices` and `weigh` run once before the search,
-which keeps only what `weigh` returns: each rule's live rows, weights
-and weighted outputs (the cells' bounds and outputs are freed).  A
-subset's prediction is their `weighted_mean`, in index order, with the
-saved model's fallback (the training target mean) where none fires.  A
-rule adds nothing where it does not fire, so its polynomial there (even
-an overflow) never enters a score.  A rule whose output is NaN on a
-training row where it fires is refused by `weigh`, naming that row,
-before the search starts.
+which keeps each rule's fired rows with the weights and weighted
+outputs `weigh` returns for them (the cells' bounds and outputs are
+freed).  A subset's prediction is their `weighted_mean`, in index order,
+with the saved model's fallback (the training target mean) where none
+fires.  A rule adds nothing where it does not fire, or fires with
+weight 0, so its polynomial there (even an overflow) never enters a
+score.  A rule whose output is NaN on a training row where it weighs in
+is refused by `weigh`, naming that row, before the search starts.
 """
 from __future__ import annotations
 
@@ -130,12 +130,13 @@ def select_rules(
 
     tables = compile_rules(rules, universe.feature_partitions, universe.config.tnorm)
     # looked up in this module, so selection's firing is timed apart
-    _, rule, rows, w, wy = weigh(
-        rules, tables, rule_matrices(tables, x), firing_reduction
-    )
-    # each rule's (rows, weights, weighted outputs) where it weighs in
-    cuts = np.searchsorted(rule, np.arange(1, total))
-    per_rule = [np.split(a, cuts) for a in (rows, w, wy)]
+    cells = rule_matrices(tables, x)
+    w, wy = weigh(rules, tables, cells, firing_reduction)
+    # each rule's (rows, weights, weighted outputs) where it fires; the
+    # cells' bounds and outputs are freed before the search
+    cuts = np.searchsorted(cells.rule, np.arange(1, total))
+    per_rule = [np.split(a, cuts) for a in (cells.row, w, wy)]
+    del cells
 
     def cost_of(sel: np.ndarray) -> float:
         # sel is sorted, so every row adds its rules in index order

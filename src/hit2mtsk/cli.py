@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .aco import AcoConfigError
 from .data import (
     Dataset,
     ParseError,
@@ -228,10 +227,11 @@ def cmd_explain(args) -> int:
         raise CliError(EXIT_TRAIN, "model has no rules to explain")
     # the manifest is free-form; explain reads only its seed
     seed = model.manifest.get("seed", 0)
-    if type(seed) is not int:
+    if not (type(seed) is int and seed >= 0):
         raise CliError(
             EXIT_DATA,
-            f"cannot explain model: manifest seed {json.dumps(seed)} is not an integer",
+            f"cannot explain model: manifest seed {json.dumps(seed)} is not an "
+            "integer >= 0",
         )
     dataset = _load_dataset(args)
     # a data error here must leave no partial artifact set behind
@@ -375,9 +375,6 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, DegeneratePartitionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except AcoConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (EmptyUniverseError, RuleUnfittableError, TrainingFailedError,
             NotTrainedError) as exc:
         print(f"training error: {exc}", file=sys.stderr)

@@ -299,27 +299,25 @@ def weighted_mean(
 
 def weigh(
     rules: Sequence[HybridRule], tables: RuleTables, cells: FiredCells, reduction: str
-) -> tuple[np.ndarray, ...]:
-    """Every cell's weight (reduced firing times error dominance) and the
-    (rule, row, weight, weighted output) of the live cells, those of
-    positive weight (when every cell is live, the cells' own ``rule`` and
-    ``row`` and that ``w``).  A live cell whose output is NaN would make
-    a prediction or an ACO cost NaN: the first, in rule-major order, is
-    refused with `RuleUnfittableError` naming its rule and row."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every fired cell's weight (reduced firing times error dominance)
+    and weighted output.  A cell of weight 0 (the lower reduction, or
+    underflow) has weighted output +0.0, even where its output is NaN,
+    so it adds nothing to its row's sums.  A cell of positive weight
+    whose output is NaN would make a prediction or an ACO cost NaN: the
+    first, in rule order, is refused with `RuleUnfittableError` naming
+    its rule and row."""
     w = reduce_firing(cells.lo, cells.hi, reduction) * tables.dominance[cells.rule]
-    # a rule that fires with weight 0 (lower reduction) adds no 0 x NaN
-    live = w > 0.0
-    keep = (lambda a: a) if live.all() else (lambda a: a[live])
-    rule, row, w_live, y = keep(cells.rule), keep(cells.row), keep(w), keep(cells.y)
-    wy = w_live * y
+    wy = w * cells.y
+    wy[w <= 0.0] = 0.0
     nan = np.flatnonzero(np.isnan(wy))
     if nan.size:
-        i, r = int(rule[nan[0]]), int(row[nan[0]])
+        i, r = int(cells.rule[nan[0]]), int(cells.row[nan[0]])
         raise RuleUnfittableError(
             f"rule {i} (IF {rules[i].antecedent_text()}) outputs NaN on row {r}, "
             "where it fires: its polynomial overflows there"
         )
-    return w, rule, row, w_live, wy
+    return w, wy
 
 
 class _Weighed(NamedTuple):
@@ -339,10 +337,8 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     x = _feature_rows(model.feature_partitions, data)
     n = x.shape[1]
     cells = rule_matrices(model.tables, x)
-    w, _, rows, w_live, wy = weigh(
-        model.rules, model.tables, cells, model.firing_reduction
-    )
-    values, fallback = weighted_mean(rows, w_live, wy, n, model.fallback_value)
+    w, wy = weigh(model.rules, model.tables, cells, model.firing_reduction)
+    values, fallback = weighted_mean(cells.row, w, wy, n, model.fallback_value)
     return _Weighed(cells, w, values, np.bincount(cells.row, minlength=n), fallback)
 
 

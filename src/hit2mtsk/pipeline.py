@@ -70,7 +70,6 @@ class TrainConfig:
 class TrainResult:
     model: Model
     universe: RuleUniverse
-    subset_indices: tuple[int, ...]
     trace: tuple[tuple[int, float], ...]
 
 
@@ -161,6 +160,5 @@ def train_model(
     return TrainResult(
         model=model,
         universe=universe,
-        subset_indices=subset.indices,
         trace=trace,
     )

@@ -285,14 +285,16 @@ def fit_consequent(
         Rows restricted to the rule's antecedent variables (columns
         aligned with ``variables``) and to positive-firing instances.
     degree:
-        Requested polynomial degree (1..3).  When there are fewer rows
-        than monomials the fit degrades to degree 1, then to a constant.
+        Requested polynomial degree (1..3).  With fewer rows than its
+        monomials the fit drops to degree 1, or to a constant if there
+        are at most ``v + 1`` rows; so does a constant ``y`` or ``v == 0``.
     ridge:
         L2 penalty on the standardized non-constant coefficients;
         0 gives plain least squares.
     firing:
-        Per-row firing strengths (midpoints).  Used as WLS weights when
-        ``weighted`` and always for the constant fallback's mean.
+        Per-row firing strengths (midpoints).  When they sum above 0,
+        they weigh the constant fallback's mean, and the least squares
+        when ``weighted``.
     clamp_bounds:
         When given, the constant fallback is clamped into it.
     design:
@@ -321,37 +323,28 @@ def fit_consequent(
     if design is not None and design.shape != (n, math.comb(v + degree, degree)):
         raise ValueError("design must be design_matrix(X, degree)")
 
+    fw = None  # firing weights, when any row fires with positive strength
+    if firing is not None and np.sum(firing) > 0:
+        fw = np.asarray(firing, dtype=float)
+
     def constant_poly() -> Polynomial:
-        w = None
-        if firing is not None and np.sum(firing) > 0:
-            w = np.asarray(firing, dtype=float)
-        c = float(np.average(y, weights=w))
+        c = float(np.average(y, weights=fw))
         if clamp_bounds is not None:
             c = float(clamp(c, clamp_bounds))
         return Polynomial(
             degree=1, variables=(), exponents=((),), coefficients=(c,)
         )
 
-    if np.ptp(y) == 0.0 or v == 0:
+    # one degradation rule: too few rows for every monomial of ``degree``
+    # drop to degree 1, or to the constant with no residual freedom left
+    full = n >= math.comb(v + degree, degree)
+    if np.ptp(y) == 0.0 or v == 0 or (not full and n <= v + 1):
         return constant_poly()
-
-    # degrade an underdetermined fit to degree 1; a degraded fit with no
-    # residual degree of freedom degrades further to the constant
-    use_degree = degree
-    degraded = False
-    if n < math.comb(v + degree, degree):
-        use_degree = 1
-        degraded = True
-    if n < v + 1 or (degraded and n <= v + 1):
-        return constant_poly()
-
+    use_degree = degree if full else 1
     if design is None:
         design = design_matrix(X, use_degree)
     M = design[:, 1 : math.comb(v + use_degree, use_degree)]
-    sw = None
-    if weighted and firing is not None and np.sum(firing) > 0:
-        sw = np.asarray(firing, dtype=float)
-    coeffs = _solve_least_squares(M, y, ridge, sw)
+    coeffs = _solve_least_squares(M, y, ridge, fw if weighted else None)
     if not np.all(np.isfinite(coeffs)):
         return constant_poly()
     exps = monomial_exponents(v, use_degree)

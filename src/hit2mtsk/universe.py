@@ -41,8 +41,8 @@ class GenerationConfig:
     min_rows of None means "monomial count of the configured degree for
     the rule's own arity", which keeps every kept rule's polynomial
     determined.  min_coverage is the fraction of training rows that must
-    fire at least one kept rule; the generator adds back pruned
-    candidates (best dominance first) until it is met.
+    fire at least one kept rule; the generator adds back capped, then
+    pruned, candidates (best dominance first) until it is met.
     """
 
     degree: int = 3
@@ -193,43 +193,34 @@ def generate_candidates(
             )
             records.append(_Candidate(ant, cons, d.dominance, rows.size))
 
-    def required_rows(cand: _Candidate) -> int:
-        if config.min_rows is not None:
-            return config.min_rows
-        return math.comb(len(cand.ant) + config.degree, config.degree)
-
-    def order_key(cand: _Candidate):
-        return (-cand.dominance[1], len(cand.ant), cand.ant, cand.cons)
-
     def passes(cand: _Candidate) -> bool:
-        return (
-            cand.rows >= required_rows(cand)
-            and cand.dominance[1] >= config.dominance_threshold
-        )
+        d = config.degree
+        floor = config.min_rows or math.comb(len(cand.ant) + d, d)
+        return cand.rows >= floor and cand.dominance[1] >= config.dominance_threshold
 
-    viable = sorted(filter(passes, records), key=order_key)
-    if not viable:
+    # one ranked order: candidates that pass the row floor and the
+    # dominance threshold first, each part by descending dominance
+    ranked = sorted(
+        records,
+        key=lambda c: (not passes(c), -c.dominance[1], len(c.ant), c.ant, c.cons),
+    )
+    if not ranked or not passes(ranked[0]):
         raise EmptyUniverseError(
             "no rule survived dominance and row-count filtering"
         )
-    chosen = viable[: config.max_candidates]
+    # the first max_candidates passing candidates, then, while coverage is
+    # short, every later one in rank order that fires on an uncovered row
+    chosen: list[_Candidate] = []
     covered = np.zeros(n, dtype=bool)
-    for cand in chosen:
-        covered[fired[cand.ant][0]] = True
-    if covered.mean() < config.min_coverage:
-        # rescue order: viable-but-capped first, then filter-rejected
-        # candidates, both by descending dominance
-        ladder = viable[config.max_candidates :] + sorted(
-            itertools.filterfalse(passes, records), key=order_key
-        )
-        for cand in ladder:
+    for cand in ranked:
+        rows = fired[cand.ant][0]
+        if len(chosen) >= config.max_candidates or not passes(cand):  # a rescue
             if covered.mean() >= config.min_coverage:
                 break
-            rows = fired[cand.ant][0]
             if covered[rows].all():
                 continue
-            chosen.append(cand)
-            covered[rows] = True
+        chosen.append(cand)
+        covered[rows] = True
 
     def fit_rule(cand: _Candidate, design: np.ndarray) -> HybridRule:
         var_names = tuple(feats[j] for j, _ in cand.ant)

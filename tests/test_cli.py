@@ -697,6 +697,24 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
+        "aco", [{"rho": 0}, {"num_ants": 0}, {"subset_size_range": [5, 2]}]
+    )
+    def test_aco_field_out_of_range(self, ws, tmp_path, capsys, aco):
+        # AcoConfig refuses it while the config decodes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"aco": aco}))
+        code = main(
+            [
+                "train", "--data", str(ws.csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad configuration: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "config",
         [
             {"aco": {"num_ants": 2.5}},
@@ -960,6 +978,19 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"manifest seed {json.dumps(seed)} is not an integer" in err
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_explain_rejects_a_negative_seed(self, ws, bundle, tmp_path, capsys, seed):
+        code = self.explain(
+            ws, bundle, tmp_path, lambda doc: doc["manifest"].update(seed=seed)
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot explain model: manifest seed {seed} is not an "
+            "integer >= 0\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_explain_needs_feature_stats(self, ws, bundle, tmp_path, capsys):
         # an empty list is a valid model file, but noise robustness needs stats

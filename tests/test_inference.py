@@ -590,10 +590,11 @@ class TestRuleMatricesPeakMemory:
 
 
 def masked_weigh(tables, cells, reduction):
-    """`weigh` with every cell masked by liveness, copies and all."""
+    """Every cell's weight, and the (row, weight, weighted output) of the
+    cells of positive weight alone, copied out by a mask."""
     w = reduce_firing(cells.lo, cells.hi, reduction) * tables.dominance[cells.rule]
     live = w > 0.0
-    return w, cells.rule[live], cells.row[live], w[live], w[live] * cells.y[live]
+    return w, cells.row[live], w[live], w[live] * cells.y[live]
 
 
 def random_cells(seed, reduction, n=500):
@@ -605,52 +606,69 @@ def random_cells(seed, reduction, n=500):
 
 
 class TestWeigh:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_all_live_cells_are_weighed_in_place(self, seed):
-        model, _, cells = random_cells(seed, "midpoint")
-        got = weigh(model.rules, model.tables, cells, "midpoint")
-        want = masked_weigh(model.tables, cells, "midpoint")
-        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
-        w, rule, row, w_live, _ = got
-        assert rule is cells.rule and row is cells.row and w_live is w
+    """`weigh` returns a weight and a weighted output for every fired cell;
+    a weight-0 cell's weighted output is +0.0, so it adds nothing."""
 
-    def test_dead_cells_are_dropped_under_lower_reduction(self):
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
+    def test_predictions_equal_the_masked_reference(self, reduction):
         dead = 0
         for seed in range(12):
-            model, cols, cells = random_cells(seed, "lower")
-            got = weigh(model.rules, model.tables, cells, "lower")
-            want = masked_weigh(model.tables, cells, "lower")
-            assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
-            dead += cells.rule.size - got[1].size
+            model, cols, cells = random_cells(seed, reduction)
+            w, wy = weigh(model.rules, model.tables, cells, reduction)
+            want_w, *live = masked_weigh(model.tables, cells, reduction)
+            assert w.shape == wy.shape == cells.rule.shape
+            assert np.array_equal(bits(w), bits(want_w))
+            dead += cells.rule.size - live[0].size
             values, _, fallback = predict_values(model, cols)
-            ref = weighted_mean(*want[2:], 500, model.fallback_value)
+            ref = weighted_mean(*live, 500, model.fallback_value)
             assert np.array_equal(bits(values), bits(ref[0]))
             assert np.array_equal(fallback, ref[1])
-        assert dead > 0
+        # the lower reduction has cells of weight 0; the midpoint has none
+        assert (dead > 0) == (reduction == "lower")
 
-    def test_refusal_names_the_first_live_nan_cell_in_rule_order(self):
-        # rule 0's NaN on row 0 is dead (lower bound 0) and dropped; its NaN
-        # on row 3 comes before rule 1's on row 1 in rule order
+    def test_weight_zero_cells_have_zero_weighted_output(self):
+        for seed in range(12):
+            model, _, cells = random_cells(seed, "lower")
+            w, wy = weigh(model.rules, model.tables, cells, "lower")
+            dead = w <= 0.0
+            assert not bits(wy[dead]).any()  # +0.0, not -0.0
+            assert np.array_equal(bits(wy[~dead]), bits(w[~dead] * cells.y[~dead]))
+
+    @staticmethod
+    def cells(y, rows=(0, 3, 1, 2)):
+        # rule 0's cell on rows[0] has lower bound 0: weight 0 under "lower"
+        return FiredCells(
+            np.array([0, 0, 1, 1]),
+            np.array(rows),
+            np.array([0.0, 0.5, 0.5, 0.5]),
+            np.full(4, 0.5),
+            np.array(y),
+        )
+
+    def test_weight_zero_nan_cell_is_neither_refused_nor_counted(self):
+        model = two_rule_model()
+        # row 0 holds rule 0's weight-0 NaN cell and rule 1's cell of output 2
+        cells = self.cells([float("nan"), 1.0, 2.0, 3.0], rows=(0, 3, 0, 2))
+        w, wy = weigh(model.rules, model.tables, cells, "lower")
+        assert w.tolist() == [0.0, 0.5, 0.25, 0.25]
+        assert wy.tolist() == [0.0, 0.5, 0.5, 0.75]
+        values, fell = weighted_mean(cells.row, w, wy, 4, model.fallback_value)
+        assert values.tolist() == [2.0, 99.0, 3.0, 1.0]
+        assert fell.tolist() == [False, True, False, False]
+
+    def test_refusal_names_the_first_positive_weight_nan_cell_in_rule_order(self):
+        # rule 0's NaN on row 0 has weight 0; its NaN on row 3 comes before
+        # rule 1's on row 1 in rule order
         model = two_rule_model()
         nan = float("nan")
-
-        def cells(y):
-            return FiredCells(
-                np.array([0, 0, 1, 1]),
-                np.array([0, 3, 1, 2]),
-                np.array([0.0, 0.5, 0.5, 0.5]),
-                np.full(4, 0.5),
-                np.array(y),
-            )
-
-        dead_nan = cells([nan, 1.0, 2.0, 3.0])
-        _, rule, row, _, wy = weigh(model.rules, model.tables, dead_nan, "lower")
-        assert rule.tolist() == [0, 1, 1] and row.tolist() == [3, 1, 2]
-        assert np.isfinite(wy).all()
         with pytest.raises(
             RuleUnfittableError, match=r"^rule 0 \(IF x is Low\) outputs NaN on row 3,"
         ):
-            weigh(model.rules, model.tables, cells([nan, nan, nan, 3.0]), "lower")
+            weigh(model.rules, model.tables, self.cells([nan, nan, nan, 3.0]), "lower")
+        with pytest.raises(
+            RuleUnfittableError, match=r"^rule 1 \(IF x is High\) outputs NaN on row 2,"
+        ):
+            weigh(model.rules, model.tables, self.cells([nan, 1.0, 2.0, nan]), "lower")
 
 
 class TestCompiledTables:

@@ -214,6 +214,43 @@ class TestFitConsequent:
         )
         assert given == built
 
+    # (variables, degree): the fit's degree at n = v, v + 1, v + 2,
+    # comb - 1 and comb rows, comb = C(v + degree, degree); 0 is the constant
+    DEGRADATION = {
+        (1, 1): (0, 1, 1, 0, 1),
+        (1, 2): (0, 0, 2, 0, 2),
+        (1, 3): (0, 0, 1, 1, 3),
+        (2, 1): (0, 1, 1, 0, 1),
+        (2, 2): (0, 0, 1, 1, 2),
+        (2, 3): (0, 0, 1, 1, 3),
+        (3, 1): (0, 1, 1, 0, 1),
+        (3, 2): (0, 0, 1, 1, 2),
+        (3, 3): (0, 0, 1, 1, 3),
+    }
+
+    @pytest.mark.parametrize("v,degree", sorted(DEGRADATION))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_degradation_boundaries(self, v, degree, weighted):
+        comb = math.comb(v + degree, degree)
+        sizes = (v, v + 1, v + 2, comb - 1, comb)
+        for n, want in zip(sizes, self.DEGRADATION[v, degree]):
+            rng = np.random.default_rng(100 * v + n)
+            X = rng.uniform(-1.0, 1.0, (n, v))
+            y = rng.normal(size=n)
+            firing = rng.uniform(0.1, 1.0, n)
+            poly = fit_consequent(
+                X, y, [f"x{i}" for i in range(v)], degree,
+                firing=firing, weighted=weighted,
+            )
+            if want == 0:
+                assert poly.variables == () and poly.exponents == ((),), n
+                # the constant is the firing-weighted mean, weighted fit or not
+                assert poly.coefficients == (float(np.average(y, weights=firing)),)
+            else:
+                assert (poly.degree, len(poly.coefficients)) == (
+                    want, math.comb(v + want, want)
+                ), n
+
     def test_design_must_match_rows_and_degree(self):
         X = np.random.default_rng(3).normal(size=(12, 2))
         y = X[:, 0]

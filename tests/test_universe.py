@@ -232,6 +232,110 @@ class TestCoverageRescue:
         assert len(capped) == min(2, len(uni))
 
 
+def friedman_dataset(seed: int = 3, n: int = 200) -> Dataset:
+    """Friedman #1 over its five informative features, unit noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (n, 5))
+    y = (
+        10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])
+        + 20.0 * (X[:, 2] - 0.5) ** 2
+        + 10.0 * X[:, 3]
+        + 5.0 * X[:, 4]
+        + rng.normal(0.0, 1.0, n)
+    )
+    return Dataset("friedman", tuple(f"x{j + 1}" for j in range(5)), X, "y", y)
+
+
+# dataset, max_candidates, min_coverage, min_rows, dominance_threshold,
+# universe size, and the sha256 of universe.json without each rule's
+# fitted polynomial and error dominance; recorded when the cap, the
+# coverage pre-pass and the rescue ladder were separate sorted lists.
+# The threshold 0.2 rows rescue candidates that fail the threshold.
+RANKED_CHOICE = """
+toy           1 0.0  None 0.01   1 ef7df9aeb9de9690b467f38d24d0157fed9b3b7d514b6d3333a3880beb097f19
+toy           1 0.0  1    0.01   1 9b304d55412f5facc51ce8f6ecfd5f4441a0f21302fb8af14514deaff3cba7c3
+toy           1 0.99 None 0.01   5 959894ec6b9b26bab8ba279a6e325582cdbba2e8b3e3f57e83e4454d0a671c23
+toy           1 0.99 1    0.01   5 52a81048787af67f578a335d22697ece06555a2ab4595fa8a39d3c403a7da55a
+toy           1 1.0  None 0.01   5 ad21d1ddf5d6d931223dbf10e9062d9493b58321be398f501bf13a73f7785433
+toy           1 1.0  1    0.01   5 8fde80edebf4a9ab274b27f186a79c2d5d88159bb01dc5b7324ecb99914de6a3
+toy           5 0.0  None 0.01   5 30454c9f3734873799e3a1c487d173c6c23cf0bc99a8985b1b45768dd1b1931d
+toy           5 0.0  1    0.01   5 938842d6c819f16532ee9b131682c6d6d8f55dc0d1d4e5d572fe7aa507065d96
+toy           5 0.99 None 0.01   6 c6aef2da58733d6a321361184e2dbfade4c0090694851ca88c95b94d042b794e
+toy           5 0.99 1    0.01   6 805ee74b42a30f99794144e4e1396718871a6cbbfc0cb865d3ba41c03d180c02
+toy           5 1.0  None 0.01   6 00f404b0fe98217593ab3568de18ea56cea2e0f109bf73080f9bb96fb39578a4
+toy           5 1.0  1    0.01   6 7db2a0ffb9a921cbfefd447e61bb80fb10a87ce133b0f66e95786715739a1eae
+toy      100000 0.0  None 0.01  22 2238999388a42e06c0744f03800635aeb8285b2569cf2c45b3ac2c431951eeb9
+toy      100000 0.0  1    0.01  22 80138e27e9255592cb84203598108fbbb9f203fb11283047e076d02412b957c2
+toy      100000 0.99 None 0.01  22 c77594aab04c14e55334de250488ce6a0a52a72cf7fed81cd64f2b1fdd63285b
+toy      100000 0.99 1    0.01  22 9af4a9582af752cbecde76e14aa367374175311f51ca767c72398a016fbccbb0
+toy      100000 1.0  None 0.01  22 64e68914fd888ca6525705f61b96c6614187ea89a6b4026f396bfbcb3da70697
+toy      100000 1.0  1    0.01  22 5ce6cbe8c040978e3dc71b96162e4ac0588fba63e1f10e9902514c888aab32a2
+toy           5 1.0  None 0.2    6 3f611c61384bc47e40553b2b067f5dfc67cd31ab082e7fd2b93c99d2c1946a7a
+toy      100000 1.0  None 0.2    6 98daecca49009fdd86255d90ed82c887f0c680b2fbc6299d0e922a259a7ffdad
+friedman      1 0.0  None 0.01   1 bc17a988c374a997af6c180069cd2774e24376a051421107ce3fc1ad41d8caff
+friedman      1 0.0  1    0.01   1 f1a88c6bc0f4701da5e70808d0ba5ca48ca88b4da00011f9f65712933085a596
+friedman      1 0.99 None 0.01   5 9df8be6834ad58086f0683711feb8d8a98b8c6b4590704191499753f7f346390
+friedman      1 0.99 1    0.01   5 75d11389e48ccb1b0f39f818309ae2a5e44a41880ae577bd652df567a6263af4
+friedman      1 1.0  None 0.01   6 b8389996dc50e45bb7c710de4ab8a22d1b1a3fe73ef446026666cea28a2df73d
+friedman      1 1.0  1    0.01   6 423530bd6fe3ba4426f8a8f2105ad66da5c65812805c86926e916cf3560a1914
+friedman      5 0.0  None 0.01   5 77567f4f9c84b3d0dd3ab59c2d96b3ce3945d474aa5914dbc474e5eade825245
+friedman      5 0.0  1    0.01   5 c7487bcd2a6fd88b2251b5da89db58d0ab3db0cc4fff3b225fabdeba4a490a59
+friedman      5 0.99 None 0.01   5 71dc0beff6095fd603b4c53ed983f25555efae98f618c8619ddfa027630140e7
+friedman      5 0.99 1    0.01   5 7ad50490811634830e37e40edb03931edab774bfdcd883c1a84070c782631259
+friedman      5 1.0  None 0.01   6 1665f877b1696ab9361b507ee819e0409c13ebb83bca5569cb0dde961228c3e6
+friedman      5 1.0  1    0.01   6 1182868ee64c02b99915d2c050ea37bb8febdbf2d25801c592c7d9820bd024bf
+friedman 100000 0.0  None 0.01 188 8488f575557e2dc5e333a819cf89debf2f0b76fae4f1ab18b93eb52998398205
+friedman 100000 0.0  1    0.01 345 06609145809ac99251f4975be92e6348933c8975dd52985662774453c952cf37
+friedman 100000 0.99 None 0.01 188 d2aef2d53809b1a577c1b12061d8aa2ba44d2db54aa197597f7a9b08bcf139f7
+friedman 100000 0.99 1    0.01 345 6099666032e628cd9db12fc2f959fd732c5ce994e061542bbcc139b2e2f298be
+friedman 100000 1.0  None 0.01 188 ddd7cb4e1acf706950e84175a449483d98e3b930e9d51e0c1b36a378268cc154
+friedman 100000 1.0  1    0.01 345 c6e2451c4658d27fd39dc70b064196bed16542fe0ea3b464cfb67506de1f7675
+friedman      5 1.0  None 0.2    6 2f0feee2f3851e38fa8a81307bdc470567e29965193f0809d890746d50c7e0d2
+friedman 100000 1.0  None 0.2   11 47c3f150e61b9268eb974c6581b09716f5ea33fd675e66e78f9121624064f511
+"""
+
+
+class TestRankedChoice:
+    """Generation chooses its candidates in one ranked pass, as the
+    two-sort funnel it replaced chose them: the same rules in the same
+    order, with the same grades, partitions and coverage.  The fits are
+    left out of the digest: their last bits depend on the host's BLAS
+    and SIMD dispatch, the choice's do not."""
+
+    DATASETS = {"toy": make_dataset, "friedman": friedman_dataset}
+
+    @staticmethod
+    def choice_sha256(uni, path) -> str:
+        save_universe(uni, path)
+        doc = json.loads(path.read_text())
+        for rule in doc["rules"]:
+            del rule["consequent_fn"], rule["error_dominance"]
+        return hashlib.sha256(dumps(doc).encode()).hexdigest()
+
+    @staticmethod
+    def generate(name, cap, cov, min_rows, threshold):
+        ds = TestRankedChoice.DATASETS[name]()
+        cfg = GenerationConfig(
+            max_candidates=int(cap),
+            min_coverage=float(cov),
+            min_rows=None if min_rows == "None" else int(min_rows),
+            dominance_threshold=float(threshold),
+        )
+        return generate_candidates(ds, partitions_for(ds), cfg)
+
+    @pytest.mark.parametrize(
+        "case",
+        RANKED_CHOICE.strip().splitlines(),
+        ids=lambda case: "-".join(case.split()[:5]),
+    )
+    def test_choice_pinned(self, tmp_path, case):
+        *key, size, digest = case.split()
+        uni = self.generate(*key)
+        assert len(uni) == int(size)
+        assert uni.coverage >= uni.config.min_coverage
+        assert self.choice_sha256(uni, tmp_path / "universe.json") == digest
+
+
 class TestRuleQuality:
     def test_clamp_bounds_come_from_consequent_set(self, toy_dataset):
         parts = partitions_for(toy_dataset)

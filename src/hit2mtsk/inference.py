@@ -16,13 +16,16 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .data import Dataset
-from .it2 import TNORMS, Partition, fire, stack_sets, stacked_memberships
+from .it2 import TNORMS, Partition, SetStack, fire, stack_sets, stacked_memberships
 from .rules import HybridRule, RuleUnfittableError, evaluate_terms
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 # rule_matrices fires rules over chunks of at most this many (rules or
 # sets) x rows cells, and evaluates and clips polynomials over blocks of
-# at most this many fired cells, so that their temporaries stay small
+# at most this many fired cells, so that their temporaries stay small.
+# Within a block, an exponent-table group of at most `rules.TABLE_CELLS`
+# cells (every group of a single-row predict) is one term table; larger
+# groups run term by term, holding one term's coefficients at a time
 BLOCK_CELLS = 1 << 16
 
 
@@ -142,7 +145,7 @@ class FiredCells(NamedTuple):
 class RuleTables(NamedTuple):
     """A rule base as the arrays `rule_matrices` reads, built once."""
 
-    sets: tuple[np.ndarray, ...]  # `stack_sets` of every partition's sets
+    sets: SetStack  # every partition's sets, then the padding set
     feature: np.ndarray  # each set's partition
     clauses: np.ndarray  # (clauses, rules) positions in the sets, padded
     # one (degree, exponents, (terms, rules) coefficients, (arity, rules)
@@ -165,8 +168,10 @@ def compile_rules(
     variables = tuple(p.variable for p in feature_partitions)
     sets = [(j, s) for j, p in enumerate(feature_partitions) for s in p.sets]
     position = {(variables[j], s.name): i for i, (j, s) in enumerate(sets)}
-    # short antecedents are padded with an all-ones row after the sets:
-    # min(f, 1) and f * 1 are f, so the fold is each rule's own
+    # short antecedents are padded with the set after the partitions'
+    # sets, whose memberships come out of the one membership pass as 1.0
+    # on every row (`stack_sets` with ``all_ones``): min(f, 1) and f * 1
+    # are f, so the fold is each rule's own
     clauses = np.full((max(len(r.antecedent) for r in rules), len(rules)), len(sets))
     ids: dict[tuple, int] = {}
     fns = [r.consequent_fn for r in rules]
@@ -186,8 +191,8 @@ def compile_rules(
         coefficients[:, i] = fn.coefficients
         columns[:, i] = [variables.index(v) for v in fn.variables]
     return RuleTables(
-        stack_sets([s for _, s in sets]),
-        np.array([j for j, _ in sets]),
+        stack_sets([s for _, s in sets], all_ones=True),
+        np.array([j for j, _ in sets] + [0]),  # any feature serves the padding
         clauses,
         groups,
         group,
@@ -201,9 +206,8 @@ def evaluate_cells(
     tables: RuleTables, X: np.ndarray, rule: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
     """Raw polynomial output of rule ``rule[c]`` at row ``row[c]`` of the
-    (features, rows) table ``X``, for every cell c, per exponent-table
-    group, each term's coefficient gathered per cell as the term is added.
-    """
+    (features, rows) table ``X``, for every cell c, one `evaluate_terms`
+    call per exponent-table group."""
     out = np.empty(rule.size)
     group = tables.group[rule]
     for g, (degree, exponents, coefficients, variables) in enumerate(tables.groups):
@@ -212,8 +216,7 @@ def evaluate_cells(
             continue
         k = rule[cells]
         cols = X[variables[:, k], row[cells]]
-        coefs = (c[k] for c in coefficients)
-        out[cells] = evaluate_terms(degree, exponents, coefs, cols)
+        out[cells] = evaluate_terms(degree, exponents, coefficients, cols, k)
     return out
 
 
@@ -239,9 +242,7 @@ def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     chunks = []
     for start in range(0, max(n, 1), step):  # no rows make one empty chunk
         chunk = x[tables.feature, start : start + step]
-        ones = np.ones((1, chunk.shape[1]))
-        lower, upper = (np.vstack([m, ones]) for m in stacked_memberships(sets, chunk))
-        lo, hi = fire(lower, upper, clauses, tables.tnorm)
+        lo, hi = fire(*stacked_memberships(sets, chunk), clauses, tables.tnorm)
         # (rules, rows) cells in C order are rule-major
         flat = np.flatnonzero(hi > 0.0)
         chunks.append((start, hi.shape[1], flat, lo.ravel()[flat], hi.ravel()[flat]))

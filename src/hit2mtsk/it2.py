@@ -11,7 +11,7 @@ nonzero membership somewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,24 +29,53 @@ class DegeneratePartitionError(ValueError):
     """Raised when a variable has no spread to partition."""
 
 
-def stack_sets(sets: Sequence[IT2Set]) -> tuple[np.ndarray, ...]:
-    """What `stacked_memberships` reads of ``sets``: the (2, sets, 1)
-    breakpoints ``a, b, c, d`` of the upper trapezoids then the lower
-    ones, and the (sets, 1) left and right shoulder flags and lower
-    heights."""
-    params = np.array(
-        [[s.upper_params for s in sets], [s.lower_params for s in sets]]
-    )
-    return (
-        *np.moveaxis(params, -1, 0)[..., None],
-        np.array([s.shape == "left_shoulder" for s in sets])[:, None],
-        np.array([s.shape == "right_shoulder" for s in sets])[:, None],
-        np.array([s.fou_scale for s in sets])[:, None],
+class SetStack(NamedTuple):
+    """What `stacked_memberships` reads of a list of sets, each field
+    with one row per set: the (2, sets, 1) breakpoints of the upper
+    trapezoids then the lower ones, their ramp widths, and the (sets, 1)
+    shoulder flags, their negations and the lower heights."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    rise: np.ndarray  # b - a
+    fall: np.ndarray  # d - c
+    left: np.ndarray
+    right: np.ndarray
+    open_left: np.ndarray  # ~left: the set has a rising ramp
+    open_right: np.ndarray  # ~right: the set has a falling ramp
+    fou_scale: np.ndarray
+
+
+def stack_sets(sets: Sequence[IT2Set], all_ones: bool = False) -> SetStack:
+    """The `SetStack` of ``sets``, computed once for every membership
+    pass over them.
+
+    With ``all_ones`` one more set follows them that is both a left and a
+    right shoulder, at height 1: its plateau covers every value, so its
+    lower and upper memberships are exactly 1.0 on every row.
+    """
+    upper = [s.upper_params for s in sets]
+    lower = [s.lower_params for s in sets]
+    left = [s.shape == "left_shoulder" for s in sets]
+    right = [s.shape == "right_shoulder" for s in sets]
+    scale = [s.fou_scale for s in sets]
+    if all_ones:  # both shoulders at height 1: a plateau over every value
+        upper.append((0.0, 0.0, 0.0, 0.0))
+        lower.append((0.0, 0.0, 0.0, 0.0))
+        left.append(True)
+        right.append(True)
+        scale.append(1.0)
+    a, b, c, d = np.moveaxis(np.array([upper, lower]), -1, 0)[..., None]
+    left, right = (np.array(f)[:, None] for f in (left, right))
+    return SetStack(
+        a, b, c, d, b - a, d - c, left, right, ~left, ~right, np.array(scale)[:, None]
     )
 
 
 def stacked_memberships(
-    stack: tuple[np.ndarray, ...], x: np.ndarray
+    stack: SetStack, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper memberships of every set of ``stack`` (from
     `stack_sets`) in one trapezoid pass.
@@ -59,12 +88,12 @@ def stacked_memberships(
     implementation.
     """
     x = np.asarray(x, dtype=float)
-    a, b, c, d, left, right, fou_scale = stack
+    a, b, c, d, rise, fall, left, right, open_left, open_right, fou_scale = stack
     plateau = (left | (x >= b)) & (right | (x <= c))
     curve = plateau.astype(float)
     # the ramps and the plateau are disjoint; an empty ramp divides nowhere
-    np.divide(x - a, b - a, out=curve, where=~left & (x > a) & (x < b))
-    np.divide(d - x, d - c, out=curve, where=~right & (x > c) & (x < d))
+    np.divide(x - a, rise, out=curve, where=open_left & (x > a) & (x < b))
+    np.divide(d - x, fall, out=curve, where=open_right & (x > c) & (x < d))
     curve[1] *= fou_scale
     np.clip(curve, 0.0, 1.0, out=curve)
     return curve[1], curve[0]

@@ -33,7 +33,7 @@ from hit2mtsk.inference import (
     weigh,
     weighted_mean,
 )
-from hit2mtsk.it2 import TNORMS, IT2Set, Partition
+from hit2mtsk.it2 import TNORMS, IT2Set, Partition, fire, stacked_memberships
 from hit2mtsk.persist import dumps
 from hit2mtsk.rules import RuleUnfittableError, monomial_exponents, rmse
 
@@ -589,6 +589,26 @@ class TestRuleMatricesPeakMemory:
         assert peak <= 1.75 * sum(a.nbytes for a in cells)
 
 
+class TestPredictPeakMemory:
+    def test_large_blocks_gather_one_term_of_coefficients_at_a_time(self):
+        # at the default BLOCK_CELLS, a block gathering a whole (terms,
+        # cells) coefficient table peaked at 2.47x the fired cells' bytes
+        # (39.5 MB); one term at a time, 1.85x (29.5 MB)
+        model = load_model(FIXTURES / "serve_model.json")
+        rng = np.random.default_rng(0)
+        cols = {p.variable: rng.uniform(*p.domain, 50000) for p in model.feature_partitions}
+        x = np.array([cols[v] for v in model.feature_names])
+        cell_bytes = sum(a.nbytes for a in rule_matrices(model.tables, x))
+        tracemalloc.start()
+        try:
+            predict_values(model, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell_bytes >= 10**7  # blocks of BLOCK_CELLS, past TABLE_CELLS
+        assert peak <= 2.1 * cell_bytes
+
+
 def masked_weigh(tables, cells, reduction):
     """Every cell's weight, and the (row, weight, weighted output) of the
     cells of positive weight alone, copied out by a mask."""
@@ -715,6 +735,45 @@ class TestCompiledTables:
         assert swapped.tables is not model.tables
         assert predict(swapped, {"x": 0.0}).value == 12.0
         assert predict(model, {"x": 0.0}).value == 10.0
+
+
+class TestPaddingSet:
+    """Short antecedents are padded with the compiled set after every
+    partition's sets, whose memberships are exactly 1.0 on every row."""
+
+    @staticmethod
+    def memberships(model, x):
+        tables = model.tables
+        return stacked_memberships(tables.sets, x[tables.feature])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(lambda m: np.array([[*hole_row(m).values()]]).T, id="off-domain"),
+            pytest.param(lambda m: np.full((3, 2), [1e300, -1e300]), id="huge"),
+            pytest.param(lambda m: np.empty((3, 0)), id="no-rows"),
+        ],
+    )
+    def test_memberships_are_exactly_one(self, rows):
+        model = random_model(np.random.default_rng(0))
+        x = rows(model)
+        tables = model.tables
+        assert tables.feature.size == sum(len(p) for p in model.feature_partitions) + 1
+        for m in self.memberships(model, x):
+            assert m.shape == (tables.feature.size, x.shape[1])
+            assert np.array_equal(bits(m[-1]), bits(np.ones(x.shape[1])))
+
+    @pytest.mark.parametrize("tnorm", TNORMS)
+    def test_padded_one_clause_rule_fires_its_clause_bitwise(self, tnorm):
+        model = random_model(np.random.default_rng(1), tnorm)
+        cols = random_rows(np.random.default_rng(2), model, 300)
+        x = np.array([cols[v] for v in model.feature_names])
+        lower, upper = self.memberships(model, x)
+        pad = model.tables.feature.size - 1
+        for k in range(pad):
+            lo, hi = fire(lower, upper, np.array([[k], [pad], [pad]]), tnorm)
+            assert np.array_equal(bits(lo[0]), bits(lower[k]))
+            assert np.array_equal(bits(hi[0]), bits(upper[k]))
 
 
 # |x| <= 1e6 keeps every degree-3 polynomial of random_model finite; a

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,34 @@ class TestStackedMemberships:
                 assert (shared_lower[k, j], shared_upper[k, j]) == (
                     trapezoid_membership(s, x[0, j])
                 )
+
+    def test_membership_bits_pinned(self):
+        # subtraction, division, scaling and clipping round exactly, so
+        # these bits hold on any host, edges and +-1e300 included
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(7)
+        for k in (2, 3, 5, 7):
+            values = rng.normal(0.0, 5.0, 60)
+            part = build_partition(values, k, fou_width=0.2, fou_scale=0.8)
+            edges = [v for s in part.sets for v in s.upper_params + s.lower_params]
+            x = np.concatenate(
+                [rng.normal(0.0, 9.0, 200), [-1e300, 1e300, 0.0, -0.0], edges]
+            )
+            for m in part.membership_matrix(x):
+                digest.update(m.tobytes())
+        assert digest.hexdigest() == (
+            "8ed9b4da8b803185201fcb54f88c78a5b3e36981779ddbabbdf4927673376ee8"
+        )
+
+    def test_stack_holds_ramp_widths_and_open_sides(self):
+        sets = build_partition(np.linspace(0.0, 10.0, 50), num_sets=4).sets
+        stack = stack_sets(sets)
+        assert np.array_equal(stack.rise, stack.b - stack.a)
+        assert np.array_equal(stack.fall, stack.d - stack.c)
+        assert np.array_equal(stack.open_left, ~stack.left)
+        assert np.array_equal(stack.open_right, ~stack.right)
+        assert stack.left.ravel().tolist() == [True, False, False, False]
+        assert stack.right.ravel().tolist() == [False, False, False, True]
 
     def test_partition_matrix_is_the_one_partition_case(self):
         part = build_partition(np.linspace(0.0, 10.0, 50), num_sets=4)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hit2mtsk.rules import (
+    TABLE_CELLS,
     HybridRule,
     Polynomial,
     RuleUnfittableError,
     clamp,
     design_matrix,
+    evaluate_terms,
     fit_consequent,
     monomial_exponents,
 )
@@ -432,3 +434,75 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="duplicate"):
             Polynomial(1, ("x",), ((1,), (1,)), (1.0, 2.0))
 
+
+def bits(a):
+    """The float64 bit patterns of ``a``: equal only if bitwise equal."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestEvaluateTermsLayouts:
+    """Both layouts of `evaluate_terms`, the term table of a small block
+    and the term loop of a large one, give the per-term oracle's bits."""
+
+    RULES = 5
+
+    def case(self, seed, cells, arity, degree):
+        rng = np.random.default_rng([seed, cells, arity, degree])
+        exps = monomial_exponents(arity, degree)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (len(exps), self.RULES))
+        coefficients = rng.normal(0.0, 1.0, scale.shape) * scale
+        coefficients[rng.random(scale.shape) < 0.2] = -0.0
+        cols = rng.normal(0.0, 10.0, (arity, cells))
+        # cubes overflow past 1e103 and squares past 1e155, to +-inf
+        huge = rng.random(cols.shape) < 0.15
+        cols[huge] = rng.choice([-1e120, 1e120, -1e200, 1e200], huge.sum())
+        rule = rng.integers(self.RULES, size=cells)
+        return exps, coefficients, cols, rule
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cells", [1, 2, 7, 8, 9, TABLE_CELLS, TABLE_CELLS + 1])
+    def test_bitwise_equal_to_the_per_term_oracle(self, cells, arity, degree, seed):
+        exps, coefficients, cols, rule = self.case(seed, cells, arity, degree)
+        variables = tuple(f"v{j}" for j in range(arity))
+        polys = [
+            Polynomial(degree, variables, exps, tuple(coefficients[:, r].tolist()))
+            for r in range(self.RULES)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_rule = [polynomial_values(p, cols.T) for p in polys]
+            want = np.choose(rule, per_rule)
+            got = evaluate_terms(degree, exps, coefficients, cols, rule)
+            shared = polys[0].evaluate(cols.T)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(shared), bits(per_rule[0]))
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_one_cell_blocks_sum_in_term_order(self, arity):
+        # a one-column table is where a reduction would sum pairwise
+        exps, coefficients, cols, rule = self.case(0, 300, arity, 3)
+        cols = np.random.default_rng(arity).normal(0.0, 10.0, cols.shape)
+        want = evaluate_terms(3, exps, coefficients, cols, rule)
+        assert cols.shape[1] > TABLE_CELLS  # the term loop
+        for c in range(cols.shape[1]):
+            one = evaluate_terms(3, exps, coefficients, cols[:, c : c + 1], rule[c : c + 1])
+            assert np.array_equal(bits(one), bits(want[c : c + 1]))
+
+    def test_cases_reach_overflow_and_negative_zero(self):
+        outs, zeros = [], 0
+        for cells, arity in itertools.product([7, TABLE_CELLS + 1], [1, 3]):
+            exps, coefficients, cols, rule = self.case(0, cells, arity, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                outs.append(evaluate_terms(3, exps, coefficients, cols, rule))
+            zeros += np.count_nonzero(np.signbit(coefficients) & (coefficients == 0))
+        out = np.concatenate(outs)
+        assert np.isposinf(out).any() and np.isneginf(out).any()
+        assert np.isnan(out).any() and zeros > 0
+
+    @pytest.mark.parametrize("cells", [1, TABLE_CELLS + 1])
+    def test_negative_zero_term_sums_to_positive_zero(self, cells):
+        # the sum starts at +0.0, and +0.0 + -0.0 is +0.0
+        rule = np.zeros(cells, dtype=int)
+        out = evaluate_terms(1, ((),), np.array([[-0.0]]), np.empty((0, cells)), rule)
+        assert np.array_equal(bits(out), bits(np.zeros(cells)))

@@ -10,14 +10,19 @@ then one uniform per rule, which keys the rules for one top-k draw.
 
 A subset is scored through inference's own steps: the training rows'
 feature table, `rule_matrices` and `weigh` run once before the search,
-which keeps each rule's fired rows with the weights and weighted
-outputs `weigh` returns for them (the cells' bounds and outputs are
-freed).  A subset's prediction is their `weighted_mean`, in index order,
-with the saved model's fallback (the training target mean) where none
-fires.  A rule adds nothing where it does not fire, or fires with
-weight 0, so its polynomial there (even an overflow) never enters a
-score.  A rule whose output is NaN on a training row where it weighs in
-is refused by `weigh`, naming that row, before the search starts.
+which keeps each rule's fired rows, and there the weights and weighted
+outputs `weigh` returns as the real and imaginary parts of one complex
+cell (the cells' bounds and outputs are freed first).  An ant adds its
+rules' cells into one reused complex row buffer with `np.add.at`, rule
+by rule in index order; a rule's rows are distinct, so every row sums
+its rules in index order from +0.0, the additions inference's
+`bincount`s make.  The subset's prediction is `weighted_mean` of the
+buffer's parts, with the saved model's fallback (the training target
+mean) where none fires.  A rule adds nothing where it does not fire, or
+fires with weight 0, so its polynomial there (even an overflow) never
+enters a score.  A rule whose output is NaN on a training row where it
+weighs in is refused by `weigh`, naming that row, before the search
+starts.
 """
 from __future__ import annotations
 
@@ -132,16 +137,26 @@ def select_rules(
     # looked up in this module, so selection's firing is timed apart
     cells = rule_matrices(tables, x)
     w, wy = weigh(rules, tables, cells, firing_reduction)
-    # each rule's (rows, weights, weighted outputs) where it fires; the
-    # cells' bounds and outputs are freed before the search
+    # each rule's rows where it fires, and there its weights and weighted
+    # outputs as one complex cell; the cells' bounds and outputs are freed
+    # before that table is built
     cuts = np.searchsorted(cells.rule, np.arange(1, total))
-    per_rule = [np.split(a, cuts) for a in (cells.row, w, wy)]
+    rows_of = np.split(cells.row, cuts)
     del cells
+    sums = np.empty(w.size, complex)
+    sums.real, sums.imag = w, wy
+    del w, wy
+    sums_of = np.split(sums, cuts)
+    buf = np.empty(y.size, complex)  # per-row (sum of w) + 1j * (sum of wy)
 
     def cost_of(sel: np.ndarray) -> float:
-        # sel is sorted, so every row adds its rules in index order
-        parts = [np.concatenate([of[r] for r in sel]) for of in per_rule]
-        pred, _ = weighted_mean(*parts, y.size, fallback)
+        # a rule's rows are distinct and sel is sorted, so every row adds
+        # its rules once each, in index order, from +0.0: the additions a
+        # bincount over the subset's cells makes, real and imaginary apart
+        buf.fill(0.0)
+        for r in sel:
+            np.add.at(buf, rows_of[r], sums_of[r])
+        pred, _ = weighted_mean(buf.real, buf.imag, fallback)
         return rmse(pred, y)
 
     heuristic = tables.dominance

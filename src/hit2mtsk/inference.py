@@ -287,13 +287,11 @@ def reduce_firing(
 
 
 def weighted_mean(
-    rows: np.ndarray, w: np.ndarray, wy: np.ndarray, n: int, fallback: float
+    wsum: np.ndarray, psum: np.ndarray, fallback: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sum(wy) / sum(w), each row adding its entries in the order
-    given, and the mask of rows whose weights do not sum above zero,
-    which take ``fallback``."""
-    wsum = np.bincount(rows, w, n)
-    psum = np.bincount(rows, wy, n)
+    """Per-row ``psum / wsum`` from each row's sums of weights and of
+    weighted outputs, and the mask of rows whose weights do not sum above
+    zero, which take ``fallback``."""
     fell = wsum <= 0.0
     return np.where(fell, fallback, psum / np.where(fell, 1.0, wsum)), fell
 
@@ -339,7 +337,9 @@ def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     n = x.shape[1]
     cells = rule_matrices(model.tables, x)
     w, wy = weigh(model.rules, model.tables, cells, model.firing_reduction)
-    values, fallback = weighted_mean(cells.row, w, wy, n, model.fallback_value)
+    # each row adds its cells in rule order
+    sums = (np.bincount(cells.row, a, n) for a in (w, wy))
+    values, fallback = weighted_mean(*sums, model.fallback_value)
     return _Weighed(cells, w, values, np.bincount(cells.row, minlength=n), fallback)
 
 

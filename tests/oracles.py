@@ -7,7 +7,9 @@ replaced; it is built from the library's per-partition membership
 matrices and per-rule `fire`, which the scalar oracles here check in
 turn, and from `polynomial_values`, the per-rule, per-term loop that the
 grouped term-major kernel replaced.  `candidate_keys` is the tuple-at-a-time clause deletion that
-integer-coded enumeration replaced.
+integer-coded enumeration replaced.  `subset_prediction` is the
+concatenate-and-`bincount` ACO scorer that per-rule accumulation into
+one complex row buffer replaced.
 """
 import itertools
 from typing import Iterable, Mapping, Sequence
@@ -188,3 +190,24 @@ def candidate_keys(
             for subset in itertools.combinations(range(num_features), size):
                 keys.add((tuple((j, combo[j]) for j in subset), cons))
     return keys
+
+
+def subset_prediction(
+    rows_of: Sequence[np.ndarray],
+    w_of: Sequence[np.ndarray],
+    wy_of: Sequence[np.ndarray],
+    sel: Sequence[int],
+    n: int,
+    fallback: float,
+) -> np.ndarray:
+    """The prediction of the rule subset ``sel`` on ``n`` rows, from each
+    rule's fired rows, weights and weighted outputs: the subset's cells
+    concatenated in ``sel`` order, one `np.bincount` of the weights and
+    one of the weighted outputs, then sum(wy) / sum(w) per row, or
+    ``fallback`` where the weights do not sum above zero."""
+    parts = (rows_of, w_of, wy_of)
+    rows, w, wy = (np.concatenate([of[r] for r in sel]) for of in parts)
+    wsum = np.bincount(rows, w, n)
+    psum = np.bincount(rows, wy, n)
+    fell = wsum <= 0.0
+    return np.where(fell, fallback, psum / np.where(fell, 1.0, wsum))

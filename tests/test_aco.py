@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
@@ -21,13 +22,16 @@ from hit2mtsk import (
     predict_values,
     select_rules,
 )
+import hit2mtsk.aco
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
+from hit2mtsk.inference import _feature_rows, compile_rules, rule_matrices, weigh
 from hit2mtsk.persist import decode
-from hit2mtsk.rules import Polynomial, RuleUnfittableError
+from hit2mtsk.rules import Polynomial, RuleUnfittableError, rmse
 
 import oracles
 from conftest import make_dataset
 from oracles import polynomial_value, trapezoid_membership
+from test_inference import bits
 from test_universe import partitions_for
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,21 @@ def small_universe(seed=3, n=80, cap=10):
         dominance_threshold=0.0,
         min_rows=4,
         max_candidates=cap,
+        min_coverage=0.0,
+    )
+    return ds, generate_candidates(ds, partitions_for(ds), cfg)
+
+
+def dense_universe(n=300):
+    """Up to 40 rules of one and two clauses over three sets per feature
+    (29 on 300 rows), about nine of which fire on each row: most rows add
+    many rules, so the order of those additions shows in their sums' bits."""
+    ds = make_dataset(seed=7, n=n)
+    cfg = GenerationConfig(
+        degree=1,
+        dominance_threshold=0.0,
+        min_rows=4,
+        max_candidates=40,
         min_coverage=0.0,
     )
     return ds, generate_candidates(ds, partitions_for(ds), cfg)
@@ -380,6 +399,79 @@ class TestSearchContracts:
         subset, trace = select_rules(uni, ds, cfg, seed=0)
         assert np.isfinite(subset.cost)
         assert len(trace) >= 1
+
+
+class TestAntScores:
+    """Every ant's prediction is the concatenate-and-`bincount` scorer's,
+    bit for bit, so its cost is too."""
+
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
+    def test_every_ant_predicts_as_the_reference_scorer(self, monkeypatch, reduction):
+        ds, uni = dense_universe()
+        sels, preds = [], []
+
+        def recorded_draw(*args):
+            sels.append(sample_subset(*args))
+            return sels[-1]
+
+        def recorded_cost(pred, y):
+            preds.append(pred.copy())
+            return rmse(pred, y)
+
+        monkeypatch.setattr(hit2mtsk.aco, "sample_subset", recorded_draw)
+        monkeypatch.setattr(hit2mtsk.aco, "rmse", recorded_cost)
+        cfg = AcoConfig(
+            num_ants=10, num_iterations=10, subset_size_range=(2, len(uni)), patience=10
+        )
+        subset, _ = select_rules(uni, ds, cfg, firing_reduction=reduction, seed=5)
+        assert len(sels) == len(preds) == 100
+        assert subset.cost == min(rmse(p, ds.y) for p in preds)
+
+        tables = compile_rules(uni.rules, uni.feature_partitions, uni.config.tnorm)
+        cells = rule_matrices(tables, _feature_rows(uni.feature_partitions, ds))
+        w, wy = weigh(uni.rules, tables, cells, reduction)
+        # the lower reduction has weight-0 cells, of weighted output +0.0
+        assert (w <= 0.0).any() == (reduction == "lower")
+        cuts = np.searchsorted(cells.rule, np.arange(1, len(uni)))
+        per_rule = [np.split(a, cuts) for a in (cells.row, w, wy)]
+        fallback = float(ds.y.mean())
+        reordered = 0
+        for sel, pred in zip(sels, preds):
+            want = oracles.subset_prediction(*per_rule, sel, ds.n_rows, fallback)
+            assert np.array_equal(bits(pred), bits(want))
+            back = oracles.subset_prediction(*per_rule, sel[::-1], ds.n_rows, fallback)
+            reordered += not np.array_equal(bits(back), bits(want))
+        # most subsets' bits depend on the order each row adds its rules in
+        assert reordered > len(sels) // 2
+
+
+class TestSelectionPeakMemory:
+    def test_search_peaks_no_higher_than_firing_and_weighing(self, monkeypatch):
+        # the per-rule complex table is built once the fired cells are
+        # freed and the search reuses one row buffer, so no part of
+        # selection after `weigh` holds more than its `rule_matrices` and
+        # `weigh` step held; building the table while the cells are
+        # alive exceeds that by about 10 bytes a cell (2.1 MB here)
+        ds, uni = dense_universe(n=20000)
+        peaks = []
+
+        def weigh_then_mark(*args):
+            out = weigh(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(hit2mtsk.aco, "weigh", weigh_then_mark)
+        cfg = AcoConfig(num_ants=2, num_iterations=2)
+        tracemalloc.start()
+        try:
+            select_rules(uni, ds, cfg, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        step, search = peaks
+        assert step >= 10 * 2**20  # about 210000 fired cells
+        assert search <= step + step // 50
 
 
 class TestConfig:

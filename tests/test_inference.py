@@ -617,6 +617,12 @@ def masked_weigh(tables, cells, reduction):
     return w, cells.row[live], w[live], w[live] * cells.y[live]
 
 
+def row_sums(rows, w, wy, n):
+    """Each of ``n`` rows' sums of its weights and of its weighted outputs,
+    adding its cells in the order given."""
+    return np.bincount(rows, w, n), np.bincount(rows, wy, n)
+
+
 def random_cells(seed, reduction, n=500):
     rng = np.random.default_rng(seed)
     model = random_model(rng, reduction=reduction)
@@ -640,7 +646,7 @@ class TestWeigh:
             assert np.array_equal(bits(w), bits(want_w))
             dead += cells.rule.size - live[0].size
             values, _, fallback = predict_values(model, cols)
-            ref = weighted_mean(*live, 500, model.fallback_value)
+            ref = weighted_mean(*row_sums(*live, 500), model.fallback_value)
             assert np.array_equal(bits(values), bits(ref[0]))
             assert np.array_equal(fallback, ref[1])
         # the lower reduction has cells of weight 0; the midpoint has none
@@ -672,7 +678,8 @@ class TestWeigh:
         w, wy = weigh(model.rules, model.tables, cells, "lower")
         assert w.tolist() == [0.0, 0.5, 0.25, 0.25]
         assert wy.tolist() == [0.0, 0.5, 0.5, 0.75]
-        values, fell = weighted_mean(cells.row, w, wy, 4, model.fallback_value)
+        sums = row_sums(cells.row, w, wy, 4)
+        values, fell = weighted_mean(*sums, model.fallback_value)
         assert values.tolist() == [2.0, 99.0, 3.0, 1.0]
         assert fell.tolist() == [False, True, False, False]
 
@@ -689,6 +696,31 @@ class TestWeigh:
             RuleUnfittableError, match=r"^rule 1 \(IF x is High\) outputs NaN on row 2,"
         ):
             weigh(model.rules, model.tables, self.cells([nan, 1.0, 2.0, nan]), "lower")
+
+
+class TestWeightedMean:
+    """`weighted_mean` divides each row's sum of weighted outputs by its
+    sum of weights, or gives the fallback where the weights do not sum
+    above zero."""
+
+    def test_rows_whose_weights_sum_to_zero_fall_back(self):
+        wsum = np.array([0.0, -0.0, 0.5, 2.0])
+        psum = np.array([0.0, 3.0, 0.25, 1.0])
+        values, fell = weighted_mean(wsum, psum, 7.0)
+        assert values.tolist() == [7.0, 7.0, 0.5, 0.5]
+        assert fell.tolist() == [True, True, False, False]
+
+    def test_negative_zero_outputs_keep_their_sign(self):
+        values, fell = weighted_mean(np.array([0.5, 0.5]), np.array([-0.0, 0.0]), 7.0)
+        assert np.array_equal(bits(values), bits([-0.0, 0.0]))
+        assert not fell.any()
+
+    def test_sums_may_be_the_parts_of_one_complex_buffer(self):
+        # the ACO search keeps each row's sums as one complex number
+        buf = np.array([0.5 + 1.5j, 0j, complex(2.0, -0.0)])
+        values, fell = weighted_mean(buf.real, buf.imag, 7.0)
+        assert np.array_equal(bits(values), bits([3.0, 7.0, -0.0]))
+        assert fell.tolist() == [False, True, False]
 
 
 class TestCompiledTables:

@@ -1,9 +1,9 @@
 """Ant-colony selection of a rule subset.
 
-Generates an oversized candidate universe on synthetic data, then lets
-the colony search for a small subset that predicts well. Prints the
-convergence trace and compares the chosen subset against using every
-candidate at once.
+Generates an oversized candidate universe on synthetic data, puts every
+candidate into one model, then lets the colony prune that model to a
+small subset of rules that predicts well. Prints the convergence trace
+and compares the chosen subset against using every candidate at once.
 """
 import numpy as np
 
@@ -13,8 +13,10 @@ from hit2mtsk import (
     AcoConfig,
     Dataset,
     GenerationConfig,
+    Model,
     build_partition,
     generate_candidates,
+    predict_values,
     select_rules,
 )
 
@@ -43,9 +45,18 @@ config = AcoConfig(
     subset_size_range=(4, 20),
     patience=15,
 )
-# a subset's cost is the RMSE on ds of the model it makes: rows that none
-# of its rules fires on get ds's target mean, as a model trained on ds does
-subset, trace = select_rules(universe, ds, config, seed=1)
+# selection prunes a model: every candidate rule, with the t-norm, firing
+# reduction and fallback (ds's target mean, for rows that none of a
+# subset's rules fires on) that the pruned model keeps
+candidates = Model(
+    feature_partitions=universe.feature_partitions,
+    target_partition=universe.target_partition,
+    rules=universe.rules,
+    tnorm=universe.config.tnorm,
+    firing_reduction="midpoint",
+    fallback_value=float(ds.y.mean()),
+)
+subset, trace = select_rules(candidates, ds, config, seed=1)
 
 print(f"\nselected {len(subset.indices)} of {len(universe)} rules, cost {subset.cost:.4f}")
 print("convergence (iteration, best cost so far):")
@@ -54,10 +65,15 @@ for it, cost in trace[:: max(1, len(trace) // 8)]:
 if trace[-1][0] != it:
     print(f"  {trace[-1][0]:3d}  {trace[-1][1]:.4f}  (stopped: no improvement)")
 
+# a subset's cost is the RMSE on ds of the candidate model cut to its rules
+pruned = dataclasses.replace(candidates, rules=subset.rules)
+values, _, _ = predict_values(pruned, ds)
+print(f"the pruned model's RMSE on ds: {np.sqrt(np.mean((values - ds.y) ** 2)):.4f}")
+
 # forcing the subset size to the whole universe scores "use everything"
 all_cfg = dataclasses.replace(
     config, subset_size_range=(len(universe), len(universe)), num_iterations=1
 )
-full, _ = select_rules(universe, ds, all_cfg)
+full, _ = select_rules(candidates, ds, all_cfg)
 print(f"\nall {len(universe)} rules at once would cost {full.cost:.4f}")
 print("a good small subset matches or beats the full universe while staying legible")

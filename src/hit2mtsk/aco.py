@@ -1,28 +1,28 @@
 """Ant-colony selection of the active rule subset.
 
-Ants repeatedly sample rule subsets with probability proportional to
+Selection prunes a model.  Ants repeatedly sample subsets of the
+candidate `Model`'s rules with probability proportional to
 pheromone^alpha * heuristic^beta (heuristic = error dominance), score
-each subset by the RMSE of its model on the training rows, evaporate
-and deposit pheromone, and stop early after a patience window without
+each by the RMSE of that model restricted to the subset, evaporate and
+deposit pheromone, and stop early after a patience window without
 improvement.  Fully deterministic for a fixed seed: every ant draws
 from its own (seed, iteration, ant) derived stream, its subset size and
 then one uniform per rule, which keys the rules for one top-k draw.
 
-A subset is scored through inference's own steps: the training rows'
-feature table, `rule_matrices` and `weigh` run once before the search,
-which keeps each rule's fired rows, and there the weights and weighted
-outputs `weigh` returns as the real and imaginary parts of one complex
-cell (the cells' bounds and outputs are freed first).  An ant adds its
-rules' cells into one reused complex row buffer with `np.add.at`, rule
-by rule in index order; a rule's rows are distinct, so every row sums
-its rules in index order from +0.0, the additions inference's
-`bincount`s make.  The subset's prediction is `weighted_mean` of the
-buffer's parts, with the saved model's fallback (the training target
-mean) where none fires.  A rule adds nothing where it does not fire, or
-fires with weight 0, so its polynomial there (even an overflow) never
-enters a score.  A rule whose output is NaN on a training row where it
-weighs in is refused by `weigh`, naming that row, before the search
-starts.
+A subset is scored through inference's own steps: the rows' feature
+table, `rule_matrices` over the model's tables and `weigh` run once
+before the search, which keeps each rule's fired rows, and there the
+weights and weighted outputs `weigh` returns as the real and imaginary
+parts of one complex cell (the cells' bounds and outputs are freed
+first).  An ant adds its rules' cells into one reused complex row
+buffer with `np.add.at`, rule by rule in index order; a rule's rows are
+distinct, so every row sums its rules in index order from +0.0, the
+additions inference's `bincount`s make.  The subset's prediction is
+`weighted_mean` of the buffer's parts, with the model's fallback where
+none fires.  A rule adds nothing where it does not fire, or fires with
+weight 0, so its polynomial there (even an overflow) never enters a
+score.  A rule whose output is NaN on a row where it weighs in is
+refused by `weigh`, naming that row, before the search starts.
 """
 from __future__ import annotations
 
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .inference import _feature_rows, compile_rules, rule_matrices, weigh, weighted_mean
+from .inference import Model, _feature_rows, rule_matrices, weigh, weighted_mean
 from .rules import HybridRule, rmse
-from .universe import RuleUniverse
 
 PHEROMONE_FLOOR = 1e-12
 
@@ -110,33 +109,27 @@ def sample_subset(
 
 
 def select_rules(
-    universe: RuleUniverse,
+    model: Model,
     dataset: Dataset,
     config: AcoConfig = AcoConfig(),
-    firing_reduction: str = "midpoint",
     seed: int = 0,
 ) -> tuple[RuleSubset, tuple[tuple[int, float], ...]]:
-    """Search for the rule subset whose model has the lowest RMSE on
-    ``dataset`` (rows no rule fires on get its target mean).  ``seed``
-    fixes every ant's draws.  Subset sizes beyond the universe size are
+    """Search for the subset of ``model``'s rules whose model (``model``
+    restricted to them) has the lowest RMSE on ``dataset``.  ``seed``
+    fixes every ant's draws.  Subset sizes beyond the rule count are
     clamped down to it.  Returns the best subset and the (iteration,
     best RMSE so far) trace.
     """
-    rules = universe.rules
+    rules = model.rules
     total = len(rules)
-    if total == 0:
-        raise ValueError("universe is empty")
     lo = min(config.subset_size_range[0], total)
     hi = min(config.subset_size_range[1], total)
 
-    x = _feature_rows(universe.feature_partitions, dataset)
+    x = _feature_rows(model.feature_partitions, dataset)
     y = dataset.y
-    fallback = float(y.mean())
-
-    tables = compile_rules(rules, universe.feature_partitions, universe.config.tnorm)
     # looked up in this module, so selection's firing is timed apart
-    cells = rule_matrices(tables, x)
-    w, wy = weigh(rules, tables, cells, firing_reduction)
+    cells = rule_matrices(model.tables, x)
+    w, wy = weigh(rules, model.tables, cells, model.firing_reduction)
     # each rule's rows where it fires, and there its weights and weighted
     # outputs as one complex cell; the cells' bounds and outputs are freed
     # before that table is built
@@ -156,10 +149,10 @@ def select_rules(
         buf.fill(0.0)
         for r in sel:
             np.add.at(buf, rows_of[r], sums_of[r])
-        pred, _ = weighted_mean(buf.real, buf.imag, fallback)
+        pred, _ = weighted_mean(buf.real, buf.imag, model.fallback_value)
         return rmse(pred, y)
 
-    heuristic = tables.dominance
+    heuristic = model.tables.dominance
     pheromone = np.full(total, config.initial_pheromone)
     best_indices: tuple[int, ...] | None = None
     best_cost = math.inf

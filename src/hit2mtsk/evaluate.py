@@ -12,7 +12,14 @@ import numpy as np
 
 from .data import Dataset, FoldSplit, split_holdout
 from .dominance import error_dominance
-from .inference import Model, _weigh, predict_values, reduce_firing
+from .inference import (
+    Model,
+    _feature_rows,
+    _weigh,
+    predict_values,
+    reduce_firing,
+    rule_matrices,
+)
 from .pipeline import TrainConfig, derive_seed, train_model
 from .rules import Polynomial, RuleUnfittableError, rmse
 
@@ -227,10 +234,11 @@ def derive_mamdani(model: Model, train: Dataset) -> Model:
     Every rule keeps its antecedent and consequent set but its output
     becomes the midpoint of the consequent set's upper plateau (clipped
     to the target domain).  Error dominance is recomputed from the
-    constant outputs on the training rows, so inference weighting stays
+    constant outputs on the rows each rule fires on (its hybrid output
+    there, even an overflow, is not read), so inference weighting stays
     internally consistent.
     """
-    cells = _weigh(model, train).cells
+    cells = rule_matrices(model.tables, _feature_rows(model.feature_partitions, train))
     bounds = np.searchsorted(cells.rule, np.arange(len(model.rules) + 1))
     domain = model.target_partition.domain
     new_rules = []

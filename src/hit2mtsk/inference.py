@@ -102,6 +102,8 @@ class Model:
     def tables(self) -> RuleTables:
         """The rule base compiled for `rule_matrices`, on first use; not a
         field, so it is neither saved nor compared."""
+        if not self.rules:
+            raise NotTrainedError("model has no rules")
         return compile_rules(self.rules, self.feature_partitions, self.tnorm)
 
 
@@ -164,7 +166,7 @@ def compile_rules(
     tnorm: str = "minimum",
 ) -> RuleTables:
     """The tables of a non-empty rule base whose every clause names a set
-    of ``feature_partitions`` (`Model` and `select_rules` guarantee both)."""
+    of ``feature_partitions`` (`Model` guarantees both)."""
     variables = tuple(p.variable for p in feature_partitions)
     sets = [(j, s) for j, p in enumerate(feature_partitions) for s in p.sets]
     position = {(variables[j], s.name): i for i, (j, s) in enumerate(sets)}
@@ -331,8 +333,6 @@ class _Weighed(NamedTuple):
 
 def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
     """The prediction path every public predict function is a view of."""
-    if not model.rules:
-        raise NotTrainedError("model has no rules")
     x = _feature_rows(model.feature_partitions, data)
     n = x.shape[1]
     cells = rule_matrices(model.tables, x)

@@ -1,15 +1,16 @@
 """End-to-end training: partitions -> rule universe -> subset -> model.
 
 The training fold is internally re-split: rules are generated and
-fitted on the larger part only, and the subset search scores them on
-the whole fold as the saved model predicts it.  All randomness flows
-from one seed through named substreams, so a config+seed pair pins
-every artifact.
+fitted on the larger part only.  The candidate model holds every rule
+with the saved model's settings, and the subset search prunes it,
+scoring each subset on the whole fold.  All randomness flows from one
+seed through named substreams, so a config+seed pair pins every
+artifact.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -124,18 +125,22 @@ def train_model(
         fit_data = dataset
 
     universe = generate_candidates(fit_data, partitions, config.generation)
-    subset, trace = select_rules(
-        universe,
-        dataset,
-        config.aco,
-        firing_reduction=config.firing_reduction,
-        seed=derive_seed(config.seed, _STREAM_ACO),
-    )
-
     stats = tuple(
         (p.variable, *_moments(dataset.column(p.variable)))
         for p in universe.feature_partitions
     )
+    # every candidate rule, with the settings the saved model keeps
+    candidates = Model(
+        feature_partitions=universe.feature_partitions,
+        target_partition=universe.target_partition,
+        rules=universe.rules,
+        tnorm=config.generation.tnorm,
+        firing_reduction=config.firing_reduction,
+        fallback_value=float(dataset.y.mean()),
+        feature_stats=stats,
+    )
+    aco_seed = derive_seed(config.seed, _STREAM_ACO)
+    subset, trace = select_rules(candidates, dataset, config.aco, aco_seed)
     manifest = {
         # as JSON holds it, so a reloaded model's manifest equals this one
         "config": json.loads(json.dumps(asdict(config))),
@@ -147,16 +152,7 @@ def train_model(
         "selected_rules": len(subset.rules),
         "selection_cost": subset.cost,
     }
-    model = Model(
-        feature_partitions=universe.feature_partitions,
-        target_partition=universe.target_partition,
-        rules=subset.rules,
-        tnorm=config.generation.tnorm,
-        firing_reduction=config.firing_reduction,
-        fallback_value=float(dataset.y.mean()),
-        feature_stats=stats,
-        manifest=manifest,
-    )
+    model = replace(candidates, rules=subset.rules, manifest=manifest)
     return TrainResult(
         model=model,
         universe=universe,

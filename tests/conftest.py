@@ -5,6 +5,7 @@ from hit2mtsk import (
     AcoConfig,
     Dataset,
     GenerationConfig,
+    Model,
     TrainConfig,
     train_model,
 )
@@ -22,6 +23,19 @@ def make_dataset(seed: int = 0, n: int = 300, name: str = "toy") -> Dataset:
         X=np.column_stack([x1, x2]),
         target_name="y",
         y=y,
+    )
+
+
+def candidate_model(universe, dataset: Dataset, reduction: str = "midpoint") -> Model:
+    """Every rule of ``universe`` as one model, with training's fallback
+    (the target mean of ``dataset``): what `select_rules` prunes."""
+    return Model(
+        universe.feature_partitions,
+        universe.target_partition,
+        universe.rules,
+        universe.config.tnorm,
+        reduction,
+        float(dataset.y.mean()),
     )
 
 

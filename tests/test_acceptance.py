@@ -33,7 +33,7 @@ from hit2mtsk.evaluate import CALIFORNIA_EXPLAIN_REFERENCE, explainability_block
 from hit2mtsk.persist import dumps, model_to_dict, universe_to_dict
 from hit2mtsk.rules import clamp, fit_consequent
 
-from conftest import make_dataset, small_train_config
+from conftest import candidate_model, make_dataset, small_train_config
 from test_aco import oracle_cost, oracle_rule_tables, small_universe
 from test_dominance import assert_matches_oracle, random_setup
 from test_rules import CEMENT_RULE, coeffs_by_exponent, oracle_fit
@@ -127,6 +127,7 @@ def test_criterion_3_oracle_equivalence():
     for size in range(1, total + 1):
         for combo in itertools.combinations(range(total), size):
             best = min(best, oracle_cost(W, Y, ds.y, combo, fallback))
+    candidates = candidate_model(uni, ds)
     hits = 0
     for seed in range(20):
         cfg = AcoConfig(
@@ -135,7 +136,7 @@ def test_criterion_3_oracle_equivalence():
             subset_size_range=(1, total),
             patience=12,
         )
-        subset, _ = select_rules(uni, ds, cfg, seed=seed)
+        subset, _ = select_rules(candidates, ds, cfg, seed=seed)
         if subset.cost <= best * 1.05 + 1e-12:
             hits += 1
     assert hits >= 19

@@ -29,7 +29,7 @@ from hit2mtsk.persist import decode
 from hit2mtsk.rules import Polynomial, RuleUnfittableError, rmse
 
 import oracles
-from conftest import make_dataset
+from conftest import candidate_model, make_dataset
 from oracles import polynomial_value, trapezoid_membership
 from test_inference import bits
 from test_universe import partitions_for
@@ -108,7 +108,7 @@ def small_universe(seed=3, n=80, cap=10):
     return ds, generate_candidates(ds, partitions_for(ds), cfg)
 
 
-def dense_universe(n=300):
+def dense_universe(n=300, tnorm="minimum"):
     """Up to 40 rules of one and two clauses over three sets per feature
     (29 on 300 rows), about nine of which fire on each row: most rows add
     many rules, so the order of those additions shows in their sums' bits."""
@@ -116,6 +116,7 @@ def dense_universe(n=300):
     cfg = GenerationConfig(
         degree=1,
         dominance_threshold=0.0,
+        tnorm=tnorm,
         min_rows=4,
         max_candidates=40,
         min_coverage=0.0,
@@ -134,6 +135,7 @@ class TestExhaustiveOptimality:
         for size in range(1, total + 1):
             for combo in itertools.combinations(range(total), size):
                 best = min(best, oracle_cost(W, Y, ds.y, combo, fallback))
+        candidates = candidate_model(uni, ds)
         hits = 0
         for seed in range(20):
             cfg = AcoConfig(
@@ -142,7 +144,7 @@ class TestExhaustiveOptimality:
                 subset_size_range=(1, total),
                 patience=12,
             )
-            subset, _ = select_rules(uni, ds, cfg, seed=seed)
+            subset, _ = select_rules(candidates, ds, cfg, seed=seed)
             # cross-check the reported cost against the oracle scorer
             assert subset.cost == pytest.approx(
                 oracle_cost(W, Y, ds.y, subset.indices, fallback), abs=1e-9
@@ -155,7 +157,7 @@ class TestExhaustiveOptimality:
         ds, uni = small_universe(cap=1)
         assert len(uni) == 1
         cfg = AcoConfig(num_ants=3, num_iterations=3, subset_size_range=(1, 5))
-        subset, _ = select_rules(uni, ds, cfg)
+        subset, _ = select_rules(candidate_model(uni, ds), ds, cfg)
         assert subset.indices == (0,)
         assert subset.rules == (uni.rules[0],)
 
@@ -261,7 +263,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=6, num_iterations=30, subset_size_range=(1, len(uni))
         )
-        subset, trace = select_rules(uni, ds, cfg, seed=4)
+        subset, trace = select_rules(candidate_model(uni, ds), ds, cfg, seed=4)
         assert [it for it, _ in trace] == list(range(1, len(trace) + 1))
         costs = [c for _, c in trace]
         assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
@@ -275,7 +277,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=4, num_iterations=15, subset_size_range=(2, 10), patience=6
         )
-        subset, trace = select_rules(uni, ds, cfg, seed=2)
+        subset, trace = select_rules(candidate_model(uni, ds), ds, cfg, seed=2)
         assert subset.indices == (0, 1, 3, 4, 5, 7, 8)
         assert subset.cost == 1.1740159440491624
         assert trace == (
@@ -305,7 +307,9 @@ class TestSearchContracts:
             num_ants=6, num_iterations=4, subset_size_range=(1, len(uni)), patience=4
         )
         calls = {
-            "select": lambda: select_rules(uni, with_huge_row(ds), cfg),
+            "select": lambda: select_rules(
+                candidate_model(uni, ds), with_huge_row(ds), cfg
+            ),
             "predict": lambda: predict(model, {"x1": 1e300, "x2": 0.0}),
             "predict_values": lambda: predict_values(model, with_huge_row(ds)),
         }
@@ -321,7 +325,7 @@ class TestSearchContracts:
         narrow = Dataset("d", ("x1",), ds.X[:, :1], "y", ds.y)
         cfg = AcoConfig(num_ants=1, num_iterations=1, subset_size_range=(1, 1))
         with pytest.raises(ValueError, match="dataset lacks model feature 'x2'"):
-            select_rules(uni, narrow, cfg)
+            select_rules(candidate_model(uni, ds), narrow, cfg)
 
     def test_overflow_where_a_rule_does_not_fire_is_not_scored(self):
         # rule 0 (x1 is Medium) does not fire at x1 = 1e300, where its
@@ -335,7 +339,7 @@ class TestSearchContracts:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            subset, trace = select_rules(uni, big, cfg, seed=0)
+            subset, trace = select_rules(candidate_model(uni, big), big, cfg, seed=0)
         assert all(np.isfinite(cost) for _, cost in trace)
         W, Y = oracle_rule_tables(uni, big)
         assert subset.cost == pytest.approx(
@@ -351,7 +355,7 @@ class TestSearchContracts:
             subset_size_range=(1, len(uni)),
             patience=patience,
         )
-        _, trace = select_rules(uni, ds, cfg, seed=2)
+        _, trace = select_rules(candidate_model(uni, ds), ds, cfg, seed=2)
         costs = [c for _, c in trace]
         improvements = [
             i for i in range(1, len(costs)) if costs[i] < costs[i - 1]
@@ -365,8 +369,8 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=5, num_iterations=15, subset_size_range=(1, len(uni))
         )
-        a = select_rules(uni, ds, cfg, seed=8)
-        b = select_rules(uni, ds, cfg, seed=8)
+        a = select_rules(candidate_model(uni, ds), ds, cfg, seed=8)
+        b = select_rules(candidate_model(uni, ds), ds, cfg, seed=8)
         assert a[0].indices == b[0].indices
         assert a[0].cost == b[0].cost
         assert a[1] == b[1]
@@ -376,7 +380,8 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=3, num_iterations=5, subset_size_range=(1, len(uni)), patience=5
         )
-        traces = {select_rules(uni, ds, cfg, seed=seed)[1] for seed in range(4)}
+        candidates = candidate_model(uni, ds)
+        traces = {select_rules(candidates, ds, cfg, seed=seed)[1] for seed in range(4)}
         assert len(traces) > 1
 
     def test_size_range_clamped_to_universe(self):
@@ -384,7 +389,7 @@ class TestSearchContracts:
         cfg = AcoConfig(
             num_ants=4, num_iterations=5, subset_size_range=(50, 100)
         )
-        subset, _ = select_rules(uni, ds, cfg, seed=1)
+        subset, _ = select_rules(candidate_model(uni, ds), ds, cfg, seed=1)
         assert len(subset.indices) == len(uni)
 
     def test_full_evaporation_with_floor_still_runs(self):
@@ -396,9 +401,30 @@ class TestSearchContracts:
             subset_size_range=(1, len(uni)),
         )
         assert PHEROMONE_FLOOR > 0.0
-        subset, trace = select_rules(uni, ds, cfg, seed=0)
+        subset, trace = select_rules(candidate_model(uni, ds), ds, cfg, seed=0)
         assert np.isfinite(subset.cost)
         assert len(trace) >= 1
+
+
+def recorded_ants(monkeypatch, candidates, ds, cfg, seed):
+    """Run `select_rules` and return every ant's subset and the prediction
+    it was scored by; the best subset's cost is the least of theirs."""
+    sels, preds = [], []
+
+    def recorded_draw(*args):
+        sels.append(sample_subset(*args))
+        return sels[-1]
+
+    def recorded_cost(pred, y):
+        preds.append(pred.copy())
+        return rmse(pred, y)
+
+    monkeypatch.setattr(hit2mtsk.aco, "sample_subset", recorded_draw)
+    monkeypatch.setattr(hit2mtsk.aco, "rmse", recorded_cost)
+    subset, _ = select_rules(candidates, ds, cfg, seed=seed)
+    assert len(sels) == len(preds) == cfg.num_ants * cfg.num_iterations
+    assert subset.cost == min(rmse(p, ds.y) for p in preds)
+    return sels, preds
 
 
 class TestAntScores:
@@ -408,24 +434,12 @@ class TestAntScores:
     @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
     def test_every_ant_predicts_as_the_reference_scorer(self, monkeypatch, reduction):
         ds, uni = dense_universe()
-        sels, preds = [], []
-
-        def recorded_draw(*args):
-            sels.append(sample_subset(*args))
-            return sels[-1]
-
-        def recorded_cost(pred, y):
-            preds.append(pred.copy())
-            return rmse(pred, y)
-
-        monkeypatch.setattr(hit2mtsk.aco, "sample_subset", recorded_draw)
-        monkeypatch.setattr(hit2mtsk.aco, "rmse", recorded_cost)
         cfg = AcoConfig(
             num_ants=10, num_iterations=10, subset_size_range=(2, len(uni)), patience=10
         )
-        subset, _ = select_rules(uni, ds, cfg, firing_reduction=reduction, seed=5)
-        assert len(sels) == len(preds) == 100
-        assert subset.cost == min(rmse(p, ds.y) for p in preds)
+        candidates = candidate_model(uni, ds, reduction)
+        sels, preds = recorded_ants(monkeypatch, candidates, ds, cfg, seed=5)
+        assert len(sels) == 100
 
         tables = compile_rules(uni.rules, uni.feature_partitions, uni.config.tnorm)
         cells = rule_matrices(tables, _feature_rows(uni.feature_partitions, ds))
@@ -443,6 +457,41 @@ class TestAntScores:
             reordered += not np.array_equal(bits(back), bits(want))
         # most subsets' bits depend on the order each row adds its rules in
         assert reordered > len(sels) // 2
+
+
+class TestAntsScoreTheSavedModel:
+    """Every ant's prediction is that of the model training would save for
+    its subset (the candidate model restricted to the ant's rules), bit
+    for bit, whatever the model's t-norm, firing reduction and fallback."""
+
+    CFG = AcoConfig(num_ants=6, num_iterations=5, subset_size_range=(1, 8), patience=5)
+
+    def assert_ants_predict_as_their_models(self, monkeypatch, candidates, ds):
+        sels, preds = recorded_ants(monkeypatch, candidates, ds, self.CFG, seed=3)
+        fell = 0
+        for sel, pred in zip(sels, preds):
+            pruned = replace(candidates, rules=tuple(candidates.rules[i] for i in sel))
+            want, _, fallback = predict_values(pruned, ds)
+            assert np.array_equal(bits(pred), bits(want))
+            fell += bool(fallback.any())
+        return fell
+
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower", "upper"])
+    def test_every_ant_predicts_as_its_saved_model(self, monkeypatch, reduction, tnorm):
+        ds, uni = dense_universe(tnorm=tnorm)
+        candidates = candidate_model(uni, ds, reduction)
+        assert candidates.tnorm == tnorm
+        self.assert_ants_predict_as_their_models(monkeypatch, candidates, ds)
+
+    def test_rows_no_rule_fires_on_take_the_models_fallback(self, monkeypatch):
+        # a fallback that is not the scoring rows' target mean: an ant
+        # leaving rows unfired must score them with the model's value
+        ds, uni = dense_universe()
+        candidates = replace(candidate_model(uni, ds), fallback_value=-7.5)
+        assert candidates.fallback_value != float(ds.y.mean())
+        fell = self.assert_ants_predict_as_their_models(monkeypatch, candidates, ds)
+        assert fell > 0
 
 
 class TestSelectionPeakMemory:
@@ -465,7 +514,7 @@ class TestSelectionPeakMemory:
         cfg = AcoConfig(num_ants=2, num_iterations=2)
         tracemalloc.start()
         try:
-            select_rules(uni, ds, cfg, seed=0)
+            select_rules(candidate_model(uni, ds), ds, cfg, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

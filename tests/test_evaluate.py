@@ -328,6 +328,21 @@ class TestMamdaniBaseline:
         rmse = np.sqrt(((6.0 - 8.0) ** 2 + (6.0 - 15.0) ** 2) / 2.0)
         assert base.rules[0].error_dominance == pytest.approx(1.0 / (1.0 + rmse))
 
+    def test_hybrid_overflow_does_not_stop_the_twin(self):
+        # High's x^2 - x^3 is NaN at x = 1e300, where High fires: the hybrid
+        # has no prediction there, but the twin reads only where its rules
+        # fire, and has no polynomial
+        model = two_rule_model(rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC)))
+        rows = xy_rows([0.0, 6.0, 1e300], [8.0, 15.0, 24.0])
+        with pytest.raises(RuleUnfittableError, match="rule 1 .* on row 2"):
+            predict_values(model, rows)
+        base = derive_mamdani(model, rows)
+        # High fires on x = 6 and 1e300; constant output 24 vs (15, 24)
+        rmse = np.sqrt((24.0 - 15.0) ** 2 / 2.0)
+        assert base.rules[1].error_dominance == pytest.approx(1.0 / (1.0 + rmse))
+        values, _, fallback = predict_values(base, rows)
+        assert np.isfinite(values).all() and not fallback.any()
+
     def test_baseline_quantizes_single_fire_outputs(self, trained, toy_dataset):
         base = derive_mamdani(trained.model, toy_dataset)
         distinct, n_single, n_sets = quantization_profile(base, toy_dataset)

@@ -21,6 +21,7 @@ from hit2mtsk import (
     load_model,
     predict,
     save_model,
+    select_rules,
 )
 from hit2mtsk.evaluate import derive_mamdani, explainability_block
 from hit2mtsk.inference import (
@@ -256,6 +257,11 @@ class TestValidation:
             predict(empty, {"x": 1.0})
         with pytest.raises(NotTrainedError):
             predict_values(empty, {"x": np.zeros(2)})
+        rows = Dataset("d", ("x",), np.zeros((2, 1)), "y", np.ones(2))
+        with pytest.raises(NotTrainedError):
+            derive_mamdani(empty, rows)
+        with pytest.raises(NotTrainedError):
+            select_rules(empty, rows)
 
     def test_missing_feature_rejected(self):
         with pytest.raises(ValueError, match="lacks model feature"):

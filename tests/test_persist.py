@@ -33,6 +33,7 @@ from hit2mtsk.inference import Model, predict_values
 from hit2mtsk.it2 import Partition, build_partition
 from hit2mtsk.rules import HybridRule, Polynomial
 
+from conftest import candidate_model
 from test_inference import RULE_HIGH, RULE_LOW, X_PART, two_rule_model
 
 GOLDEN_MODEL = Path(__file__).with_name("golden") / "two_rule_model.json"
@@ -238,12 +239,14 @@ class TestUniverseFiles:
     def test_loaded_universe_selects_the_same_subset(
         self, trained, toy_dataset, tmp_path
     ):
-        # select_rules compiles the rules it is given, not a model's tables
+        # a reloaded universe's candidate model compiles tables of its own
         path = tmp_path / "universe.json"
         save_universe(trained.universe, path)
         config = AcoConfig(num_ants=4, num_iterations=3)
-        want = select_rules(trained.universe, toy_dataset, config, seed=1)
-        got = select_rules(load_universe(path), toy_dataset, config, seed=1)
+        want, got = (
+            select_rules(candidate_model(u, toy_dataset), toy_dataset, config, seed=1)
+            for u in (trained.universe, load_universe(path))
+        )
         assert got == want
 
     def test_resave_is_byte_identical(self, trained, tmp_path):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -559,13 +559,25 @@ class TestPinnedOutput:
             "e843561578302b0989e0250947b4405b6f9f3b4b3267c7ca0c7a529728aca32d"
         )
 
-    def test_selection_cost_is_the_saved_models_rmse(self):
-        # one training row is fired by no selected rule, so the cost holds
-        # only if selection falls back to the model's own fallback value
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower", "upper"])
+    def test_selection_cost_is_the_saved_models_rmse(self, reduction, tnorm):
+        # some training rows are fired by no selected rule (one by default),
+        # so the cost holds only if selection falls back to the model's own
+        # fallback value, and fires and weighs as the model does
         ds = four_feature_dataset()
-        model = train_model(ds, small_train_config(degree=3)).model
+        base = small_train_config(degree=3)
+        config = replace(
+            base,
+            generation=replace(base.generation, tnorm=tnorm),
+            firing_reduction=reduction,
+        )
+        model = train_model(ds, config).model
+        assert (model.tnorm, model.firing_reduction) == (tnorm, reduction)
         values, _, fallback = predict_values(model, ds)
-        assert fallback.sum() == 1
+        assert fallback.any()
+        if config == base:
+            assert fallback.sum() == 1
         assert model.manifest["selection_cost"] == rmse(values, ds.y)
 
     def test_rescued_universe(self, tmp_path):

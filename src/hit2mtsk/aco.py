@@ -14,7 +14,12 @@ table, `rule_matrices` over the model's tables and `weigh` run once
 before the search, which keeps each rule's fired rows, and there the
 weights and weighted outputs `weigh` returns as the real and imaginary
 parts of one complex cell (the cells' bounds and outputs are freed
-first).  An ant adds its rules' cells into one reused complex row
+first).  In training, generation has already computed each rule's
+cells on the fit rows, which it hands on with the rows they stand for:
+then only the validation rows are fired and weighed, and each rule's
+generation cells, weighed by `cell_weights` (the arithmetic of
+`weigh`), go before its validation cells and are freed once copied.
+An ant adds its rules' cells into one reused complex row
 buffer with `np.add.at`, rule by rule in index order; a rule's rows are
 distinct, so every row sums its rules in index order from +0.0, the
 additions inference's `bincount`s make.  The subset's prediction is
@@ -28,12 +33,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset
-from .inference import Model, _feature_rows, rule_matrices, weigh, weighted_mean
+from .inference import (
+    Model,
+    _feature_rows,
+    cell_weights,
+    rule_matrices,
+    weigh,
+    weighted_mean,
+)
 from .rules import HybridRule, rmse
+
+if TYPE_CHECKING:
+    from .universe import RuleCells
 
 PHEROMONE_FLOOR = 1e-12
 
@@ -113,12 +129,19 @@ def select_rules(
     dataset: Dataset,
     config: AcoConfig = AcoConfig(),
     seed: int = 0,
+    generated: tuple[np.ndarray, list[RuleCells | None]] | None = None,
 ) -> tuple[RuleSubset, tuple[tuple[int, float], ...]]:
     """Search for the subset of ``model``'s rules whose model (``model``
     restricted to them) has the lowest RMSE on ``dataset``.  ``seed``
     fixes every ant's draws.  Subset sizes beyond the rule count are
     clamped down to it.  Returns the best subset and the (iteration,
     best RMSE so far) trace.
+
+    ``generated``, when given, is ``(rows, cells)``: sorted rows of
+    ``dataset``, and each rule's cells on them as `generate_candidates`
+    left them for a dataset of those rows alone.  Only the other rows are
+    fired here.  Each entry of ``cells`` is set to None once its rule's
+    search arrays are built, so that its arrays are freed.
     """
     rules = model.rules
     total = len(rules)
@@ -127,8 +150,13 @@ def select_rules(
 
     x = _feature_rows(model.feature_partitions, dataset)
     y = dataset.y
+    covered, known = generated or (np.empty(0, np.intp), [])
+    # fire every row that no generation cells cover
+    rest = np.setdiff1d(np.arange(y.size), covered)
     # looked up in this module, so selection's firing is timed apart
-    cells = rule_matrices(model.tables, x)
+    cells = rule_matrices(model.tables, x[:, rest])
+    # numbered as the dataset's rows before `weigh` can name one
+    cells = cells._replace(row=rest[cells.row])
     w, wy = weigh(rules, model.tables, cells, model.firing_reduction)
     # each rule's rows where it fires, and there its weights and weighted
     # outputs as one complex cell; the cells' bounds and outputs are freed
@@ -140,6 +168,18 @@ def select_rules(
     sums.real, sums.imag = w, wy
     del w, wy
     sums_of = np.split(sums, cuts)
+    # generation's cells take the rows they stand for and go first; a
+    # rule's rows are distinct, so their order within it adds nothing.
+    # They need no NaN check: generation refuses a NaN output
+    for r, c in enumerate(known):
+        known[r] = None
+        w, wy = cell_weights(
+            c.lo, c.hi, c.y, model.tables.dominance[r], model.firing_reduction
+        )
+        head = np.empty(w.size, complex)
+        head.real, head.imag = w, wy
+        rows_of[r] = np.concatenate((covered[c.row], rows_of[r]))
+        sums_of[r] = np.concatenate((head, sums_of[r]))
     buf = np.empty(y.size, complex)  # per-row (sum of w) + 1j * (sum of wy)
 
     def cost_of(sel: np.ndarray) -> float:

@@ -293,22 +293,25 @@ def load_csv(path, target_column: str) -> Dataset:
     return _select(path, path.stem, header, table, inputs, target_column)
 
 
+def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (kept, held-out) row indices of a seeded shuffle of ``n``
+    rows; the held-out part gets the first round(n*fraction) of it."""
+    n_test = int(round(n * fraction))
+    perm = np.random.default_rng(np.random.SeedSequence([seed])).permutation(n)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
 def split_holdout(
     dataset: Dataset, fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled train/test split; test gets round(n*fraction)."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
-    n = dataset.n_rows
-    n_test = int(round(n * fraction))
-    if n_test == 0:
+    train_idx, test_idx = split_rows(dataset.n_rows, fraction, seed)
+    if test_idx.size == 0:
         raise ValueError("holdout fraction produces an empty test set")
-    if n_test >= n:
+    if train_idx.size == 0:
         raise ValueError("holdout fraction leaves no training rows")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    perm = rng.permutation(n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 

@@ -24,8 +24,9 @@ FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 # sets) x rows cells, and evaluates and clips polynomials over blocks of
 # at most this many fired cells, so that their temporaries stay small.
 # Within a block, an exponent-table group of at most `rules.TABLE_CELLS`
-# cells (every group of a single-row predict) is one term table; larger
-# groups run term by term, holding one term's coefficients at a time
+# cells (every group of a single-row predict) and at least
+# `rules.TABLE_MIN_TERMS` terms is one term table; other groups run term
+# by term, holding one term's coefficients at a time
 BLOCK_CELLS = 1 << 16
 
 
@@ -298,19 +299,33 @@ def weighted_mean(
     return np.where(fell, fallback, psum / np.where(fell, 1.0, wsum)), fell
 
 
+def cell_weights(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    y: np.ndarray,
+    dominance: np.ndarray | float,
+    reduction: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells' weights (reduced firing times their rules' error dominance)
+    and weighted outputs.  A cell of weight 0 (the lower reduction, or
+    underflow) has weighted output +0.0, even where its output is NaN,
+    so it adds nothing to its row's sums."""
+    w = reduce_firing(lo, hi, reduction) * dominance
+    wy = w * y
+    wy[w <= 0.0] = 0.0
+    return w, wy
+
+
 def weigh(
     rules: Sequence[HybridRule], tables: RuleTables, cells: FiredCells, reduction: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every fired cell's weight (reduced firing times error dominance)
-    and weighted output.  A cell of weight 0 (the lower reduction, or
-    underflow) has weighted output +0.0, even where its output is NaN,
-    so it adds nothing to its row's sums.  A cell of positive weight
-    whose output is NaN would make a prediction or an ACO cost NaN: the
-    first, in rule order, is refused with `RuleUnfittableError` naming
-    its rule and row."""
-    w = reduce_firing(cells.lo, cells.hi, reduction) * tables.dominance[cells.rule]
-    wy = w * cells.y
-    wy[w <= 0.0] = 0.0
+    """Every fired cell's `cell_weights`.  A cell of positive weight whose
+    output is NaN would make a prediction or an ACO cost NaN: the first,
+    in rule order, is refused with `RuleUnfittableError` naming its rule
+    and row."""
+    w, wy = cell_weights(
+        cells.lo, cells.hi, cells.y, tables.dominance[cells.rule], reduction
+    )
     nan = np.flatnonzero(np.isnan(wy))
     if nan.size:
         i, r = int(cells.rule[nan[0]]), int(cells.row[nan[0]])

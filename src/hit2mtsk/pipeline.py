@@ -1,11 +1,12 @@
 """End-to-end training: partitions -> rule universe -> subset -> model.
 
-The training fold is internally re-split: rules are generated and
-fitted on the larger part only.  The candidate model holds every rule
-with the saved model's settings, and the subset search prunes it,
-scoring each subset on the whole fold.  All randomness flows from one
-seed through named substreams, so a config+seed pair pins every
-artifact.
+The training fold is internally re-split (`data.split_rows`): rules
+are generated and fitted on the larger part, the fit rows, only.  The
+candidate model holds every rule with the saved model's settings, and
+the subset search prunes it, scoring each subset on the whole fold: it
+reuses the cells generation computed on the fit rows and fires only the
+validation rows.  All randomness flows from one seed through named
+substreams, so a config+seed pair pins every artifact.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .aco import AcoConfig, select_rules
-from .data import Dataset, dataset_fingerprint, split_holdout
+from .data import Dataset, dataset_fingerprint, split_rows
 from .inference import FIRING_REDUCTIONS, Model
 from .it2 import DegeneratePartitionError, Partition, build_partition
 from .universe import GenerationConfig, RuleUniverse, generate_candidates
@@ -114,17 +115,22 @@ def train_model(
     """Train on one dataset (typically a CV training fold)."""
     partitions = build_partitions(dataset, config)
 
-    n_val = int(round(dataset.n_rows * config.validation_fraction))
-    if 0 < n_val < dataset.n_rows:
-        fit_data, _ = split_holdout(
-            dataset,
-            config.validation_fraction,
-            derive_seed(config.seed, _STREAM_VALIDATION_SPLIT),
-        )
+    fit_rows, val_rows = split_rows(
+        dataset.n_rows,
+        config.validation_fraction,
+        derive_seed(config.seed, _STREAM_VALIDATION_SPLIT),
+    )
+    if fit_rows.size and val_rows.size:
+        fit_data = dataset.subset(fit_rows)
     else:
-        fit_data = dataset
+        fit_rows, fit_data = np.arange(dataset.n_rows), dataset
 
     universe = generate_candidates(fit_data, partitions, config.generation)
+    # selection reuses generation's cells on the fit rows and fires only
+    # the validation rows; the universe kept drops them (`replace` does not
+    # copy them), so that each rule's are freed once selection used them
+    generated = None if universe.cells is None else (fit_rows, list(universe.cells))
+    universe = replace(universe)
     stats = tuple(
         (p.variable, *_moments(dataset.column(p.variable)))
         for p in universe.feature_partitions
@@ -140,7 +146,9 @@ def train_model(
         feature_stats=stats,
     )
     aco_seed = derive_seed(config.seed, _STREAM_ACO)
-    subset, trace = select_rules(candidates, dataset, config.aco, aco_seed)
+    subset, trace = select_rules(
+        candidates, dataset, config.aco, aco_seed, generated
+    )
     manifest = {
         # as JSON holds it, so a reloaded model's manifest equals this one
         "config": json.loads(json.dumps(asdict(config))),

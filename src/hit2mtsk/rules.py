@@ -17,15 +17,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_DEGREE = 3
-# `evaluate_terms` evaluates a block of at most this many cells as one
-# term table, and larger blocks term by term.  On a 2-core x86-64 host the
-# table was faster for 10- and 20-term groups at 1-64 cells (at 8 cells
-# 20-24 us against 32-36, and 31-33 against 55-66) and even with the loop
-# by about 128 and 192 cells; it was no faster for 4-term groups at any
-# size (14-19 us against 13-15 at 8 cells), and 1.5-4x slower at 3000
-# cells, where its accumulate alone took 7x as long as adding the rows one
-# by one
+# `evaluate_terms` evaluates a block of at most TABLE_CELLS cells of a
+# group of at least TABLE_MIN_TERMS terms as one term table, and any
+# other block term by term.  On a 2-core x86-64 host the table was faster
+# for 10- and 20-term groups at 1-64 cells (at 8 cells 20-24 us against
+# 32-36, and 31-33 against 55-66) and even with the loop by about 128 and
+# 192 cells; it was no faster for 4-term groups at any size (14-19 us
+# against 13-15 at 8 cells; 12-29 us against 7-15 at 4-64 cells for arity
+# 3 at degree 1), and 1.5-4x slower at 3000 cells, where its accumulate
+# alone took 7x as long as adding the rows one by one
 TABLE_CELLS = 64
+TABLE_MIN_TERMS = 5
 
 
 class RuleUnfittableError(ValueError):
@@ -113,16 +115,17 @@ def evaluate_terms(
     not depend on the block it is evaluated in, nor on which of two
     layouts evaluates it:
 
-    - a block of at most TABLE_CELLS cells is one (1 + terms, cells)
-      table, in a fixed number of numpy calls: row 0 is 0.0, the others
-      the coefficients, multiplied once per variable by that variable's
-      power of each term (its power 0 is 1.0, and ``t * 1.0`` is ``t``),
-      then summed down the rows in order by one sequential accumulate;
-    - a larger block adds one term at a time, gathering one term's
+    - a block of at most TABLE_CELLS cells, of at least TABLE_MIN_TERMS
+      terms, is one (1 + terms, cells) table, in a fixed number of numpy
+      calls: row 0 is 0.0, the others the coefficients, multiplied once
+      per variable by that variable's power of each term (its power 0 is
+      1.0, and ``t * 1.0`` is ``t``), then summed down the rows in order
+      by one sequential accumulate;
+    - any other block adds one term at a time, gathering one term's
       coefficients at a time, so it never holds a whole table.
     """
     cells = cols.shape[1]
-    if cells <= TABLE_CELLS:
+    if cells <= TABLE_CELLS and len(exponents) >= TABLE_MIN_TERMS:
         # powers[k, j] is cols[j] ** k, as the term loop computes it
         powers = np.empty((degree + 1, *cols.shape))
         powers[0] = 1.0

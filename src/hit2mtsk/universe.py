@@ -8,14 +8,18 @@ fuzzy dominance, firing each antecedent once.  The candidates are
 capped, and rescued for coverage, from those firing rows alone, before
 any fit; then one loop fits every chosen candidate, one clause subset
 at a time, and grades it again by fit error.  The result is the rule
-universe the subset selector searches over.
+universe the subset selector searches over.  The universe that
+`generate_candidates` returns also carries each rule's cells on those
+rows (`RuleCells`: rows, firing bounds, clamped outputs), so that
+training's selection need not fire and evaluate them again; they are
+neither saved, nor compared, nor copied by `dataclasses.replace`.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +78,17 @@ class GenerationConfig:
             raise ValueError("min_coverage must be in [0, 1]")
 
 
+class RuleCells(NamedTuple):
+    """One rule's cells on the rows of the dataset it was generated from
+    where it fires: those rows, ascending, its firing bounds there and its
+    clamped outputs, as `inference.rule_matrices` computes them."""
+
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    y: np.ndarray
+
+
 @dataclass(frozen=True)
 class RuleUniverse:
     """Fitted candidate pool plus everything needed to re-evaluate it."""
@@ -84,6 +99,11 @@ class RuleUniverse:
     config: GenerationConfig
     dataset_fingerprint: str
     coverage: float
+    # each rule's cells, set by `generate_candidates` alone: any other
+    # universe (built, loaded or replaced) has none
+    cells: tuple[RuleCells, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -139,7 +159,8 @@ def generate_candidates(
 
     ``partitions`` maps variable names to partitions and must include
     the target; features without a partition (e.g. constant columns)
-    are simply excluded from antecedents.
+    are simply excluded from antecedents.  The universe's ``cells`` hold
+    each rule's `RuleCells` on the rows of ``dataset``.
 
     Raises
     ------
@@ -176,16 +197,16 @@ def generate_candidates(
     )
 
     # grading fires each antecedent once and reads its fired rows alone;
-    # they and the firing midpoints there are all that is read later
+    # they and the firing bounds there are all that is read later
     records: list[_Candidate] = []
-    fired: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    fired: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for ant, cons_list in by_ant.items():
         f_lo, f_hi = fire(lower, upper, [offset[j] + s for j, s in ant], config.tnorm)
         rows = np.flatnonzero(f_hi > 0.0)
         if rows.size == 0:
             continue
         f_lo, f_hi = f_lo[rows], f_hi[rows]
-        fired[ant] = (rows, 0.5 * (f_lo + f_hi))
+        fired[ant] = (rows, f_lo, f_hi)
         for cons in cons_list:
             args = (f_lo, f_hi, t_low[cons, rows], t_upp[cons, rows])
             d = combine_dominance(
@@ -222,9 +243,9 @@ def generate_candidates(
         chosen.append(cand)
         covered[rows] = True
 
-    def fit_rule(cand: _Candidate, design: np.ndarray) -> HybridRule:
+    def fit_rule(cand: _Candidate, design: np.ndarray) -> tuple[HybridRule, RuleCells]:
         var_names = tuple(feats[j] for j, _ in cand.ant)
-        rows, firing = fired[cand.ant]
+        rows, lo, hi = fired[cand.ant]
         # the rows of the subset design this rule fires on; its linear
         # columns are the rule's own inputs
         D = design.take(rows, axis=0)
@@ -237,14 +258,16 @@ def generate_candidates(
             variables=var_names,
             degree=config.degree,
             ridge=config.ridge,
-            firing=firing,
+            firing=0.5 * (lo + hi),
             weighted=config.weighted_fit,
             clamp_bounds=bounds,
             design=D,
         )
-        # a degraded fit may be a constant over none of the variables
+        # a degraded fit may be a constant over none of the variables; a
+        # NaN output fails `error_dominance`, so every kept output is a number
         raw = poly.evaluate(X_sub[:, [var_names.index(v) for v in poly.variables]])
-        return HybridRule(
+        y = clamp(raw, bounds)
+        rule = HybridRule(
             antecedent=tuple(
                 (feats[j], fparts[j].sets[s].name) for j, s in cand.ant
             ),
@@ -252,8 +275,9 @@ def generate_candidates(
             consequent_fn=poly,
             clamp_bounds=bounds,
             fuzzy_dominance=cand.dominance,
-            error_dominance=error_dominance(rmse(clamp(raw, bounds), y_sub)),
+            error_dominance=error_dominance(rmse(y, y_sub)),
         )
+        return rule, RuleCells(rows, lo, hi, y)
 
     # fit one clause subset at a time, so that only one subset design is
     # alive at once; the rules keep their chosen order
@@ -272,11 +296,14 @@ def generate_candidates(
                 fitted[i] = fit_rule(chosen[i], design)
         del design
 
-    return RuleUniverse(
-        rules=tuple(fitted),
+    rules, cells = zip(*fitted)
+    universe = RuleUniverse(
+        rules=rules,
         feature_partitions=tuple(fparts),
         target_partition=tpart,
         config=config,
         dataset_fingerprint=dataset_fingerprint(dataset),
         coverage=float(covered.mean()),
     )
+    object.__setattr__(universe, "cells", cells)  # frozen, and not an argument
+    return universe

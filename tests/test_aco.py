@@ -17,22 +17,27 @@ from hit2mtsk import (
     Dataset,
     GenerationConfig,
     Model,
+    TrainConfig,
     generate_candidates,
     predict,
     predict_values,
     select_rules,
+    train_model,
 )
 import hit2mtsk.aco
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
+from hit2mtsk.data import split_rows
 from hit2mtsk.inference import _feature_rows, compile_rules, rule_matrices, weigh
-from hit2mtsk.persist import decode
+from hit2mtsk.persist import decode, universe_to_dict
+from hit2mtsk.pipeline import _STREAM_ACO, _STREAM_VALIDATION_SPLIT, derive_seed
 from hit2mtsk.rules import Polynomial, RuleUnfittableError, rmse
+from hit2mtsk.universe import RuleCells
 
 import oracles
-from conftest import candidate_model, make_dataset
+from conftest import candidate_model, make_dataset, small_train_config
 from oracles import polynomial_value, trapezoid_membership
 from test_inference import bits
-from test_universe import partitions_for
+from test_universe import OPEN_CONFIG, four_feature_dataset, partitions_for
 
 # ---------------------------------------------------------------------------
 # independent scorer: per-rule weights/outputs through the scalar trapezoid
@@ -106,6 +111,15 @@ def small_universe(seed=3, n=80, cap=10):
         min_coverage=0.0,
     )
     return ds, generate_candidates(ds, partitions_for(ds), cfg)
+
+
+def rows_cells(model, ds, rows):
+    """Each rule's `RuleCells` on ``rows`` of ``ds``, numbered within them:
+    what generation hands on for a dataset of those rows alone."""
+    x = _feature_rows(model.feature_partitions, ds)[:, rows]
+    cells = rule_matrices(model.tables, x)
+    cuts = np.searchsorted(cells.rule, np.arange(1, len(model.rules)))
+    return [RuleCells(*c) for c in zip(*(np.split(a, cuts) for a in cells[1:]))]
 
 
 def dense_universe(n=300, tnorm="minimum"):
@@ -291,6 +305,7 @@ class TestSearchContracts:
         "path,row",
         [
             ("select", 80),
+            ("select_with_generation_cells", 80),
             ("predict", 0),
             ("predict_values", 80),
         ],
@@ -309,6 +324,14 @@ class TestSearchContracts:
         calls = {
             "select": lambda: select_rules(
                 candidate_model(uni, ds), with_huge_row(ds), cfg
+            ),
+            # generation's cells cover the 80 rows of ds; the huge row,
+            # fired by selection alone, is named in the dataset's numbering
+            "select_with_generation_cells": lambda: select_rules(
+                candidate_model(uni, ds),
+                with_huge_row(ds),
+                cfg,
+                generated=(np.arange(80), rows_cells(model, ds, np.arange(80))),
             ),
             "predict": lambda: predict(model, {"x1": 1e300, "x2": 0.0}),
             "predict_values": lambda: predict_values(model, with_huge_row(ds)),
@@ -521,6 +544,128 @@ class TestSelectionPeakMemory:
         step, search = peaks
         assert step >= 10 * 2**20  # about 210000 fired cells
         assert search <= step + step // 50
+
+
+class TestGenerationHandoff:
+    """Training's selection reuses generation's cells on the fit rows and
+    fires only the validation rows, and selects as standalone selection
+    over every row does, bit for bit."""
+
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    def test_generation_cells_are_the_models_cells(self, tnorm):
+        # rows, firing bounds and clamped outputs, for full fits and for
+        # fits degraded to degree 1 or to a constant
+        ds = four_feature_dataset()
+        uni = generate_candidates(
+            ds, partitions_for(ds, 5), replace(OPEN_CONFIG, degree=3, tnorm=tnorm)
+        )
+        fns = [r.consequent_fn for r in uni.rules]
+        assert {f.degree for f in fns} == {1, 3}
+        assert any(not f.variables for f in fns)
+        want = rows_cells(candidate_model(uni, ds), ds, np.arange(ds.n_rows))
+        assert len(uni.cells) == len(uni) == len(want)
+        for got, ref in zip(uni.cells, want):
+            assert np.array_equal(got.row, ref.row)
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.array_equal(bits(a), bits(b))
+        # no copy, comparison or file keeps them
+        assert replace(uni).cells is None and replace(uni) == uni
+        assert "cells" not in universe_to_dict(uni)
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.0])
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower", "upper"])
+    def test_training_selects_as_standalone_selection(
+        self, monkeypatch, reduction, tnorm, fraction
+    ):
+        ds = four_feature_dataset()
+        base = small_train_config(degree=3)
+        config = replace(
+            base,
+            generation=replace(base.generation, tnorm=tnorm),
+            firing_reduction=reduction,
+            validation_fraction=fraction,
+        )
+        fired = []
+
+        def recorded(tables, x):
+            fired.append(x)
+            return rule_matrices(tables, x)
+
+        monkeypatch.setattr(hit2mtsk.aco, "rule_matrices", recorded)
+        result = train_model(ds, config)
+        _, val = split_rows(
+            ds.n_rows, fraction, derive_seed(config.seed, _STREAM_VALIDATION_SPLIT)
+        )
+        assert val.size == round(fraction * ds.n_rows)
+        x = _feature_rows(result.model.feature_partitions, ds)
+        (got,) = fired
+        assert np.array_equal(got, x[:, val])  # the validation rows alone
+
+        subset, trace = select_rules(
+            candidate_model(result.universe, ds, reduction),
+            ds,
+            config.aco,
+            derive_seed(config.seed, _STREAM_ACO),
+        )
+        assert subset.rules == result.model.rules
+        assert trace == result.trace
+        assert subset.cost == result.model.manifest["selection_cost"]
+
+    def test_a_rule_firing_on_validation_rows_alone(self):
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        cells = rule_matrices(model.tables, _feature_rows(model.feature_partitions, ds))
+        val = np.union1d(cells.row[cells.rule == 0], np.arange(0, ds.n_rows, 5))
+        fit = np.setdiff1d(np.arange(ds.n_rows), val)
+        generated = rows_cells(model, ds, fit)
+        assert generated[0].row.size == 0
+        cfg = AcoConfig(num_ants=6, num_iterations=8)
+        got = select_rules(model, ds, cfg, 3, (fit, generated))
+        assert got == select_rules(model, ds, cfg, 3)
+        assert generated == [None] * len(uni)  # each rule's freed once used
+
+
+def wide_dataset(n=1000):
+    """Friedman (1991) #1: 8 features, 5 of them informative."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (n, 8))
+    y = (
+        10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])
+        + 20.0 * (X[:, 2] - 0.5) ** 2
+        + 10.0 * X[:, 3]
+        + 5.0 * X[:, 4]
+        + rng.normal(0.0, 1.0, n)
+    )
+    return Dataset("wide", tuple(f"x{j + 1}" for j in range(8)), X, "y", y)
+
+
+class TestTrainingPeakMemory:
+    def test_training_peaks_below_firing_the_whole_fold(self):
+        # about 1600 candidates fire on 175000 cells of 1000 rows: training
+        # peaks in generation or in firing the validation rows beside
+        # generation's cells (0.92 times this step's peak), not in a table
+        # of every cell of the fold (which puts it at 1.26 times)
+        ds = wide_dataset()
+        config = TrainConfig(aco=AcoConfig(num_ants=2, num_iterations=1))
+        tracemalloc.start()
+        try:
+            result = train_model(ds, config)
+            train_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = candidate_model(result.universe, ds)
+        x = _feature_rows(model.feature_partitions, ds)
+        tables = model.tables
+        tracemalloc.start()
+        try:
+            cells = rule_matrices(tables, x)
+            weigh(model.rules, tables, cells, model.firing_reduction)
+            fold_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.rule.size >= 150_000
+        assert train_peak < fold_peak
 
 
 class TestConfig:

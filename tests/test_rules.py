@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hit2mtsk.rules
 from hit2mtsk.rules import (
     TABLE_CELLS,
     HybridRule,
@@ -477,6 +478,28 @@ class TestEvaluateTermsLayouts:
             shared = polys[0].evaluate(cols.T)
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(shared), bits(per_rule[0]))
+
+    @pytest.mark.parametrize("cells", [1, 8, TABLE_CELLS])
+    @pytest.mark.parametrize(
+        "arity,degree", [(0, 3), (1, 1), (1, 3), (2, 1), (3, 1), (2, 2), (3, 3)]
+    )
+    def test_groups_of_few_terms_take_the_term_loop(
+        self, monkeypatch, cells, arity, degree
+    ):
+        # a small block is one term table only for 5 terms or more; the
+        # table alone reads the exponents as an array
+        tables = []
+        exponent_table = hit2mtsk.rules._exponent_table
+
+        def recorded(exponents):
+            tables.append(exponents)
+            return exponent_table(exponents)
+
+        monkeypatch.setattr(hit2mtsk.rules, "_exponent_table", recorded)
+        exps, coefficients, cols, rule = self.case(0, cells, arity, degree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluate_terms(degree, exps, coefficients, cols, rule)
+        assert bool(tables) == (len(exps) > 4)
 
     @pytest.mark.parametrize("arity", [2, 3])
     def test_one_cell_blocks_sum_in_term_order(self, arity):

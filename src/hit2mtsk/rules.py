@@ -272,6 +272,17 @@ class HybridRule:
         )
 
 
+def _column_moments(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and standard deviation: the operations of
+    ``M.mean(axis=0)`` and ``M.std(axis=0)``, bit for bit, except that the
+    mean is summed once, not once for each."""
+    n = M.shape[0]
+    mu = np.add.reduce(M, axis=0) / n
+    x = M - mu
+    x *= x
+    return mu, np.sqrt(np.add.reduce(x, axis=0) / n)
+
+
 def _solve_least_squares(
     M: np.ndarray,
     y: np.ndarray,
@@ -286,8 +297,7 @@ def _solve_least_squares(
     back-transform, zero-variance columns pinned to coefficient 0.
     """
     n, m = M.shape
-    mu = M.mean(axis=0)
-    sd = M.std(axis=0)
+    mu, sd = _column_moments(M)
     keep = sd > 0
     Z = (M[:, keep] - mu[keep]) / sd[keep]
     A = np.hstack([np.ones((n, 1)), Z])

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import signal
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -666,6 +669,182 @@ class TestTrainingPeakMemory:
             tracemalloc.stop()
         assert cells.rule.size >= 150_000
         assert train_peak < fold_peak
+
+
+def forced_helpers(monkeypatch, cores=3):
+    """Make `select_rules` fork ``cores - 1`` helpers whatever its work,
+    and return the list the helpers' pids are recorded into."""
+    monkeypatch.setattr(hit2mtsk.aco, "HELPER_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    pids = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def searched(monkeypatch, model, ds, cfg, seed, on_draw=None):
+    """`select_rules`' subset and trace, the weights every draw was given
+    and how many ants this process scored; ``on_draw(draw number)`` runs
+    before each draw."""
+    weights, scored = [], []
+
+    def recorded_draw(rng, w, size):
+        if on_draw is not None:
+            on_draw(len(weights))
+        weights.append(w.copy())
+        return sample_subset(rng, w, size)
+
+    def counted_cost(pred, y):
+        scored.append(1)
+        return rmse(pred, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(hit2mtsk.aco, "sample_subset", recorded_draw)
+        m.setattr(hit2mtsk.aco, "rmse", counted_cost)
+        subset, trace = select_rules(model, ds, cfg, seed)
+    return subset, trace, weights, len(scored)
+
+
+def assert_same_search(got, want):
+    """Equal subsets, and bitwise equal costs, traces and draw weights."""
+    (subset, trace, weights, _), (ref, ref_trace, ref_weights, _) = got, want
+    assert subset.indices == ref.indices and subset.rules == ref.rules
+    assert bits(subset.cost) == bits(ref.cost)
+    assert [it for it, _ in trace] == [it for it, _ in ref_trace]
+    assert np.array_equal(bits([c for _, c in trace]), bits([c for _, c in ref_trace]))
+    assert len(weights) == len(ref_weights)
+    for a, b in zip(weights, ref_weights):
+        assert np.array_equal(bits(a), bits(b))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHelperProcesses:
+    """Ants scored on forked helper processes give the serial search bit
+    for bit: every draw's weights (which carry every earlier ant's cost
+    through the pheromone), the subset, its cost and the trace; and no
+    helper outlives the search."""
+
+    CFG = AcoConfig(num_ants=9, num_iterations=6, subset_size_range=(2, 20), patience=6)
+    ANTS = CFG.num_ants * CFG.num_iterations
+
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
+    @pytest.mark.parametrize("cores", [2, 5])  # 4 helpers: more than this host has
+    def test_helpers_search_as_this_process_alone(
+        self, monkeypatch, reduction, tnorm, cores
+    ):
+        ds, uni = dense_universe(tnorm=tnorm)
+        model = candidate_model(uni, ds, reduction)
+        serial = searched(monkeypatch, model, ds, self.CFG, 4)
+        assert serial[3] == self.ANTS
+        pids = forced_helpers(monkeypatch, cores)
+        got = searched(monkeypatch, model, ds, self.CFG, 4)
+        assert len(pids) == cores - 1
+        assert 0 < got[3] < self.ANTS  # the helpers scored the other ants
+        assert_same_search(got, serial)
+        assert_no_child_left()
+
+    def test_training_with_helpers_saves_the_same_model(self, monkeypatch):
+        # selection on generation's cells and the validation rows
+        ds = four_feature_dataset()
+        config = small_train_config(degree=3)
+        serial = train_model(ds, config)
+        pids = forced_helpers(monkeypatch)
+        got = train_model(ds, config)
+        assert len(pids) == 2
+        assert got.model == serial.model and got.trace == serial.trace
+        assert_no_child_left()
+
+    def test_no_helper_outlives_an_error_in_the_search(self, monkeypatch):
+        ds, uni = dense_universe()
+
+        def fail_in_iteration_3(draw):
+            # mid-iteration, with a share of its ants handed out
+            if draw == 2 * self.CFG.num_ants + 6:
+                raise RuntimeError("draw failed")
+
+        pids = forced_helpers(monkeypatch)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            searched(
+                monkeypatch, candidate_model(uni, ds), ds, self.CFG, 4, fail_in_iteration_3
+            )
+        assert len(pids) == 2
+        assert_no_child_left()
+
+    def test_a_killed_helper_leaves_the_search_unchanged(self, monkeypatch):
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        serial = searched(monkeypatch, model, ds, self.CFG, 4)
+        pids = forced_helpers(monkeypatch)
+
+        # the first helper dies mid-iteration 2, holding ants, the other
+        # before iteration 4
+        kills = {self.CFG.num_ants + 5: 0, 3 * self.CFG.num_ants: 1}
+
+        def kill_helpers(draw):
+            if draw in kills:
+                os.kill(pids[kills[draw]], signal.SIGKILL)
+
+        got = searched(monkeypatch, model, ds, self.CFG, 4, kill_helpers)
+        assert_same_search(got, serial)
+        assert got[3] < self.ANTS  # the helpers did score until they died
+        assert_no_child_left()
+
+    def test_a_refused_fork_leaves_the_search_unchanged(self, monkeypatch):
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        serial = searched(monkeypatch, model, ds, self.CFG, 4)
+        forced_helpers(monkeypatch)
+
+        def refused():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refused)
+        got = searched(monkeypatch, model, ds, self.CFG, 4)
+        assert_same_search(got, serial)
+        assert got[3] == self.ANTS
+
+    def test_forking_beside_a_live_thread_warns_nothing(self, monkeypatch):
+        # Python 3.12+ warns when a multi-threaded process forks
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        serial = searched(monkeypatch, model, ds, self.CFG, 4)
+        pids = forced_helpers(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = searched(monkeypatch, model, ds, self.CFG, 4)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(pids) == 2
+        assert_same_search(got, serial)
+        assert_no_child_left()
+
+    def test_a_small_search_forks_nothing(self, monkeypatch):
+        # many cores, but an iteration's work is below HELPER_WORK
+        ds, uni = dense_universe(n=2000)
+        model = candidate_model(uni, ds)
+        forks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        _, _, _, scored = searched(monkeypatch, model, ds, self.CFG, 4)
+        assert forks == [] and scored == self.ANTS
 
 
 class TestConfig:

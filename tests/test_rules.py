@@ -441,6 +441,30 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+class TestColumnMoments:
+    """`_column_moments` is ``M.mean(axis=0)`` and ``M.std(axis=0)`` bit for
+    bit, whatever the design's layout: one column is summed pairwise,
+    several row by row."""
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(1, 1), (9, 1), (1000, 1), (300, 4), (2001, 20)]
+    )
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "reversed"])
+    def test_moments_are_mean_and_std_bitwise(self, rows, cols, layout):
+        rng = np.random.default_rng(rows * cols)
+        big = rng.normal(3.0, 2.0, (2 * rows, 3 * cols)) ** 3  # monomial-like scales
+        M = {
+            "c": np.ascontiguousarray(big[:rows, :cols]),
+            "fortran": np.asfortranarray(big[:rows, :cols]),
+            "strided": big[::2, 1::3],
+            "reversed": big[::-2, ::-3],
+        }[layout]
+        assert M.shape == (rows, cols)
+        mu, sd = hit2mtsk.rules._column_moments(M)
+        assert np.array_equal(bits(mu), bits(M.mean(axis=0)))
+        assert np.array_equal(bits(sd), bits(M.std(axis=0)))
+
+
 class TestEvaluateTermsLayouts:
     """Both layouts of `evaluate_terms`, the term table of a small block
     and the term loop of a large one, give the per-term oracle's bits."""

@@ -32,16 +32,17 @@ refused by `weigh`, naming that row, before the search starts.
 This process draws every ant.  Where the platform can fork and one
 iteration's expected scoring work reaches `HELPER_WORK` (a toy search
 stays whole), the ants are also scored on forked helper processes, one
-per usable core beyond this one, at most one per ant beyond the first.
-A helper inherits the search table when it is forked.  As soon as the
-first ants of an iteration are drawn whose rows and cells make up the
-first helper's share of its expected work, they go to that helper, the
-next ants to the next, and this process scores the ants left; then it
-reads the helpers' costs and updates the pheromone in ant order.  Every
-cost comes from the same code on the same arrays, so the result does
-not depend on the number of cores or on which process scored which
-ant.  If a helper dies, this process scores its ants.  Nothing sets the
-number of helpers: no config field, flag or environment variable.
+per usable core beyond this one, at most one per ant beyond the first
+and at most `MAX_HELPERS` (1, the count measured).  A helper inherits
+the search table when it is forked.  An iteration's ants are split by
+count: with k = ants // (helpers + 1), the first k go to the first
+helper as soon as the k-th is drawn, the next k to the next, and this
+process scores the rest; then it reads the helpers' costs and updates
+the pheromone in ant order.  Every cost comes from the same code on the
+same arrays, so the result does not depend on the number of cores or
+on which process scored which ant.  If a helper dies, this process
+scores its ants.  Nothing sets the number of helpers: no config field,
+flag or environment variable.
 """
 from __future__ import annotations
 
@@ -80,6 +81,11 @@ PHEROMONE_FLOOR = 1e-12
 # not earn back.  The benchmark trains work at 1.0M (Friedman #1, 5000
 # rows) and 6.4M (Friedman #2, 20000 rows) per iteration
 HELPER_WORK = 500_000
+# At most this many helpers: one helper is all that has been measured (on
+# the 2-core host above).  More would each add a fork and a pipe round trip
+# per iteration for a smaller share, and the affinity mask does not show a
+# CPU quota, so their gain is unverified
+MAX_HELPERS = 1
 
 
 class AcoConfigError(ValueError):
@@ -228,10 +234,10 @@ def select_rules(
     trace: list[tuple[int, float]] = []
 
     # an ant's scoring work counts the rows and its rules' cells
-    cells_of = np.array([r.size for r in rows_of])
-    work = config.num_ants * (y.size + (lo + hi) / 2 * cells_of.mean())
+    cells_per_rule = sum(r.size for r in rows_of) / total
+    work = config.num_ants * (y.size + (lo + hi) / 2 * cells_per_rule)
     helpers = _Helpers(
-        _helper_count(config.num_ants, work), cost_of, y.size, cells_of
+        _helper_count(config.num_ants, work), config.num_ants, cost_of
     )
     try:
         for iteration in range(1, config.num_iterations + 1):
@@ -244,7 +250,7 @@ def select_rules(
                 )
                 size = int(rng.integers(lo, hi + 1))
                 sels.append(sample_subset(rng, weights, size))
-                helpers.hand_out(sels, config.num_ants)
+                helpers.hand_out(sels)
             costs = helpers.costs(sels)
             pheromone *= 1.0 - config.rho
             for sel, cost in zip(sels, costs):
@@ -273,13 +279,13 @@ def select_rules(
 def _helper_count(num_ants: int, work: float) -> int:
     """Helper processes for a search whose iterations each score
     ``num_ants`` ants of ``work`` expected work in all: one per usable
-    core beyond this process, capped by the ants, where the platform can
-    fork and ``work`` reaches HELPER_WORK; else none."""
+    core beyond this process, capped by the ants and MAX_HELPERS, where
+    the platform can fork and ``work`` reaches HELPER_WORK; else none."""
     if work < HELPER_WORK:
         return 0
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
-    return min(len(os.sched_getaffinity(0)), num_ants) - 1
+    return min(len(os.sched_getaffinity(0)) - 1, num_ants - 1, MAX_HELPERS)
 
 
 def _read(fd: int, size: int) -> bytes | None:
@@ -317,37 +323,26 @@ class _Helpers:
 
     A helper inherits the search table when it is forked, and scores a
     subset with the same ``cost_of`` on the same arrays: its costs are
-    the parent's bits.  In each iteration the first helper gets the
-    first ants drawn once their work reaches its share of the
-    iteration's expected work (the mean work of the ants drawn so far
-    times the ants, over the helpers and the parent), the next helper
-    the next ants, and the parent scores the ants left.  A helper that
-    has died gets no more ants, and the parent scores those it held.
+    the parent's bits.  Each iteration's ants are split by count: with
+    ``k = ants // (helpers + 1)``, helper ``h`` scores ants
+    ``[h * k, (h + 1) * k)``, sent as soon as the last of them is drawn,
+    and the parent scores the rest, at least ``k``.  A helper that has
+    died keeps its place in the split, and the parent scores its ants.
     """
 
     def __init__(
-        self,
-        count: int,
-        cost_of: Callable[[np.ndarray], float],
-        rows: int,
-        cells_of: np.ndarray,
+        self, count: int, ants: int, cost_of: Callable[[np.ndarray], float]
     ) -> None:
         self.cost_of = cost_of
-        self.rows = rows
-        self.cells_of = cells_of
-        self.live: list[tuple[int, int, int]] = []  # (pid, job fd, reply fd)
-        # this iteration's (helper, first ant, end) shares, the first ant
-        # not handed out, and the work of the ants from there on
-        self.shares: list[tuple[tuple[int, int, int], int, int]] = []
-        self.cut = 0
-        self.pending = 0
-        self.ants = self.work = 0  # drawn in this search, and their work
+        # (pid, job fd, reply fd) by place in the split; None once dead
+        self.procs: list[tuple[int, int, int] | None] = []
         try:
-            while len(self.live) < count and self._fork():
+            while len(self.procs) < count and self._fork():
                 pass
         except BaseException:
             self.close()
             raise
+        self.share = ants // (len(self.procs) + 1)
 
     def _fork(self) -> bool:
         job_r, job_w = os.pipe()
@@ -370,7 +365,7 @@ class _Helpers:
             status = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                for fd in (job_w, reply_r, *(f for h in self.live for f in h[1:])):
+                for fd in (job_w, reply_r, *(f for h in self.procs for f in h[1:])):
                     os.close(fd)
                 _serve(job_r, reply_w, self.cost_of)
                 status = 0
@@ -378,62 +373,53 @@ class _Helpers:
                 os._exit(status)
         os.close(job_r)
         os.close(reply_w)
-        self.live.append((pid, job_w, reply_r))
+        self.procs.append((pid, job_w, reply_r))
         return True
 
-    def hand_out(self, sels: list[np.ndarray], ants: int) -> None:
-        """Count the last ant of ``sels``, one of ``ants`` this iteration,
-        and hand the ants not yet handed out to the next helper once
-        their work reaches its share."""
-        if not self.live:
+    def hand_out(self, sels: list[np.ndarray]) -> None:
+        """Send a helper its share once ``sels`` holds the last ant of it."""
+        h, rest = divmod(len(sels), self.share)
+        helper = self.procs[h - 1] if not rest and h <= len(self.procs) else None
+        if helper is None:
             return
-        work = self.rows + int(self.cells_of[sels[-1]].sum())
-        self.ants += 1
-        self.work += work
-        self.pending += work
-        share = ants * self.work / self.ants / (len(self.live) + 1)
-        # the share ends at this ant if that is nearer its target than
-        # ending before it
-        while len(self.shares) < len(self.live) and self.pending >= share - work / 2:
-            helper = self.live[len(self.shares)]
-            batch = sels[self.cut :]
-            sizes = [sel.size for sel in batch]
-            job = np.concatenate([[len(batch), sum(sizes)], sizes, *batch])
-            try:
-                _write(helper[1], job.astype(np.int64).tobytes())
-            except OSError:  # the helper died: the next one takes them
-                self._drop(helper)
-                continue
-            self.shares.append((helper, self.cut, len(sels)))
-            self.cut = len(sels)
-            self.pending = 0
+        batch = sels[-self.share :]
+        sizes = [sel.size for sel in batch]
+        job = np.concatenate([[len(batch), sum(sizes)], sizes, *batch])
+        try:
+            _write(helper[1], job.astype(np.int64).tobytes())
+        except OSError:  # the helper died: the parent scores its ants
+            self._drop(h - 1)
 
     def costs(self, sels: list[np.ndarray]) -> list[float]:
         """Every ant's cost in ``sels``, in ant order: the parent scores
-        the ants not handed out, then reads the helpers' replies."""
-        own = [self.cost_of(sel) for sel in sels[self.cut :]]
+        its own ants, then reads the helpers' replies, and scores the
+        ants of a helper that has died."""
+        k = self.share
+        own = [self.cost_of(sel) for sel in sels[len(self.procs) * k :]]
         costs: list[float] = []
-        for helper, start, end in self.shares:
-            try:
-                reply = _read(helper[2], 8 * (end - start))
-            except OSError:
-                reply = None
-            if reply is None:  # the helper died
-                self._drop(helper)
-                costs += [self.cost_of(sel) for sel in sels[start:end]]
+        for h, helper in enumerate(self.procs):
+            reply = None
+            if helper is not None:
+                try:
+                    reply = _read(helper[2], 8 * k)
+                except OSError:
+                    pass
+                if reply is None:  # the helper died
+                    self._drop(h)
+            if reply is None:
+                costs += [self.cost_of(sel) for sel in sels[h * k : (h + 1) * k]]
             else:
                 costs += np.frombuffer(reply).tolist()
-        self.shares.clear()
-        self.cut = self.pending = 0
         return costs + own
 
-    def _drop(self, helper: tuple[int, int, int]) -> None:
-        self.live.remove(helper)
+    def _drop(self, h: int) -> None:
+        helper, self.procs[h] = self.procs[h], None
         self._reap([helper])
 
     def close(self) -> None:
         """End every helper: close its pipes, then wait for it."""
-        helpers, self.live = self.live, []
+        helpers = [h for h in self.procs if h is not None]
+        self.procs = [None] * len(self.procs)
         self._reap(helpers)
 
     @staticmethod

@@ -672,9 +672,11 @@ class TestTrainingPeakMemory:
 
 
 def forced_helpers(monkeypatch, cores=3):
-    """Make `select_rules` fork ``cores - 1`` helpers whatever its work,
-    and return the list the helpers' pids are recorded into."""
+    """Make `select_rules` fork ``cores - 1`` helpers whatever its work
+    (at most one per ant beyond the first), and return the list the
+    helpers' pids are recorded into."""
     monkeypatch.setattr(hit2mtsk.aco, "HELPER_WORK", 0)
+    monkeypatch.setattr(hit2mtsk.aco, "MAX_HELPERS", cores)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     pids = []
     fork = os.fork
@@ -752,6 +754,33 @@ class TestHelperProcesses:
         got = searched(monkeypatch, model, ds, self.CFG, 4)
         assert len(pids) == cores - 1
         assert 0 < got[3] < self.ANTS  # the helpers scored the other ants
+        assert_same_search(got, serial)
+        assert_no_child_left()
+
+    def test_a_helper_per_ant_with_uneven_subsets(self, monkeypatch):
+        # as many cores as ants: one ant per helper, and subsets of 1 to
+        # all 29 rules, so one ant can hold many times another's cells
+        cfg = AcoConfig(num_ants=9, num_iterations=6, subset_size_range=(1, 40), patience=6)
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        serial = searched(monkeypatch, model, ds, cfg, 4)
+        pids = forced_helpers(monkeypatch, cfg.num_ants)
+        got = searched(monkeypatch, model, ds, cfg, 4)
+        assert len(pids) == cfg.num_ants - 1
+        assert got[3] == cfg.num_iterations  # one ant of each iteration here
+        assert_same_search(got, serial)
+        assert_no_child_left()
+
+    def test_helpers_are_capped_at_max_helpers(self, monkeypatch):
+        ds, uni = dense_universe()
+        model = candidate_model(uni, ds)
+        serial = searched(monkeypatch, model, ds, self.CFG, 4)
+        pids = forced_helpers(monkeypatch, 8)
+        monkeypatch.setattr(hit2mtsk.aco, "MAX_HELPERS", 1)
+        got = searched(monkeypatch, model, ds, self.CFG, 4)
+        assert len(pids) == 1
+        # the helper scores the first num_ants // 2 of each iteration
+        assert got[3] == self.ANTS - self.CFG.num_ants // 2 * self.CFG.num_iterations
         assert_same_search(got, serial)
         assert_no_child_left()
 

@@ -29,20 +29,18 @@ weight 0, so its polynomial there (even an overflow) never enters a
 score.  A rule whose output is NaN on a row where it weighs in is
 refused by `weigh`, naming that row, before the search starts.
 
-This process draws every ant.  Where the platform can fork and one
-iteration's expected scoring work reaches `HELPER_WORK` (a toy search
-stays whole), the ants are also scored on forked helper processes, one
-per usable core beyond this one, at most one per ant beyond the first
-and at most `MAX_HELPERS` (1, the count measured).  A helper inherits
-the search table when it is forked.  An iteration's ants are split by
-count: with k = ants // (helpers + 1), the first k go to the first
-helper as soon as the k-th is drawn, the next k to the next, and this
-process scores the rest; then it reads the helpers' costs and updates
-the pheromone in ant order.  Every cost comes from the same code on the
-same arrays, so the result does not depend on the number of cores or
-on which process scored which ant.  If a helper dies, this process
-scores its ants.  Nothing sets the number of helpers: no config field,
-flag or environment variable.
+This process draws every ant.  Where the platform can fork, more than
+one core is usable, there are at least two ants and one iteration's
+expected scoring work reaches `HELPER_WORK` (a toy search stays whole),
+the first half of each iteration's ants, `num_ants // 2`, is also scored
+on one forked helper process.  It inherits the search table when it is
+forked, and gets its ants over one `multiprocessing.Pipe` connection as
+soon as the last of them is drawn; this process scores the rest, then
+reads the helper's costs and updates the pheromone in ant order.  Every
+cost comes from the same code on the same arrays, so the result does not
+depend on the number of cores or on which process scored which ant.  If
+the helper dies, this process scores its ants.  Nothing sets whether a
+helper runs: no config field, flag or environment variable.
 """
 from __future__ import annotations
 
@@ -70,7 +68,7 @@ if TYPE_CHECKING:
     from .universe import RuleCells
 
 PHEROMONE_FLOOR = 1e-12
-# A search scores its ants on helper processes only when one iteration's
+# A search scores ants on a helper process only when one iteration's
 # expected scoring work, num_ants * (rows + mean subset size * mean cells
 # per rule), is at least HELPER_WORK.  On a 2-core x86-64 host, 30 ants
 # for 20 iterations took 43.6 ms alone and 42.2 ms with one helper at a
@@ -78,14 +76,12 @@ PHEROMONE_FLOOR = 1e-12
 # and 285.7 against 181.8 at 4.7M; forking and reaping a helper of a
 # 100 MB training process took about 4 ms, and each iteration's
 # hand-off about 0.2 ms, which a search of few iterations below 500k does
-# not earn back.  The benchmark trains work at 1.0M (Friedman #1, 5000
-# rows) and 6.4M (Friedman #2, 20000 rows) per iteration
+# not earn back.  (Those hand-offs sent raw int64 arrays; pickling 15
+# subsets of 10-100 rules for the connection instead took a round trip
+# in one process from 30 to 73 us.)  The benchmark trains work at 1.0M
+# (Friedman #1, 5000 rows) and 6.4M (Friedman #2, 20000 rows) per
+# iteration
 HELPER_WORK = 500_000
-# At most this many helpers: one helper is all that has been measured (on
-# the 2-core host above).  More would each add a fork and a pipe round trip
-# per iteration for a smaller share, and the affinity mask does not show a
-# CPU quota, so their gain is unverified
-MAX_HELPERS = 1
 
 
 class AcoConfigError(ValueError):
@@ -236,9 +232,7 @@ def select_rules(
     # an ant's scoring work counts the rows and its rules' cells
     cells_per_rule = sum(r.size for r in rows_of) / total
     work = config.num_ants * (y.size + (lo + hi) / 2 * cells_per_rule)
-    helpers = _Helpers(
-        _helper_count(config.num_ants, work), config.num_ants, cost_of
-    )
+    helper = _Helper(config.num_ants, work, cost_of)
     try:
         for iteration in range(1, config.num_iterations + 1):
             improved = False
@@ -250,8 +244,8 @@ def select_rules(
                 )
                 size = int(rng.integers(lo, hi + 1))
                 sels.append(sample_subset(rng, weights, size))
-                helpers.hand_out(sels)
-            costs = helpers.costs(sels)
+                helper.hand_out(sels)
+            costs = helper.costs(sels)
             pheromone *= 1.0 - config.rho
             for sel, cost in zip(sels, costs):
                 pheromone[sel] += config.deposit / (1.0 + cost)
@@ -265,7 +259,7 @@ def select_rules(
             if stagnation >= config.patience:
                 break
     finally:
-        helpers.close()
+        helper.close()
 
     assert best_indices is not None
     subset = RuleSubset(
@@ -276,77 +270,28 @@ def select_rules(
     return subset, tuple(trace)
 
 
-def _helper_count(num_ants: int, work: float) -> int:
-    """Helper processes for a search whose iterations each score
-    ``num_ants`` ants of ``work`` expected work in all: one per usable
-    core beyond this process, capped by the ants and MAX_HELPERS, where
-    the platform can fork and ``work`` reaches HELPER_WORK; else none."""
-    if work < HELPER_WORK:
-        return 0
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    return min(len(os.sched_getaffinity(0)) - 1, num_ants - 1, MAX_HELPERS)
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    """Exactly ``size`` bytes from ``fd``, or None at end of file."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _serve(jobs: int, replies: int, cost_of: Callable[[np.ndarray], float]) -> None:
-    """A helper's loop, until its job pipe reaches end of file.  A job is
-    one int64 array: the number of subsets, their total size, each
-    subset's size, then their indices.  The reply is the subsets' costs
-    as float64, in job order."""
-    while (head := _read(jobs, 16)) is not None:
-        count, size = (int(v) for v in np.frombuffer(head, np.int64))
-        body = np.frombuffer(_read(jobs, 8 * (count + size)), np.int64)
-        sels = np.split(body[count:].astype(np.intp), np.cumsum(body[: count - 1]))
-        _write(replies, np.array([cost_of(sel) for sel in sels]).tobytes())
-
-
-class _Helpers:
-    """Forked processes that score shares of each iteration's ants.
-
-    A helper inherits the search table when it is forked, and scores a
-    subset with the same ``cost_of`` on the same arrays: its costs are
-    the parent's bits.  Each iteration's ants are split by count: with
-    ``k = ants // (helpers + 1)``, helper ``h`` scores ants
-    ``[h * k, (h + 1) * k)``, sent as soon as the last of them is drawn,
-    and the parent scores the rest, at least ``k``.  A helper that has
-    died keeps its place in the split, and the parent scores its ants.
-    """
+class _Helper:
+    """A forked process that scores the first ``ants // 2`` ants of each
+    iteration with the same ``cost_of`` on the arrays it inherited, where
+    a search can gain from it (see the module docstring); else nothing.
+    Once a send or a receive fails, this process scores every ant."""
 
     def __init__(
-        self, count: int, ants: int, cost_of: Callable[[np.ndarray], float]
+        self, ants: int, work: float, cost_of: Callable[[np.ndarray], float]
     ) -> None:
-        self.cost_of = cost_of
-        # (pid, job fd, reply fd) by place in the split; None once dead
-        self.procs: list[tuple[int, int, int] | None] = []
-        try:
-            while len(self.procs) < count and self._fork():
-                pass
-        except BaseException:
-            self.close()
-            raise
-        self.share = ants // (len(self.procs) + 1)
+        self.cost_of, self.share, self.conn = cost_of, ants // 2, None
+        if not (
+            work >= HELPER_WORK
+            and self.share
+            and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+        ):
+            return
+        # imported here alone: it adds about 0.8 MB to every process importing it
+        import multiprocessing
 
-    def _fork(self) -> bool:
-        job_r, job_w = os.pipe()
-        reply_r, reply_w = os.pipe()
+        ours, theirs = multiprocessing.Pipe()
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns when a multi-threaded process forks,
@@ -357,75 +302,51 @@ class _Helpers:
                     "ignore", "This process .* is multi-threaded", DeprecationWarning
                 )
                 pid = os.fork()
-        except OSError:  # no process to spare: the helpers made so far score
-            for fd in (job_r, job_w, reply_r, reply_w):
-                os.close(fd)
-            return False
+        except OSError:  # no process to spare: this process scores every ant
+            ours.close()
+            theirs.close()
+            return
         if pid == 0:
             status = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                for fd in (job_w, reply_r, *(f for h in self.procs for f in h[1:])):
-                    os.close(fd)
-                _serve(job_r, reply_w, self.cost_of)
+                ours.close()
+                while True:  # until this process closes its end
+                    try:
+                        sels = theirs.recv()
+                    except EOFError:
+                        break
+                    theirs.send([cost_of(sel) for sel in sels])
                 status = 0
             finally:
                 os._exit(status)
-        os.close(job_r)
-        os.close(reply_w)
-        self.procs.append((pid, job_w, reply_r))
-        return True
+        theirs.close()
+        self.pid, self.conn = pid, ours
 
     def hand_out(self, sels: list[np.ndarray]) -> None:
-        """Send a helper its share once ``sels`` holds the last ant of it."""
-        h, rest = divmod(len(sels), self.share)
-        helper = self.procs[h - 1] if not rest and h <= len(self.procs) else None
-        if helper is None:
-            return
-        batch = sels[-self.share :]
-        sizes = [sel.size for sel in batch]
-        job = np.concatenate([[len(batch), sum(sizes)], sizes, *batch])
-        try:
-            _write(helper[1], job.astype(np.int64).tobytes())
-        except OSError:  # the helper died: the parent scores its ants
-            self._drop(h - 1)
+        """Send the helper its share once ``sels`` holds the last ant of it."""
+        if self.conn is not None and len(sels) == self.share:
+            try:
+                self.conn.send(sels)
+            except OSError:  # the helper died
+                self.close()
 
     def costs(self, sels: list[np.ndarray]) -> list[float]:
-        """Every ant's cost in ``sels``, in ant order: the parent scores
-        its own ants, then reads the helpers' replies, and scores the
-        ants of a helper that has died."""
-        k = self.share
-        own = [self.cost_of(sel) for sel in sels[len(self.procs) * k :]]
-        costs: list[float] = []
-        for h, helper in enumerate(self.procs):
-            reply = None
-            if helper is not None:
-                try:
-                    reply = _read(helper[2], 8 * k)
-                except OSError:
-                    pass
-                if reply is None:  # the helper died
-                    self._drop(h)
-            if reply is None:
-                costs += [self.cost_of(sel) for sel in sels[h * k : (h + 1) * k]]
-            else:
-                costs += np.frombuffer(reply).tolist()
-        return costs + own
-
-    def _drop(self, h: int) -> None:
-        helper, self.procs[h] = self.procs[h], None
-        self._reap([helper])
+        """Every ant's cost in ``sels``, in ant order: this process scores
+        the ants past the helper's share, then reads the helper's costs,
+        or scores its share too if there is no live helper."""
+        if self.conn is None:
+            return [self.cost_of(sel) for sel in sels]
+        own = [self.cost_of(sel) for sel in sels[self.share :]]
+        try:
+            return self.conn.recv() + own
+        except (EOFError, OSError):  # the helper died
+            self.close()
+        return [self.cost_of(sel) for sel in sels[: self.share]] + own
 
     def close(self) -> None:
-        """End every helper: close its pipes, then wait for it."""
-        helpers = [h for h in self.procs if h is not None]
-        self.procs = [None] * len(self.procs)
-        self._reap(helpers)
-
-    @staticmethod
-    def _reap(helpers: list[tuple[int, int, int]]) -> None:
-        for _, job, reply in helpers:
-            os.close(job)
-            os.close(reply)
-        for pid, _, _ in helpers:
-            os.waitpid(pid, 0)
+        """End the helper, if any: close its connection, then wait for it."""
+        conn, self.conn = self.conn, None
+        if conn is not None:
+            conn.close()
+            os.waitpid(self.pid, 0)

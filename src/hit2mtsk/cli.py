@@ -37,7 +37,7 @@ from .evaluate import (
     reference_for,
     run_cv,
 )
-from .inference import Model, NotTrainedError, predict, predict_values
+from .inference import Model, NotTrainedError, _itemize, _weigh, predict_values
 from .it2 import DegeneratePartitionError
 from .persist import (
     decode,
@@ -236,7 +236,8 @@ def cmd_explain(args) -> int:
     dataset = _load_dataset(args)
     # a data error here must leave no partial artifact set behind
     try:
-        block = explainability_block(model, dataset, seed=derive_seed(seed, 201))
+        base = _weigh(model, dataset)
+        block = explainability_block(model, dataset, derive_seed(seed, 201), base=base)
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)
@@ -250,9 +251,8 @@ def cmd_explain(args) -> int:
     (out / "explain.json").write_text(dumps(doc))
 
     lines = []
-    limit = min(args.max_rows, dataset.n_rows)
-    for i in range(limit):
-        p = predict(model, dict(zip(dataset.feature_names, dataset.X[i].tolist())))
+    rows = _itemize(base, args.max_rows)  # from the block's own pass
+    for i, p in enumerate(rows):
         lines.append(
             f"row {i}: prediction {p.value:.6g}, target {dataset.y[i]:.6g}, "
             f"{len(p.fired_rules)} rules fired"
@@ -266,7 +266,7 @@ def cmd_explain(args) -> int:
                 f"{fr.firing[1]:.3f}], output {fr.output:.6g}, weight {fr.weight:.4f}"
             )
     (out / "row_explanations.txt").write_text("\n".join(lines) + "\n")
-    print(f"explained {limit} rows; artifacts in {out}")
+    print(f"explained {len(rows)} rows; artifacts in {out}")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from .inference import (
     Model,
     _feature_rows,
     _weigh,
+    _Weighed,
     predict_values,
     reduce_firing,
     rule_matrices,
@@ -109,9 +110,11 @@ def explainability_block(
     seed: int = 0,
     thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
     noise_levels: Sequence[float] = NOISE_LEVELS,
+    base: _Weighed | None = None,
 ) -> Explainability:
     """The case-study metrics of ``model`` on ``rows``, all read from one
-    inference pass but the noisy ones.
+    inference pass but the noisy ones: ``base``, the `_weigh` pass of
+    ``model`` on ``rows`` when given.
 
     ``active_rules`` holds, per threshold, the mean count of rules whose
     firing midpoint exceeds it; thresholds must be >= 0, so that a rule
@@ -133,7 +136,7 @@ def explainability_block(
     again = [lv for i, lv in enumerate(levels) if lv in levels[:i]]
     if again:
         raise ValueError(f"noise level {again[0]} is repeated in {levels}")
-    base = _weigh(model, rows)
+    base = _weigh(model, rows) if base is None else base
     target_span = float(np.ptp(rows.y))
     if target_span == 0.0:
         raise ValueError("constant targets; range fraction undefined")

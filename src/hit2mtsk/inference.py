@@ -367,6 +367,20 @@ def predict_values(
     return w.values, w.fired_counts, w.fallback
 
 
+def _itemize(w: _Weighed, rows: int) -> list[Prediction]:
+    """The first ``rows`` rows of one inference pass, each with every fired
+    rule's contribution in rule order."""
+    c, n = w.cells, w.values.size
+    # the first rows' cells, still rule-major: each row's list fills in rule order
+    keep = slice(None) if rows >= n else c.row < rows
+    cells = zip(*(a[keep].tolist() for a in (c.row, c.rule, c.lo, c.hi, c.y, w.w)))
+    fired: list[list[FiredRule]] = [[] for _ in range(min(rows, n))]
+    for r, i, lo, hi, y, wt in cells:
+        fired[r].append(FiredRule(i, (lo, hi), y, wt))
+    rows_of = zip(w.values.tolist(), w.fallback.tolist(), fired)
+    return [Prediction(v, tuple(f), fell) for v, fell, f in rows_of]
+
+
 def predict(model: Model, x: Mapping[str, float]) -> Prediction:
     """Predict one row and itemize every fired rule's contribution."""
     row = {
@@ -374,11 +388,4 @@ def predict(model: Model, x: Mapping[str, float]) -> Prediction:
         for p in model.feature_partitions
         if p.variable in x
     }
-    w = _weigh(model, row)
-    c = w.cells  # one row's cells, already in rule order
-    fired = zip(*(a.tolist() for a in (c.rule, c.lo, c.hi, c.y, w.w)))
-    return Prediction(
-        float(w.values[0]),
-        tuple(FiredRule(i, (lo, hi), y, wt) for i, lo, hi, y, wt in fired),
-        bool(w.fallback[0]),
-    )
+    return _itemize(_weigh(model, row), 1)[0]

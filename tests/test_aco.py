@@ -671,13 +671,11 @@ class TestTrainingPeakMemory:
         assert train_peak < fold_peak
 
 
-def forced_helpers(monkeypatch, cores=3):
-    """Make `select_rules` fork ``cores - 1`` helpers whatever its work
-    (at most one per ant beyond the first), and return the list the
-    helpers' pids are recorded into."""
+def forced_helpers(monkeypatch):
+    """Make `select_rules` fork its helper on 2 usable cores whatever its
+    work, and return the list the helper's pid is recorded into."""
     monkeypatch.setattr(hit2mtsk.aco, "HELPER_WORK", 0)
-    monkeypatch.setattr(hit2mtsk.aco, "MAX_HELPERS", cores)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pids = []
     fork = os.fork
 
@@ -693,8 +691,8 @@ def forced_helpers(monkeypatch, cores=3):
 
 def searched(monkeypatch, model, ds, cfg, seed, on_draw=None):
     """`select_rules`' subset and trace, the weights every draw was given
-    and how many ants this process scored; ``on_draw(draw number)`` runs
-    before each draw."""
+    and the predictions of the ants this process scored, in the order it
+    scored them; ``on_draw(draw number)`` runs before each draw."""
     weights, scored = [], []
 
     def recorded_draw(rng, w, size):
@@ -703,15 +701,15 @@ def searched(monkeypatch, model, ds, cfg, seed, on_draw=None):
         weights.append(w.copy())
         return sample_subset(rng, w, size)
 
-    def counted_cost(pred, y):
-        scored.append(1)
+    def recorded_cost(pred, y):
+        scored.append(pred.copy())
         return rmse(pred, y)
 
     with monkeypatch.context() as m:
         m.setattr(hit2mtsk.aco, "sample_subset", recorded_draw)
-        m.setattr(hit2mtsk.aco, "rmse", counted_cost)
+        m.setattr(hit2mtsk.aco, "rmse", recorded_cost)
         subset, trace = select_rules(model, ds, cfg, seed)
-    return subset, trace, weights, len(scored)
+    return subset, trace, weights, scored
 
 
 def assert_same_search(got, want):
@@ -732,66 +730,73 @@ def assert_no_child_left():
 
 
 class TestHelperProcesses:
-    """Ants scored on forked helper processes give the serial search bit
+    """Ants scored on a forked helper process give the serial search bit
     for bit: every draw's weights (which carry every earlier ant's cost
     through the pheromone), the subset, its cost and the trace; and no
     helper outlives the search."""
 
     CFG = AcoConfig(num_ants=9, num_iterations=6, subset_size_range=(2, 20), patience=6)
     ANTS = CFG.num_ants * CFG.num_iterations
+    # the ants this process scores when the helper lives: the last
+    # num_ants - num_ants // 2 of each iteration
+    OWN = (CFG.num_ants - CFG.num_ants // 2) * CFG.num_iterations
 
     @pytest.mark.parametrize("tnorm", ["minimum", "product"])
     @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
-    @pytest.mark.parametrize("cores", [2, 5])  # 4 helpers: more than this host has
-    def test_helpers_search_as_this_process_alone(
-        self, monkeypatch, reduction, tnorm, cores
-    ):
+    def test_a_helper_searches_as_this_process_alone(self, monkeypatch, reduction, tnorm):
         ds, uni = dense_universe(tnorm=tnorm)
         model = candidate_model(uni, ds, reduction)
         serial = searched(monkeypatch, model, ds, self.CFG, 4)
-        assert serial[3] == self.ANTS
-        pids = forced_helpers(monkeypatch, cores)
+        assert len(serial[3]) == self.ANTS
+        pids = forced_helpers(monkeypatch)
         got = searched(monkeypatch, model, ds, self.CFG, 4)
-        assert len(pids) == cores - 1
-        assert 0 < got[3] < self.ANTS  # the helpers scored the other ants
+        assert len(pids) == 1
+        assert len(got[3]) == self.OWN  # the helper scored the other ants
         assert_same_search(got, serial)
         assert_no_child_left()
 
-    def test_a_helper_per_ant_with_uneven_subsets(self, monkeypatch):
-        # as many cores as ants: one ant per helper, and subsets of 1 to
-        # all 29 rules, so one ant can hold many times another's cells
-        cfg = AcoConfig(num_ants=9, num_iterations=6, subset_size_range=(1, 40), patience=6)
+    def test_a_helper_with_uneven_subsets(self, monkeypatch):
+        # subsets of 1 to all 29 rules, so one ant can hold many times
+        # another's cells
+        cfg = replace(self.CFG, subset_size_range=(1, 40))
         ds, uni = dense_universe()
         model = candidate_model(uni, ds)
         serial = searched(monkeypatch, model, ds, cfg, 4)
-        pids = forced_helpers(monkeypatch, cfg.num_ants)
+        pids = forced_helpers(monkeypatch)
         got = searched(monkeypatch, model, ds, cfg, 4)
-        assert len(pids) == cfg.num_ants - 1
-        assert got[3] == cfg.num_iterations  # one ant of each iteration here
+        assert len(pids) == 1
+        assert len(got[3]) == self.OWN
         assert_same_search(got, serial)
         assert_no_child_left()
 
-    def test_helpers_are_capped_at_max_helpers(self, monkeypatch):
+    def test_eight_cores_fork_one_helper_for_the_first_half_of_the_ants(
+        self, monkeypatch
+    ):
         ds, uni = dense_universe()
         model = candidate_model(uni, ds)
         serial = searched(monkeypatch, model, ds, self.CFG, 4)
-        pids = forced_helpers(monkeypatch, 8)
-        monkeypatch.setattr(hit2mtsk.aco, "MAX_HELPERS", 1)
+        pids = forced_helpers(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         got = searched(monkeypatch, model, ds, self.CFG, 4)
         assert len(pids) == 1
-        # the helper scores the first num_ants // 2 of each iteration
-        assert got[3] == self.ANTS - self.CFG.num_ants // 2 * self.CFG.num_iterations
+        # this process scored the ants past the first num_ants // 2 of each
+        # iteration, in order
+        n, k = self.CFG.num_ants, self.CFG.num_ants // 2
+        own = [p for it in range(0, self.ANTS, n) for p in serial[3][it + k : it + n]]
+        assert len(got[3]) == len(own)
+        for a, b in zip(got[3], own):
+            assert np.array_equal(bits(a), bits(b))
         assert_same_search(got, serial)
         assert_no_child_left()
 
-    def test_training_with_helpers_saves_the_same_model(self, monkeypatch):
+    def test_training_with_a_helper_saves_the_same_model(self, monkeypatch):
         # selection on generation's cells and the validation rows
         ds = four_feature_dataset()
         config = small_train_config(degree=3)
         serial = train_model(ds, config)
         pids = forced_helpers(monkeypatch)
         got = train_model(ds, config)
-        assert len(pids) == 2
+        assert len(pids) == 1
         assert got.model == serial.model and got.trace == serial.trace
         assert_no_child_left()
 
@@ -799,7 +804,7 @@ class TestHelperProcesses:
         ds, uni = dense_universe()
 
         def fail_in_iteration_3(draw):
-            # mid-iteration, with a share of its ants handed out
+            # mid-iteration, with the helper's share handed out
             if draw == 2 * self.CFG.num_ants + 6:
                 raise RuntimeError("draw failed")
 
@@ -808,26 +813,32 @@ class TestHelperProcesses:
             searched(
                 monkeypatch, candidate_model(uni, ds), ds, self.CFG, 4, fail_in_iteration_3
             )
-        assert len(pids) == 2
+        assert len(pids) == 1
         assert_no_child_left()
 
-    def test_a_killed_helper_leaves_the_search_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kill_at",
+        # mid-iteration 2, holding ants, so the reply read fails; or at the
+        # start of iteration 4, so the next send fails
+        [CFG.num_ants + 5, 3 * CFG.num_ants],
+        ids=["holding-ants", "before-a-send"],
+    )
+    def test_a_killed_helper_leaves_the_search_unchanged(self, monkeypatch, kill_at):
         ds, uni = dense_universe()
         model = candidate_model(uni, ds)
         serial = searched(monkeypatch, model, ds, self.CFG, 4)
         pids = forced_helpers(monkeypatch)
 
-        # the first helper dies mid-iteration 2, holding ants, the other
-        # before iteration 4
-        kills = {self.CFG.num_ants + 5: 0, 3 * self.CFG.num_ants: 1}
+        def kill_helper(draw):
+            if draw == kill_at:
+                os.kill(pids[0], signal.SIGKILL)
+                # dead, its end of the connection closed, but not reaped
+                os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
 
-        def kill_helpers(draw):
-            if draw in kills:
-                os.kill(pids[kills[draw]], signal.SIGKILL)
-
-        got = searched(monkeypatch, model, ds, self.CFG, 4, kill_helpers)
+        got = searched(monkeypatch, model, ds, self.CFG, 4, kill_helper)
+        assert len(pids) == 1
         assert_same_search(got, serial)
-        assert got[3] < self.ANTS  # the helpers did score until they died
+        assert len(got[3]) < self.ANTS  # the helper did score until it died
         assert_no_child_left()
 
     def test_a_refused_fork_leaves_the_search_unchanged(self, monkeypatch):
@@ -842,7 +853,7 @@ class TestHelperProcesses:
         monkeypatch.setattr(os, "fork", refused)
         got = searched(monkeypatch, model, ds, self.CFG, 4)
         assert_same_search(got, serial)
-        assert got[3] == self.ANTS
+        assert len(got[3]) == self.ANTS
 
     def test_forking_beside_a_live_thread_warns_nothing(self, monkeypatch):
         # Python 3.12+ warns when a multi-threaded process forks
@@ -861,19 +872,28 @@ class TestHelperProcesses:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert len(pids) == 2
+        assert len(pids) == 1
         assert_same_search(got, serial)
         assert_no_child_left()
 
-    def test_a_small_search_forks_nothing(self, monkeypatch):
-        # many cores, but an iteration's work is below HELPER_WORK
+    @pytest.mark.parametrize(
+        "case", ["work below HELPER_WORK", "one usable core", "one ant", "no affinity"]
+    )
+    def test_a_small_search_forks_nothing(self, monkeypatch, case):
+        # every case but the first would fork on its work
         ds, uni = dense_universe(n=2000)
         model = candidate_model(uni, ds)
+        cfg = replace(self.CFG, num_ants=1) if case == "one ant" else self.CFG
+        cores = 1 if case == "one usable core" else 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        if case == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if case != "work below HELPER_WORK":
+            monkeypatch.setattr(hit2mtsk.aco, "HELPER_WORK", 0)
         forks = []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-        _, _, _, scored = searched(monkeypatch, model, ds, self.CFG, 4)
-        assert forks == [] and scored == self.ANTS
+        _, _, _, scored = searched(monkeypatch, model, ds, cfg, 4)
+        assert forks == [] and len(scored) == cfg.num_ants * cfg.num_iterations
 
 
 class TestConfig:

@@ -1,8 +1,12 @@
 """The package exports exactly the names README's Library API table lists,
 and none of the names its "Removed names" table retires; its
-"Configuration defaults" table names every config field once."""
+"Configuration defaults" table names every config field once.  Serving
+a saved model imports no `multiprocessing`."""
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -10,7 +14,8 @@ from pathlib import Path
 import hit2mtsk
 from hit2mtsk import AcoConfig, GenerationConfig, TrainConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def table_cells(heading: str) -> list[list[str]]:
@@ -73,3 +78,30 @@ def test_configuration_table_names_every_field_once():
         if f.name not in ("generation", "aco")  # the nested configs themselves
     )
     assert named == fields
+
+
+SERVE_ONE_ROW = """
+import json, sys
+import hit2mtsk
+model = hit2mtsk.load_model(sys.argv[1])
+row = json.loads(open(sys.argv[2]).read())["rows"][0]
+hit2mtsk.predict(model, dict(zip(model.feature_names, row)))
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_serving_a_row_imports_no_multiprocessing():
+    # only an ACO search that forks its helper imports it
+    fixtures = ROOT / "benchmarks" / "fixtures"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", SERVE_ONE_ROW,
+            str(fixtures / "serve_model.json"), str(fixtures / "serve_reference.json"),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -24,6 +25,8 @@ from hit2mtsk.persist import loads
 from hit2mtsk.pipeline import derive_seed
 
 from test_aco import small_universe, with_cubic_rule, with_huge_row
+
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 CLI_CONFIG = {
     "generation": {"degree": 2, "max_candidates": 150},
@@ -475,6 +478,28 @@ class TestExplain:
             if ln.startswith("row ")
         ]
         assert len(rows) == 4
+
+    @staticmethod
+    def row_explanations_sha256(data, model, out, max_rows):
+        args = ["explain", "--data", str(data), "--target", "y", "--model", str(model)]
+        assert main([*args, "--out", str(out), "--max-rows", str(max_rows)]) == EXIT_OK
+        return hashlib.sha256((out / "row_explanations.txt").read_bytes()).hexdigest()
+
+    def test_row_explanations_pinned_on_the_test_csv(self, ws, bundle):
+        got = self.row_explanations_sha256(
+            ws.csv, bundle / "model.json", ws.root / "exp_pinned", 60
+        )
+        assert got == "83a66dd6d7e77d86ed959e67d28404499fd3de76afedd86149eaa9be32cbc25d"
+
+    def test_row_explanations_pinned_on_the_serve_reference_rows(self, tmp_path):
+        # every reference row, some of them off-domain and so on the fallback
+        model = FIXTURES / "serve_model.json"
+        doc = json.loads((FIXTURES / "serve_reference.json").read_text())
+        csv = tmp_path / "serve.csv"
+        names = (*load_model(model).feature_names, "y")
+        write_xy_csv(csv, names, (*np.array(doc["rows"]).T, np.array(doc["values"])))
+        got = self.row_explanations_sha256(csv, model, tmp_path / "exp", 1000)
+        assert got == "12eaee9a88ef47247344f970c36d177c3c9bfa8c6a2865fec32afdf40ffe5620"
 
     def test_negative_max_rows_is_a_usage_error(self, ws, bundle, tmp_path, capsys):
         out = tmp_path / "exp"

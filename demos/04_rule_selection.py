@@ -34,7 +34,9 @@ partitions = {
     for name in ("x1", "x2", "y")
 }
 
-universe = generate_candidates(
+# beside the universe, generation returns each rule's cells on ds, which
+# training hands to selection; selecting over ds alone needs none
+universe, _ = generate_candidates(
     ds, partitions, GenerationConfig(degree=2, max_candidates=60)
 )
 print(f"candidate universe: {len(universe)} rules, coverage {universe.coverage:.3f}")

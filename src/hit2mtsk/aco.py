@@ -15,10 +15,11 @@ before the search, which keeps each rule's fired rows, and there the
 weights and weighted outputs `weigh` returns as the real and imaginary
 parts of one complex cell (the cells' bounds and outputs are freed
 first).  In training, generation has already computed each rule's
-cells on the fit rows, which it hands on with the rows they stand for:
-then only the validation rows are fired and weighed, and each rule's
-generation cells, weighed by `cell_weights` (the arithmetic of
-`weigh`), go before its validation cells and are freed once copied.
+cells on the fit rows and returns them beside the universe; training
+hands them on with the rows they stand for.  Then only the validation
+rows are fired and weighed, and each rule's generation cells, weighed
+by `cell_weights` (the arithmetic of `weigh`), go before its validation
+cells and are freed once copied.
 An ant adds its rules' cells into one reused complex row
 buffer with `np.add.at`, rule by rule in index order; a rule's rows are
 distinct, so every row sums its rules in index order from +0.0, the
@@ -49,7 +50,7 @@ import os
 import signal
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -63,9 +64,7 @@ from .inference import (
     weighted_mean,
 )
 from .rules import HybridRule, rmse
-
-if TYPE_CHECKING:
-    from .universe import RuleCells
+from .universe import RuleCells
 
 PHEROMONE_FLOOR = 1e-12
 # A search scores ants on a helper process only when one iteration's
@@ -168,10 +167,11 @@ def select_rules(
     best RMSE so far) trace.
 
     ``generated``, when given, is ``(rows, cells)``: sorted rows of
-    ``dataset``, and each rule's cells on them as `generate_candidates`
-    left them for a dataset of those rows alone.  Only the other rows are
-    fired here.  Each entry of ``cells`` is set to None once its rule's
-    search arrays are built, so that its arrays are freed.
+    ``dataset``, and the list of each rule's cells on them that
+    `generate_candidates` returns for a dataset of those rows alone.
+    Only the other rows are fired here.  Each entry of ``cells`` is set
+    to None once its rule's search arrays are built, and nothing here
+    keeps it, so that its arrays are freed before the search.
     """
     rules = model.rules
     total = len(rules)
@@ -210,6 +210,7 @@ def select_rules(
         head.real, head.imag = w, wy
         rows_of[r] = np.concatenate((covered[c.row], rows_of[r]))
         sums_of[r] = np.concatenate((head, sums_of[r]))
+        del c, w, wy, head  # so that no name keeps the last rule's cells
     buf = np.empty(y.size, complex)  # per-row (sum of w) + 1j * (sum of wy)
 
     def cost_of(sel: np.ndarray) -> float:

@@ -307,12 +307,17 @@ def cell_weights(
     reduction: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells' weights (reduced firing times their rules' error dominance)
-    and weighted outputs.  A cell of weight 0 (the lower reduction, or
-    underflow) has weighted output +0.0, even where its output is NaN,
-    so it adds nothing to its row's sums."""
+    and weighted outputs.  A weight below the smallest normal float (the
+    lower reduction, or underflow) counts as 0: a subnormal ``w`` loses
+    the bits that would let ``w * y / w`` give ``y`` back, so it would
+    move a prediction off its clamp bounds.  A cell of weight 0 has
+    weighted output +0.0, even where its output is NaN, so it adds
+    nothing to its row's sums."""
     w = reduce_firing(lo, hi, reduction) * dominance
+    off = w < np.finfo(float).tiny
+    w[off] = 0.0
     wy = w * y
-    wy[w <= 0.0] = 0.0
+    wy[off] = 0.0
     return w, wy
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass
 from functools import cache
 from itertools import repeat
 from pathlib import Path
@@ -111,7 +111,7 @@ def _reader(tp):
         return read_leaf
     if is_dataclass(tp):
         hints = get_type_hints(tp)
-        names = [f.name for f in fields(tp) if f.init]  # in constructor order
+        names = [f.name for f in fields(tp)]  # in constructor order
         keys, readers = set(names), [_reader(hints[name]) for name in names]
 
         def read_record(value):
@@ -168,9 +168,7 @@ _UNIVERSE_MANIFEST = ("config", "dataset_fingerprint", "coverage")
 
 
 def universe_to_dict(universe: RuleUniverse) -> dict:
-    # no file keeps generation's cells, which `replace` leaves behind
-    d = asdict(replace(universe))
-    del d["cells"]
+    d = asdict(universe)
     manifest = {k: d.pop(k) for k in _UNIVERSE_MANIFEST}
     return _document(UNIVERSE_FORMAT, **d, manifest=manifest)
 

@@ -125,12 +125,9 @@ def train_model(
     else:
         fit_rows, fit_data = np.arange(dataset.n_rows), dataset
 
-    universe = generate_candidates(fit_data, partitions, config.generation)
     # selection reuses generation's cells on the fit rows and fires only
-    # the validation rows; the universe kept drops them (`replace` does not
-    # copy them), so that each rule's are freed once selection used them
-    generated = None if universe.cells is None else (fit_rows, list(universe.cells))
-    universe = replace(universe)
+    # the validation rows; it frees each rule's once it has used them
+    universe, cells = generate_candidates(fit_data, partitions, config.generation)
     stats = tuple(
         (p.variable, *_moments(dataset.column(p.variable)))
         for p in universe.feature_partitions
@@ -147,7 +144,7 @@ def train_model(
     )
     aco_seed = derive_seed(config.seed, _STREAM_ACO)
     subset, trace = select_rules(
-        candidates, dataset, config.aco, aco_seed, generated
+        candidates, dataset, config.aco, aco_seed, (fit_rows, cells)
     )
     manifest = {
         # as JSON holds it, so a reloaded model's manifest equals this one

@@ -8,17 +8,16 @@ fuzzy dominance, firing each antecedent once.  The candidates are
 capped, and rescued for coverage, from those firing rows alone, before
 any fit; then one loop fits every chosen candidate, one clause subset
 at a time, and grades it again by fit error.  The result is the rule
-universe the subset selector searches over.  The universe that
-`generate_candidates` returns also carries each rule's cells on those
-rows (`RuleCells`: rows, firing bounds, clamped outputs), so that
-training's selection need not fire and evaluate them again; they are
-neither saved, nor compared, nor copied by `dataclasses.replace`.
+universe the subset selector searches over.  Beside it,
+`generate_candidates` returns each rule's cells on those rows
+(`RuleCells`: rows, firing bounds, clamped outputs), so that training's
+selection need not fire and evaluate them again.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -99,11 +98,6 @@ class RuleUniverse:
     config: GenerationConfig
     dataset_fingerprint: str
     coverage: float
-    # each rule's cells, set by `generate_candidates` alone: any other
-    # universe (built, loaded or replaced) has none
-    cells: tuple[RuleCells, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -154,13 +148,13 @@ def generate_candidates(
     dataset: Dataset,
     partitions: Mapping[str, Partition],
     config: GenerationConfig = GenerationConfig(),
-) -> RuleUniverse:
-    """Build the fitted rule universe for ``dataset``.
+) -> tuple[RuleUniverse, list[RuleCells]]:
+    """Build the fitted rule universe for ``dataset``, and each of its
+    rules' `RuleCells` on the rows of ``dataset``.
 
     ``partitions`` maps variable names to partitions and must include
     the target; features without a partition (e.g. constant columns)
-    are simply excluded from antecedents.  The universe's ``cells`` hold
-    each rule's `RuleCells` on the rows of ``dataset``.
+    are simply excluded from antecedents.
 
     Raises
     ------
@@ -305,5 +299,4 @@ def generate_candidates(
         dataset_fingerprint=dataset_fingerprint(dataset),
         coverage=float(covered.mean()),
     )
-    object.__setattr__(universe, "cells", cells)  # frozen, and not an argument
-    return universe
+    return universe, list(cells)

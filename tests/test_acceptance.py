@@ -242,7 +242,7 @@ def test_criterion_7_explainability_laws(trained, toy_dataset):
 
     # pre-pruning universes cover all of their training data
     ds = make_dataset(seed=55, n=120)
-    uni = generate_candidates(
+    uni, _ = generate_candidates(
         ds,
         partitions_for(ds),
         GenerationConfig(degree=1, dominance_threshold=0.0, min_rows=1),

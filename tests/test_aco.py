@@ -5,6 +5,7 @@ import signal
 import threading
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -31,7 +32,7 @@ import hit2mtsk.aco
 from hit2mtsk.aco import PHEROMONE_FLOOR, sample_subset
 from hit2mtsk.data import split_rows
 from hit2mtsk.inference import _feature_rows, compile_rules, rule_matrices, weigh
-from hit2mtsk.persist import decode, universe_to_dict
+from hit2mtsk.persist import decode
 from hit2mtsk.pipeline import _STREAM_ACO, _STREAM_VALIDATION_SPLIT, derive_seed
 from hit2mtsk.rules import Polynomial, RuleUnfittableError, rmse
 from hit2mtsk.universe import RuleCells
@@ -113,7 +114,7 @@ def small_universe(seed=3, n=80, cap=10):
         max_candidates=cap,
         min_coverage=0.0,
     )
-    return ds, generate_candidates(ds, partitions_for(ds), cfg)
+    return ds, generate_candidates(ds, partitions_for(ds), cfg)[0]
 
 
 def rows_cells(model, ds, rows):
@@ -138,7 +139,7 @@ def dense_universe(n=300, tnorm="minimum"):
         max_candidates=40,
         min_coverage=0.0,
     )
-    return ds, generate_candidates(ds, partitions_for(ds), cfg)
+    return ds, generate_candidates(ds, partitions_for(ds), cfg)[0]
 
 
 class TestExhaustiveOptimality:
@@ -559,21 +560,18 @@ class TestGenerationHandoff:
         # rows, firing bounds and clamped outputs, for full fits and for
         # fits degraded to degree 1 or to a constant
         ds = four_feature_dataset()
-        uni = generate_candidates(
+        uni, cells = generate_candidates(
             ds, partitions_for(ds, 5), replace(OPEN_CONFIG, degree=3, tnorm=tnorm)
         )
         fns = [r.consequent_fn for r in uni.rules]
         assert {f.degree for f in fns} == {1, 3}
         assert any(not f.variables for f in fns)
         want = rows_cells(candidate_model(uni, ds), ds, np.arange(ds.n_rows))
-        assert len(uni.cells) == len(uni) == len(want)
-        for got, ref in zip(uni.cells, want):
+        assert type(cells) is list and len(cells) == len(uni) == len(want)
+        for got, ref in zip(cells, want):
             assert np.array_equal(got.row, ref.row)
             for a, b in zip(got[1:], ref[1:]):
                 assert np.array_equal(bits(a), bits(b))
-        # no copy, comparison or file keeps them
-        assert replace(uni).cells is None and replace(uni) == uni
-        assert "cells" not in universe_to_dict(uni)
 
     @pytest.mark.parametrize("fraction", [0.2, 0.0])
     @pytest.mark.parametrize("tnorm", ["minimum", "product"])
@@ -627,6 +625,27 @@ class TestGenerationHandoff:
         got = select_rules(model, ds, cfg, 3, (fit, generated))
         assert got == select_rules(model, ds, cfg, 3)
         assert generated == [None] * len(uni)  # each rule's freed once used
+
+    def test_no_generation_cells_are_alive_when_the_search_starts(self, monkeypatch):
+        # each rule's cells are freed once its search arrays are built, the
+        # last rule's too: no output array of them is alive at the first draw
+        refs, alive = [], []
+
+        def generate(*args):
+            uni, cells = generate_candidates(*args)
+            refs.extend(weakref.ref(c.y) for c in cells)
+            return uni, cells
+
+        def draw(*args):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in refs))
+            return sample_subset(*args)
+
+        monkeypatch.setattr("hit2mtsk.pipeline.generate_candidates", generate)
+        monkeypatch.setattr(hit2mtsk.aco, "sample_subset", draw)
+        train_model(four_feature_dataset(), small_train_config(degree=3))
+        assert len(refs) == 125
+        assert alive == [0]
 
 
 def wide_dataset(n=1000):

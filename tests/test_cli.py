@@ -24,7 +24,8 @@ from hit2mtsk.cli import (
 from hit2mtsk.persist import loads
 from hit2mtsk.pipeline import derive_seed
 
-from test_aco import small_universe, with_cubic_rule, with_huge_row
+from conftest import candidate_model
+from test_aco import rows_cells, small_universe, with_cubic_rule, with_huge_row
 
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
@@ -793,16 +794,23 @@ class TestExitCodes:
     def test_rule_overflowing_where_it_fires_is_a_training_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        # rule 4 (x1 is High) fires at x1 = 1e300, where it is NaN
+        # rule 4 (x1 is High) fires at x1 = 1e300, where it is NaN; seed 8
+        # holds that row out of generation, so selection fires it
         ds, uni = small_universe(cap=6)
         uni = with_cubic_rule(uni, 4)
-        monkeypatch.setattr(
-            "hit2mtsk.pipeline.generate_candidates", lambda *args: uni
-        )
+
+        def generate(data, *args):
+            everywhere = np.arange(data.n_rows)
+            return uni, rows_cells(candidate_model(uni, data), data, everywhere)
+
+        monkeypatch.setattr("hit2mtsk.pipeline.generate_candidates", generate)
         csv = tmp_path / "big.csv"
         write_csv(with_huge_row(ds), csv)
         code = main(
-            ["train", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+            [
+                "train", "--data", str(csv), "--target", "y", "--seed", "8",
+                "--out", str(tmp_path / "o"),
+            ]
         )
         assert code == EXIT_TRAIN
         err = capsys.readouterr().err

@@ -230,7 +230,7 @@ def test_fuzzy_dominance_combines_support_and_confidence():
 def test_fuzzy_dominance_grades_as_generation_bitwise(seed, tnorm):
     ds = make_dataset(seed=seed, n=300)
     parts = partitions_for(ds)
-    universe = generate_candidates(ds, parts, GenerationConfig(degree=2, tnorm=tnorm))
+    universe, _ = generate_candidates(ds, parts, GenerationConfig(degree=2, tnorm=tnorm))
     for rule in universe.rules:
         assert fuzzy_dominance(rule, ds, parts, tnorm).dominance == rule.fuzzy_dominance
 

@@ -861,6 +861,35 @@ class TestClampEnvelope:
             p = predict(model, {v: float(cols[v][row]) for v in cols})
             check(p.value, p.fallback_used, row)
 
+    def test_a_subnormal_weight_counts_as_none(self):
+        # a ramp up from 0.0 fires 5e-324 and 1e-310 (subnormal) there:
+        # w * 1.3 / w rounded those to 1.0 and 1.2999999999999852, below
+        # the clamp, so such a row takes the fallback, flagged
+        sets = (
+            shoulder("Down", "left_shoulder", (0.0, 0.0, 1.0, 2.0)),
+            shoulder("Up", "right_shoulder", (0.0, 1.0, 2.0, 2.0)),
+        )
+        rule = HybridRule(
+            antecedent=(("x", "Up"),),
+            consequent_set="Up",
+            consequent_fn=constant(1.3),
+            clamp_bounds=(1.3, 2.0),
+            fuzzy_dominance=(0.5, 0.5),
+            error_dominance=1.0,
+        )
+        model = Model(
+            feature_partitions=(Partition("x", sets, (0.0, 2.0)),),
+            target_partition=Partition("y", sets, (0.0, 2.0)),
+            rules=(rule,),
+            fallback_value=7.0,
+        )
+        cases = [(5e-324, 7.0, True), (1e-310, 7.0, True), (1e-300, 1.3, False)]
+        for x, value, flagged in cases:
+            values, _, fallback = predict_values(model, {"x": np.array([x])})
+            p = predict(model, {"x": x})
+            assert (values[0], fallback[0]) == (value, flagged)
+            assert (p.value, p.fallback_used) == (value, flagged)
+
 
 class TestServeReference:
     def test_frozen_reference_predictions_reproduced_bitwise(self):

@@ -1,6 +1,6 @@
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Mapping
@@ -20,6 +20,7 @@ from hit2mtsk import (
     save_universe,
 )
 from hit2mtsk.persist import (
+    _UNIVERSE_MANIFEST,
     decode,
     dumps,
     model_to_dict,
@@ -32,6 +33,7 @@ from hit2mtsk.cli import EXIT_DATA, CliError, _load_model
 from hit2mtsk.inference import Model, predict_values
 from hit2mtsk.it2 import Partition, build_partition
 from hit2mtsk.rules import HybridRule, Polynomial
+from hit2mtsk.universe import RuleUniverse
 
 from conftest import candidate_model
 from test_inference import RULE_HIGH, RULE_LOW, X_PART, two_rule_model
@@ -154,6 +156,20 @@ class TestFileLayout:
         # would change every file; this literal document catches that
         assert dumps(model_to_dict(two_rule_model())) == GOLDEN_MODEL.read_text()
 
+    def test_every_field_is_saved_and_loaded(self, trained):
+        # a field left out of the file, or out of the constructor that
+        # loading calls, would not come back from a round trip
+        model_doc = model_to_dict(trained.model)
+        universe_doc = universe_to_dict(trained.universe)
+        manifest = universe_doc.pop("manifest")
+        assert manifest.keys() == set(_UNIVERSE_MANIFEST)
+        for cls, keys in (
+            (Model, model_doc.keys()),
+            (RuleUniverse, universe_doc.keys() | manifest.keys()),
+        ):
+            assert all(f.init for f in fields(cls))
+            assert keys - {"format", "version"} == {f.name for f in fields(cls)}
+
     def test_integer_fou_scale_is_saved_as_a_float(self):
         p = build_partition(np.linspace(0.0, 1.0, 20), 3, fou_scale=1)
         assert all(type(s.fou_scale) is float for s in p.sets)
@@ -231,6 +247,7 @@ class TestUniverseFiles:
         path = tmp_path / "universe.json"
         save_universe(trained.universe, path)
         back = load_universe(path)
+        assert back == trained.universe
         assert back.rules == trained.universe.rules
         assert back.config == trained.universe.config
         assert back.coverage == trained.universe.coverage

@@ -61,7 +61,7 @@ OPEN_CONFIG = GenerationConfig(
 class TestGeneration:
     def test_unfiltered_universe_covers_every_row(self, toy_dataset):
         parts = partitions_for(toy_dataset)
-        uni = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
+        uni, _ = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
         assert uni.coverage == 1.0
         # re-check coverage independently through firing_strength
         fired = np.zeros(toy_dataset.n_rows, dtype=bool)
@@ -84,13 +84,13 @@ class TestGeneration:
         x = rng.uniform(0, 10, size=(60, 1))
         y = 3.0 * x[:, 0] + rng.normal(0, 0.2, 60)
         ds = Dataset("one", ("x",), x, "y", y)
-        uni = generate_candidates(ds, partitions_for(ds), OPEN_CONFIG)
+        uni, _ = generate_candidates(ds, partitions_for(ds), OPEN_CONFIG)
         # 3 antecedent sets x 3 consequent sets is the hard ceiling
         assert 1 <= len(uni) <= 9
         assert all(len(r.antecedent) == 1 for r in uni.rules)
 
     def test_no_duplicate_rules(self, toy_dataset):
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             toy_dataset, partitions_for(toy_dataset), OPEN_CONFIG
         )
         keys = [(r.antecedent, r.consequent_set) for r in uni.rules]
@@ -100,13 +100,13 @@ class TestGeneration:
         cfg = GenerationConfig(
             degree=1, max_antecedent=1, dominance_threshold=0.0, min_rows=1
         )
-        uni = generate_candidates(toy_dataset, partitions_for(toy_dataset), cfg)
+        uni, _ = generate_candidates(toy_dataset, partitions_for(toy_dataset), cfg)
         assert all(len(r.antecedent) == 1 for r in uni.rules)
 
     def test_unpartitioned_feature_never_appears(self, toy_dataset):
         parts = partitions_for(toy_dataset)
         del parts["x2"]
-        uni = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
+        uni, _ = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
         assert all(v == "x1" for r in uni.rules for v, _ in r.antecedent)
 
     def test_missing_target_partition_rejected(self, toy_dataset):
@@ -126,7 +126,7 @@ class TestFiltering:
         degree = 2
         cfg = GenerationConfig(degree=degree, dominance_threshold=0.0)
         parts = partitions_for(toy_dataset)
-        uni = generate_candidates(toy_dataset, parts, cfg)
+        uni, _ = generate_candidates(toy_dataset, parts, cfg)
         for rule in uni.rules:
             need = math.comb(len(rule.antecedent) + degree, degree)
             clauses = [
@@ -143,12 +143,12 @@ class TestFiltering:
 
     def test_min_rows_shrinks_universe(self, toy_dataset):
         parts = partitions_for(toy_dataset)
-        loose = generate_candidates(
+        loose, _ = generate_candidates(
             toy_dataset,
             parts,
             GenerationConfig(degree=1, dominance_threshold=0.0, min_rows=1),
         )
-        tight = generate_candidates(
+        tight, _ = generate_candidates(
             toy_dataset,
             parts,
             GenerationConfig(
@@ -180,7 +180,7 @@ class TestCoverageRescue:
             max_candidates=1,
             min_coverage=0.99,
         )
-        uni = generate_candidates(toy_dataset, partitions_for(toy_dataset), cfg)
+        uni, _ = generate_candidates(toy_dataset, partitions_for(toy_dataset), cfg)
         assert uni.coverage >= 0.99
         assert len(uni) > 1  # the cap alone cannot cover the data
 
@@ -197,7 +197,7 @@ class TestCoverageRescue:
         cfg = GenerationConfig(
             degree=1, dominance_threshold=0.0, min_rows=1, max_candidates=1
         )
-        uni = generate_candidates(toy_dataset, parts, cfg)
+        uni, _ = generate_candidates(toy_dataset, parts, cfg)
         assert len(uni) > 1
         names = toy_dataset.feature_names
         mem = [parts[v].membership_matrix(toy_dataset.column(v)) for v in names]
@@ -217,8 +217,8 @@ class TestCoverageRescue:
         cfg = GenerationConfig(
             degree=1, dominance_threshold=0.0, min_rows=1, min_coverage=0.0
         )
-        uni = generate_candidates(ds, partitions_for(ds), cfg)
-        capped = generate_candidates(
+        uni, _ = generate_candidates(ds, partitions_for(ds), cfg)
+        capped, _ = generate_candidates(
             ds,
             partitions_for(ds),
             GenerationConfig(
@@ -321,7 +321,7 @@ class TestRankedChoice:
             min_rows=None if min_rows == "None" else int(min_rows),
             dominance_threshold=float(threshold),
         )
-        return generate_candidates(ds, partitions_for(ds), cfg)
+        return generate_candidates(ds, partitions_for(ds), cfg)[0]
 
     @pytest.mark.parametrize(
         "case",
@@ -339,13 +339,13 @@ class TestRankedChoice:
 class TestRuleQuality:
     def test_clamp_bounds_come_from_consequent_set(self, toy_dataset):
         parts = partitions_for(toy_dataset)
-        uni = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
+        uni, _ = generate_candidates(toy_dataset, parts, OPEN_CONFIG)
         tpart = parts[toy_dataset.target_name]
         for rule in uni.rules:
             assert rule.clamp_bounds == tpart.set_named(rule.consequent_set).support
 
     def test_dominance_fields_populated(self, toy_dataset):
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             toy_dataset, partitions_for(toy_dataset), OPEN_CONFIG
         )
         for rule in uni.rules:
@@ -354,7 +354,7 @@ class TestRuleQuality:
             assert 0.0 < rule.error_dominance <= 1.0
 
     def test_polynomial_variables_subset_of_antecedent(self, toy_dataset):
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             toy_dataset, partitions_for(toy_dataset), OPEN_CONFIG
         )
         for rule in uni.rules:
@@ -367,12 +367,12 @@ class TestDeterminism:
         a = make_dataset(seed=31, n=150)
         b = make_dataset(seed=31, n=150)
         cfg = GenerationConfig(degree=2)
-        ua = generate_candidates(a, partitions_for(a), cfg)
-        ub = generate_candidates(b, partitions_for(b), cfg)
+        ua, _ = generate_candidates(a, partitions_for(a), cfg)
+        ub, _ = generate_candidates(b, partitions_for(b), cfg)
         assert dumps(universe_to_dict(ua)) == dumps(universe_to_dict(ub))
 
     def test_ordering_is_dominance_first(self, toy_dataset):
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             toy_dataset, partitions_for(toy_dataset), OPEN_CONFIG
         )
         # ignoring rescue additions at the tail, the selected block is
@@ -467,7 +467,7 @@ class TestEnumeration:
         names = tuple(f"x{j}" for j in range(num_features))
         ds = Dataset("drawn", names, X, "y", X.sum(axis=1) + rng.random(rows))
         parts = partitions_for(ds, num_sets)
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             ds,
             parts,
             GenerationConfig(
@@ -582,7 +582,7 @@ class TestPinnedOutput:
 
     def test_rescued_universe(self, tmp_path):
         ds = four_feature_dataset()
-        uni = generate_candidates(
+        uni, _ = generate_candidates(
             ds, partitions_for(ds, 5), GenerationConfig(degree=3, max_candidates=2)
         )
         save_universe(uni, tmp_path / "universe.json")

@@ -30,31 +30,28 @@ weight 0, so its polynomial there (even an overflow) never enters a
 score.  A rule whose output is NaN on a row where it weighs in is
 refused by `weigh`, naming that row, before the search starts.
 
-This process draws every ant.  Where the platform can fork, more than
-one core is usable, there are at least two ants and one iteration's
+This process draws every ant.  Where a `helper.Helper` can gain (see
+`helper.can_fork`), there are at least two ants and one iteration's
 expected scoring work reaches `HELPER_WORK` (a toy search stays whole),
 the first half of each iteration's ants, `num_ants // 2`, is also scored
 on one forked helper process.  It inherits the search table when it is
-forked, and gets its ants over one `multiprocessing.Pipe` connection as
-soon as the last of them is drawn; this process scores the rest, then
-reads the helper's costs and updates the pheromone in ant order.  Every
-cost comes from the same code on the same arrays, so the result does not
-depend on the number of cores or on which process scored which ant.  If
-the helper dies, this process scores its ants.  Nothing sets whether a
-helper runs: no config field, flag or environment variable.
+forked, and gets its ants as soon as the last of them is drawn; this
+process scores the rest, then reads the helper's costs and updates the
+pheromone in ant order.  Every cost comes from the same code on the same
+arrays, so the result does not depend on the number of cores or on which
+process scored which ant.  If the helper dies, this process scores its
+ants.  Nothing sets whether a helper runs: no config field, flag or
+environment variable.
 """
 from __future__ import annotations
 
 import math
-import os
-import signal
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
+from .helper import Helper, can_fork
 from .inference import (
     Model,
     _feature_rows,
@@ -233,7 +230,9 @@ def select_rules(
     # an ant's scoring work counts the rows and its rules' cells
     cells_per_rule = sum(r.size for r in rows_of) / total
     work = config.num_ants * (y.size + (lo + hi) / 2 * cells_per_rule)
-    helper = _Helper(config.num_ants, work, cost_of)
+    share = config.num_ants // 2  # the helper's ants of each iteration
+    fork = share > 0 and work >= HELPER_WORK and can_fork()
+    helper = Helper(lambda sels: [cost_of(sel) for sel in sels], fork)
     try:
         for iteration in range(1, config.num_iterations + 1):
             improved = False
@@ -245,8 +244,12 @@ def select_rules(
                 )
                 size = int(rng.integers(lo, hi + 1))
                 sels.append(sample_subset(rng, weights, size))
-                helper.hand_out(sels)
-            costs = helper.costs(sels)
+                if ant + 1 == share:
+                    helper.send(sels)
+            # the ants past a live helper's share, then the helper's costs
+            ahead = share if helper.alive else 0
+            own = [cost_of(sel) for sel in sels[ahead:]]
+            costs = helper.collect(sels[:ahead]) + own
             pheromone *= 1.0 - config.rho
             for sel, cost in zip(sels, costs):
                 pheromone[sel] += config.deposit / (1.0 + cost)
@@ -269,85 +272,3 @@ def select_rules(
         cost=best_cost,
     )
     return subset, tuple(trace)
-
-
-class _Helper:
-    """A forked process that scores the first ``ants // 2`` ants of each
-    iteration with the same ``cost_of`` on the arrays it inherited, where
-    a search can gain from it (see the module docstring); else nothing.
-    Once a send or a receive fails, this process scores every ant."""
-
-    def __init__(
-        self, ants: int, work: float, cost_of: Callable[[np.ndarray], float]
-    ) -> None:
-        self.cost_of, self.share, self.conn = cost_of, ants // 2, None
-        if not (
-            work >= HELPER_WORK
-            and self.share
-            and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1
-        ):
-            return
-        # imported here alone: it adds about 0.8 MB to every process importing it
-        import multiprocessing
-
-        ours, theirs = multiprocessing.Pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns when a multi-threaded process forks,
-                # and numpy's BLAS pool makes it one.  The child is safe:
-                # it runs only numpy ufuncs on arrays it inherited and
-                # calls no BLAS
-                warnings.filterwarnings(
-                    "ignore", "This process .* is multi-threaded", DeprecationWarning
-                )
-                pid = os.fork()
-        except OSError:  # no process to spare: this process scores every ant
-            ours.close()
-            theirs.close()
-            return
-        if pid == 0:
-            status = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                ours.close()
-                while True:  # until this process closes its end
-                    try:
-                        sels = theirs.recv()
-                    except EOFError:
-                        break
-                    theirs.send([cost_of(sel) for sel in sels])
-                status = 0
-            finally:
-                os._exit(status)
-        theirs.close()
-        self.pid, self.conn = pid, ours
-
-    def hand_out(self, sels: list[np.ndarray]) -> None:
-        """Send the helper its share once ``sels`` holds the last ant of it."""
-        if self.conn is not None and len(sels) == self.share:
-            try:
-                self.conn.send(sels)
-            except OSError:  # the helper died
-                self.close()
-
-    def costs(self, sels: list[np.ndarray]) -> list[float]:
-        """Every ant's cost in ``sels``, in ant order: this process scores
-        the ants past the helper's share, then reads the helper's costs,
-        or scores its share too if there is no live helper."""
-        if self.conn is None:
-            return [self.cost_of(sel) for sel in sels]
-        own = [self.cost_of(sel) for sel in sels[self.share :]]
-        try:
-            return self.conn.recv() + own
-        except (EOFError, OSError):  # the helper died
-            self.close()
-        return [self.cost_of(sel) for sel in sels[: self.share]] + own
-
-    def close(self) -> None:
-        """End the helper, if any: close its connection, then wait for it."""
-        conn, self.conn = self.conn, None
-        if conn is not None:
-            conn.close()
-            os.waitpid(self.pid, 0)

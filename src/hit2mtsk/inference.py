@@ -20,6 +20,7 @@ from .it2 import TNORMS, Partition, SetStack, fire, stack_sets, stacked_membersh
 from .rules import HybridRule, RuleUnfittableError, evaluate_terms
 
 FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
+TINY = np.finfo(float).tiny  # the smallest normal float
 # rule_matrices fires rules over chunks of at most this many (rules or
 # sets) x rows cells, and evaluates and clips polynomials over blocks of
 # at most this many fired cells, so that their temporaries stay small.
@@ -308,15 +309,16 @@ def cell_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells' weights (reduced firing times their rules' error dominance)
     and weighted outputs.  A weight below the smallest normal float (the
-    lower reduction, or underflow) counts as 0: a subnormal ``w`` loses
-    the bits that would let ``w * y / w`` give ``y`` back, so it would
-    move a prediction off its clamp bounds.  A cell of weight 0 has
-    weighted output +0.0, even where its output is NaN, so it adds
-    nothing to its row's sums."""
+    lower reduction, or underflow) counts as 0, and so does the weight of
+    a nonzero output whose weighted output ``|w * y|`` is below it (zero
+    included): a subnormal ``w`` or ``w * y`` loses the bits that would
+    let ``w * y / w`` give ``y`` back, so it would move a prediction off
+    its clamp bounds.  A cell of weight 0 has weighted output +0.0, even
+    where its output is NaN, so it adds nothing to its row's sums."""
     w = reduce_firing(lo, hi, reduction) * dominance
-    off = w < np.finfo(float).tiny
-    w[off] = 0.0
     wy = w * y
+    off = (w < TINY) | ((y != 0.0) & (wy < TINY) & (wy > -TINY))  # no float temporary
+    w[off] = 0.0
     wy[off] = 0.0
     return w, wy
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,17 @@ def toy_dataset() -> Dataset:
 def trained(toy_dataset):
     """One trained result shared by read-only tests."""
     return train_model(toy_dataset, small_train_config())
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test after which a child process is left unreaped, running
+    or not: every helper a training stage forks is reaped before it returns
+    or raises."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid else
+                "the test left a child process running")

@@ -91,7 +91,7 @@ print("multiprocessing" in sys.modules)
 
 
 def test_serving_a_row_imports_no_multiprocessing():
-    # only an ACO search that forks its helper imports it
+    # only a training stage that forks its helper imports it
     fixtures = ROOT / "benchmarks" / "fixtures"
     proc = subprocess.run(
         [

@@ -861,10 +861,10 @@ class TestClampEnvelope:
             p = predict(model, {v: float(cols[v][row]) for v in cols})
             check(p.value, p.fallback_used, row)
 
-    def test_a_subnormal_weight_counts_as_none(self):
-        # a ramp up from 0.0 fires 5e-324 and 1e-310 (subnormal) there:
-        # w * 1.3 / w rounded those to 1.0 and 1.2999999999999852, below
-        # the clamp, so such a row takes the fallback, flagged
+    @staticmethod
+    def one_rule_model(c):
+        # a ramp up from 0.0 fires x near 0.0; the one rule outputs the
+        # constant c, clamped to [c, 2.0]
         sets = (
             shoulder("Down", "left_shoulder", (0.0, 0.0, 1.0, 2.0)),
             shoulder("Up", "right_shoulder", (0.0, 1.0, 2.0, 2.0)),
@@ -872,24 +872,50 @@ class TestClampEnvelope:
         rule = HybridRule(
             antecedent=(("x", "Up"),),
             consequent_set="Up",
-            consequent_fn=constant(1.3),
-            clamp_bounds=(1.3, 2.0),
+            consequent_fn=constant(c),
+            clamp_bounds=(c, 2.0),
             fuzzy_dominance=(0.5, 0.5),
             error_dominance=1.0,
         )
-        model = Model(
+        return Model(
             feature_partitions=(Partition("x", sets, (0.0, 2.0)),),
             target_partition=Partition("y", sets, (0.0, 2.0)),
             rules=(rule,),
             fallback_value=7.0,
         )
+
+    @staticmethod
+    def assert_predicts(model, x, value, flagged):
+        values, _, fallback = predict_values(model, {"x": np.array([x])})
+        p = predict(model, {"x": x})
+        assert (values[0], fallback[0]) == (value, flagged)
+        assert (p.value, p.fallback_used) == (value, flagged)
+
+    def test_a_subnormal_weight_counts_as_none(self):
+        # the ramp fires 5e-324 and 1e-310 (subnormal) there: w * 1.3 / w
+        # rounded those to 1.0 and 1.2999999999999852, below the clamp, so
+        # such a row takes the fallback, flagged
+        model = self.one_rule_model(1.3)
         cases = [(5e-324, 7.0, True), (1e-310, 7.0, True), (1e-300, 1.3, False)]
         for x, value, flagged in cases:
-            values, _, fallback = predict_values(model, {"x": np.array([x])})
-            p = predict(model, {"x": x})
-            assert (values[0], fallback[0]) == (value, flagged)
-            assert (p.value, p.fallback_used) == (value, flagged)
+            self.assert_predicts(model, x, value, flagged)
 
+    @pytest.mark.parametrize(
+        "c, x, value, flagged",
+        # w * c / w rounded the first four to 1.2999999999999813e-10, 0.0,
+        # 0.0 and 9.999999999999968e-306, below the clamp: w * c underflows
+        # to a subnormal or to 0.0 from a normal weight w.  An output of
+        # exactly 0.0 keeps its weight
+        [
+            (1.3e-10, 1e-300, 7.0, True),
+            (1e-305, 1e-300, 7.0, True),
+            (1e-305, 1e-200, 7.0, True),
+            (1e-305, 1e-5, 7.0, True),
+            (0.0, 1e-300, 0.0, False),
+        ],
+    )
+    def test_a_subnormal_weighted_output_counts_as_none(self, c, x, value, flagged):
+        self.assert_predicts(self.one_rule_model(c), x, value, flagged)
 
 class TestServeReference:
     def test_frozen_reference_predictions_reproduced_bitwise(self):

@@ -1,7 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +27,7 @@ from hit2mtsk import (
     save_universe,
     train_model,
 )
+import hit2mtsk.universe
 from hit2mtsk.it2 import TNORMS, build_partition, fire
 from hit2mtsk.persist import decode, dumps, universe_to_dict
 from hit2mtsk.rules import rmse
@@ -26,6 +35,7 @@ from hit2mtsk.universe import _candidate_keys
 
 from conftest import make_dataset, small_train_config
 from oracles import candidate_keys, firing_strength
+from test_inference import bits
 
 
 def partitions_for(dataset, num_sets=3):
@@ -593,3 +603,265 @@ class TestPinnedOutput:
         assert self.masked_sha256(tmp_path / "universe.json") == (
             "5ccefe755f98a9e59495ba5f91c2d70ef88fe9113befe1a41e9e07f14f29bfef"
         )
+
+
+def forced_fit_helper(monkeypatch):
+    """Make `generate_candidates` fork its helper on 2 usable cores
+    whatever its work.  Returns the list the helper's pid is recorded
+    into and the list of the subset lists it is sent."""
+    monkeypatch.setattr(hit2mtsk.universe, "HELPER_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids, sent = [], []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    class Recorded(hit2mtsk.universe.Helper):
+        def send(self, items):
+            sent.append(list(items))
+            super().send(items)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(hit2mtsk.universe, "Helper", Recorded)
+    return pids, sent
+
+
+class TestGenerationHelper:
+    """Candidates fitted on a forked helper process give the serial
+    universe and cells bit for bit, whichever process fitted which
+    candidate and whatever befalls the helper.  The suite's autouse
+    fixture checks that no test leaves a child process."""
+
+    # 120 rows over 5 sets: some fits degrade to degree 1, some to a constant
+    DS = four_feature_dataset(n=120)
+    CFG = GenerationConfig(
+        degree=3, min_rows=1, dominance_threshold=0.0, max_candidates=100_000
+    )
+
+    def generate(self, tnorm="minimum"):
+        cfg = replace(self.CFG, tnorm=tnorm)
+        return generate_candidates(self.DS, partitions_for(self.DS, 5), cfg)
+
+    @staticmethod
+    def assert_same(got, want):
+        (uni, cells), (ref, ref_cells) = got, want
+        assert uni == ref and len(cells) == len(ref_cells) == len(ref)
+        for c, r in zip(cells, ref_cells):
+            assert c.row.dtype == r.row.dtype and np.array_equal(c.row, r.row)
+            for a, b in zip(c[1:], r[1:]):
+                assert np.array_equal(bits(a), bits(b))
+
+    @staticmethod
+    def fit_of(names, effect, helper_only):
+        """`fit_consequent`, but ``effect(variables)`` first wherever a fit
+        over the variables ``names`` (or any, if None) runs, or only where
+        it runs in a forked child."""
+        parent, fit = os.getpid(), hit2mtsk.universe.fit_consequent
+
+        def fit_consequent(X, y, variables, *args, **kwargs):
+            if names in (None, tuple(variables)) and not (
+                helper_only and os.getpid() == parent
+            ):
+                effect(tuple(variables))
+            return fit(X, y, variables, *args, **kwargs)
+
+        return fit_consequent
+
+    def test_the_dataset_fits_degrade(self):
+        uni, _ = self.generate()
+        shapes = {(r.consequent_fn.degree, bool(r.consequent_fn.variables)) for r in uni.rules}
+        assert shapes == {(3, True), (1, True), (1, False)}
+
+    @pytest.mark.parametrize("tnorm", ["minimum", "product"])
+    def test_a_helper_generates_as_this_process_alone(self, monkeypatch, tnorm):
+        serial = self.generate(tnorm)
+        pids, sent = forced_fit_helper(monkeypatch)
+        own = []  # the variables of every fit this process runs
+        watched = self.fit_of(None, own.append, helper_only=False)
+        monkeypatch.setattr(hit2mtsk.universe, "fit_consequent", watched)
+        got = self.generate(tnorm)
+        assert len(pids) == 1
+        # the helper was sent some of the clause subsets, and fitted them
+        subsets = [tuple(v for v, _ in r.antecedent) for r in serial[0].rules]
+        theirs = {tuple(f"x{j + 1}" for j in s) for s in sent[0]}
+        assert len(sent) == 1 and 0 < len(theirs) < len(set(subsets))
+        assert Counter(own) == Counter(s for s in subsets if s not in theirs)
+        self.assert_same(got, serial)
+
+    def test_a_refused_fork_leaves_the_result_unchanged(self, monkeypatch):
+        serial = self.generate()
+        _, sent = forced_fit_helper(monkeypatch)
+
+        def refused():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refused)
+        self.assert_same(self.generate(), serial)
+        assert sent == []
+
+    def test_a_helper_killed_before_it_replies_leaves_the_result_unchanged(
+        self, monkeypatch
+    ):
+        serial = self.generate()
+        pids, _ = forced_fit_helper(monkeypatch)
+        parent = os.getpid()
+        fit = hit2mtsk.universe.fit_consequent
+        killed = []
+
+        def fit_consequent(*args, **kwargs):
+            if os.getpid() != parent:  # the helper never replies
+                signal.pause()
+            if not killed:  # this process's first fit, after the hand-out
+                os.kill(pids[0], signal.SIGKILL)
+                # dead, its end of the connection closed, but not reaped
+                os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+                killed.append(pids[0])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(hit2mtsk.universe, "fit_consequent", fit_consequent)
+        got = self.generate()
+        assert killed == pids and len(pids) == 1
+        self.assert_same(got, serial)
+
+    @pytest.mark.parametrize("kind", ["raises", "warns"])
+    def test_a_fit_failing_in_the_helper_alone_is_redone_here(self, monkeypatch, kind):
+        serial = self.generate()
+        pids, sent = forced_fit_helper(monkeypatch)
+        self.generate()
+        # a clause subset the helper fits: its first, its heaviest
+        names = tuple(f"x{j + 1}" for j in sent[0][0])
+
+        def effect(variables):
+            if kind == "raises":
+                raise RuntimeError("fit failed")
+            warnings.warn("fit warned", RuntimeWarning)
+
+        fit = self.fit_of(names, effect, helper_only=True)
+        monkeypatch.setattr(hit2mtsk.universe, "fit_consequent", fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing reaches this process
+            got = self.generate()
+        assert len(pids) == 2 and sent[1] == sent[0]
+        self.assert_same(got, serial)
+
+    @pytest.mark.parametrize("side", ["helper", "this process"])
+    def test_a_fit_error_reaches_the_caller_as_in_a_serial_run(self, monkeypatch, side):
+        with monkeypatch.context() as m:
+            _, sent = forced_fit_helper(m)
+            uni, _ = self.generate()
+        theirs = sent[0]
+        every = {tuple(int(v[1:]) - 1 for v, _ in r.antecedent) for r in uni.rules}
+        subset = theirs[0] if side == "helper" else min(every - set(theirs))
+        names = tuple(f"x{j + 1}" for j in subset)
+
+        def effect(variables):
+            raise ValueError(f"cannot fit over {variables}")
+
+        monkeypatch.setattr(
+            hit2mtsk.universe, "fit_consequent", self.fit_of(names, effect, helper_only=False)
+        )
+        with pytest.raises(ValueError) as serial:
+            self.generate()
+        pids, _ = forced_fit_helper(monkeypatch)
+        with pytest.raises(ValueError) as got:
+            self.generate()
+        assert len(pids) == 1
+        assert type(got.value) is type(serial.value)
+        assert str(got.value) == str(serial.value) == f"cannot fit over {names}"
+
+    def test_a_fit_warning_reaches_the_caller_as_in_a_serial_run(self, monkeypatch):
+        with monkeypatch.context() as m:
+            _, sent = forced_fit_helper(m)
+            want = self.generate()
+        names = tuple(f"x{j + 1}" for j in sent[0][0])  # the helper's
+
+        def effect(variables):
+            warnings.warn(f"fit over {variables} warned", RuntimeWarning)
+
+        monkeypatch.setattr(
+            hit2mtsk.universe, "fit_consequent", self.fit_of(names, effect, helper_only=False)
+        )
+        with pytest.warns(RuntimeWarning) as serial:
+            self.assert_same(self.generate(), want)
+        pids, _ = forced_fit_helper(monkeypatch)
+        with pytest.warns(RuntimeWarning) as got:
+            self.assert_same(self.generate(), want)
+        assert len(pids) == 1
+        assert [str(w.message) for w in got] == [str(w.message) for w in serial]
+        assert len(serial) > 0
+
+    def test_forking_beside_a_live_thread_warns_nothing(self, monkeypatch):
+        # Python 3.12+ warns when a multi-threaded process forks
+        serial = self.generate()
+        pids, _ = forced_fit_helper(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = self.generate()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(pids) == 1
+        self.assert_same(got, serial)
+
+    @pytest.mark.parametrize(
+        "case", ["work below HELPER_WORK", "one usable core", "no affinity"]
+    )
+    def test_a_small_generation_forks_nothing(self, monkeypatch, case):
+        # every case but the first would fork on its work
+        cores = 1 if case == "one usable core" else 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        if case == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if case != "work below HELPER_WORK":
+            monkeypatch.setattr(hit2mtsk.universe, "HELPER_WORK", 0)
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        ds = four_feature_dataset()  # as the suite's toy trains
+        uni, _ = generate_candidates(ds, partitions_for(ds), GenerationConfig(degree=3))
+        assert forks == [] and len(uni) > 0
+
+
+BLAS_BEFORE_THE_FORK = """
+import os, sys
+import numpy as np
+a = np.random.default_rng(0).random((400, 400))
+a @ a  # OpenBLAS starts its threads before any fork
+import hit2mtsk.aco, hit2mtsk.universe
+from hit2mtsk import train_model
+from hit2mtsk.persist import dumps, model_to_dict
+from conftest import small_train_config
+from test_universe import four_feature_dataset
+ds, cfg = four_feature_dataset(), small_train_config(degree=3)
+serial = dumps(model_to_dict(train_model(ds, cfg).model))
+hit2mtsk.universe.HELPER_WORK = hit2mtsk.aco.HELPER_WORK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+forked = dumps(model_to_dict(train_model(ds, cfg).model))
+print(len(forks), forked == serial)
+"""
+
+
+def test_forked_fits_run_blas_after_its_threads_started():
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_BEFORE_THE_FORK],
+        cwd=tests, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one helper for generation's fits and one for ACO's ants
+    assert proc.stdout.split() == ["2", "True"]

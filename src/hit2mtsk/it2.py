@@ -10,6 +10,7 @@ nonzero membership somewhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -135,7 +136,7 @@ class IT2Set:
         if not 0.0 < self.fou_scale <= 1.0:
             raise ValueError("fou_scale must be in (0, 1]")
         for params in (self.upper_params, self.lower_params):
-            if len(params) != 4 or not all(np.isfinite(params)):
+            if len(params) != 4 or not all(map(math.isfinite, params)):
                 raise ValueError("trapezoid needs four finite breakpoints")
             if not (params[0] <= params[1] <= params[2] <= params[3]):
                 raise ValueError(f"breakpoints not ordered: {params}")

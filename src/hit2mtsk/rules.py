@@ -149,6 +149,25 @@ def evaluate_terms(
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _check_exponents(
+    exponents: tuple[tuple[int, ...], ...], arity: int, degree: int
+) -> None:
+    """Raise unless every term of ``exponents`` has ``arity`` nonnegative
+    powers summing to at most ``degree`` and no term repeats.  Cached: a
+    model holds a few distinct tables; a table that raises is not cached,
+    so it raises again."""
+    for e in exponents:
+        if len(e) != arity:
+            raise ValueError("exponent arity does not match variables")
+        if min(e, default=0) < 0:
+            raise ValueError("negative exponent")
+        if sum(e) > degree:
+            raise ValueError("term degree exceeds declared degree")
+    if len(set(exponents)) != len(exponents):
+        raise ValueError("duplicate monomials")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial in named variables, coefficients in raw units."""
@@ -163,14 +182,8 @@ class Polynomial:
             raise ValueError("exponents/coefficients length mismatch")
         if not self.coefficients:
             raise ValueError("polynomial needs at least one term")
-        for e in self.exponents:
-            if len(e) != len(self.variables):
-                raise ValueError("exponent arity does not match variables")
-            if sum(e) > self.degree:
-                raise ValueError("term degree exceeds declared degree")
-        if len(set(self.exponents)) != len(self.exponents):
-            raise ValueError("duplicate monomials")
-        if not all(np.isfinite(self.coefficients)):
+        _check_exponents(self.exponents, len(self.variables), self.degree)
+        if not all(map(math.isfinite, self.coefficients)):
             raise ValueError("coefficients must be finite")
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:

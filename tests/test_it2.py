@@ -103,6 +103,13 @@ class TestIT2SetValidation:
         with pytest.raises(ValueError, match="shape"):
             IT2Set("x", "triangle", (0, 1, 2, 3), (0, 1, 2, 3), 0.9)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_breakpoint_rejected(self, bad):
+        with pytest.raises(ValueError, match="four finite breakpoints"):
+            IT2Set("x", "trapezoid", (0, 1, 2, bad), (0, 1, 2, 3), 0.9)
+        with pytest.raises(ValueError, match="four finite breakpoints"):
+            IT2Set("x", "trapezoid", (0, 1, 2, 3), (bad, 1, 2, 3), 0.9)
+
     def test_default_support_is_upper_feet(self):
         assert REF_SET.support == (0.0, 3.0)
 

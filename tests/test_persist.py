@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -49,6 +50,14 @@ def encode(record) -> dict:
     return json.loads(dumps(asdict(record)))
 
 
+POLY = Polynomial(
+    degree=2,
+    variables=("a", "b"),
+    exponents=((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
+    coefficients=(0.1, -2.5e-7, 3.0, 1e300, -0.0, 7.25),
+)
+
+
 class TestComponentRoundTrips:
     def test_partition(self):
         back = decode(Partition, encode(X_PART))
@@ -60,13 +69,7 @@ class TestComponentRoundTrips:
         assert decode(Partition, encode(p)) == p
 
     def test_polynomial(self):
-        fn = Polynomial(
-            degree=2,
-            variables=("a", "b"),
-            exponents=((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)),
-            coefficients=(0.1, -2.5e-7, 3.0, 1e300, -0.0, 7.25),
-        )
-        assert decode(Polynomial, encode(fn)) == fn
+        assert decode(Polynomial, encode(POLY)) == POLY
 
     def test_rule(self):
         assert decode(HybridRule, encode(RULE_HIGH)) == RULE_HIGH
@@ -150,6 +153,77 @@ class TestDecode:
             decode(HybridRule, doc)
 
 
+class TestBulkRows:
+    """An array of rows of one leaf type, such as a polynomial's exponents
+    or a rule's antecedent, is checked in one pass; any value that pass
+    misses is read item by item, so each refusal keeps its type and
+    message."""
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            (True, "expected int, got true"),
+            (1.0, "expected int, got 1.0"),
+            ("1", 'expected int, got "1"'),
+        ],
+    )
+    def test_exponent_item_of_another_type_rejected(self, item, message):
+        doc = encode(POLY)
+        doc["exponents"][2][1] = item
+        with pytest.raises(TypeError, match=re.escape(message)):
+            decode(Polynomial, doc)
+
+    @pytest.mark.parametrize("pair", [["x"], ["x", "High", "Low"], []])
+    def test_antecedent_pair_of_wrong_length_rejected(self, pair):
+        doc = encode(RULE_HIGH)
+        doc["antecedent"] = [pair]
+        with pytest.raises(TypeError, match=f"expected 2 items, got {len(pair)}"):
+            decode(HybridRule, doc)
+
+    @pytest.mark.parametrize(
+        "record, field, row, message",
+        [
+            (POLY, "exponents", {"a": 0, "b": 1}, "expected an array, got an object"),
+            (RULE_HIGH, "antecedent", {"x": "High"}, "expected an array, got an object"),
+            (RULE_HIGH, "antecedent", {"x": 1, "y": 2}, "expected an array, got an object"),
+            (RULE_HIGH, "antecedent", "xy", 'expected an array, got "xy"'),
+            (RULE_HIGH, "antecedent", ["x", 1], "expected str, got 1"),
+        ],
+    )
+    def test_row_that_is_no_array_of_its_leaf_type_rejected(
+        self, record, field, row, message
+    ):
+        doc = encode(record)
+        doc[field][0] = row
+        with pytest.raises(TypeError, match=re.escape(message)):
+            decode(type(record), doc)
+
+    def test_whole_number_wider_than_64_bits_in_a_float_array_rejected(self):
+        doc = encode(POLY)
+        doc["coefficients"][3] = 10**23
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            decode(Polynomial, doc)
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            decode(tuple[tuple[float, ...], ...], [[1.5, 2.5], [1.5, 2**63]])
+
+    def test_rows_read_in_one_pass_equal_rows_read_item_by_item(self):
+        rows = tuple[tuple[float, ...], ...]
+        # exact floats take the one pass; a whole number sends them item by item
+        assert decode(rows, [[1.5, 2.5], (0.5,)]) == ((1.5, 2.5), (0.5,))
+        back = decode(rows, [[1.5, 2.5], [1, 0.5]])
+        assert back == ((1.5, 2.5), (1, 0.5)) and type(back[1][0]) is int
+        assert decode(tuple[tuple[int, ...], ...], [[], [0, 3]]) == ((), (0, 3))
+        assert decode(tuple[tuple[str, str], ...], []) == ()
+        assert all(type(row) is tuple for row in decode(rows, [[1.5], (2.5,)]))
+
+    def test_bad_exponent_table_refused_on_every_load(self):
+        doc = encode(POLY)
+        doc["exponents"][1] = [0, 0]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate monomials"):
+                decode(Polynomial, doc)
+
+
 class TestFileLayout:
     def test_model_document_is_pinned(self):
         # the layout follows the dataclass fields, so renaming a field
@@ -169,6 +243,18 @@ class TestFileLayout:
         ):
             assert all(f.init for f in fields(cls))
             assert keys - {"format", "version"} == {f.name for f in fields(cls)}
+
+    def test_documents_share_no_mutable_part_with_their_record(self):
+        # leaves and leaf arrays are handed to the encoder as they are, but
+        # a manifest is copied, so editing a document leaves the model as it was
+        model = two_rule_model(manifest={"seed": 3, "config": {"num_sets": 3}})
+        doc = model_to_dict(model)
+        doc["manifest"]["config"]["num_sets"] = 5
+        doc["rules"][0]["consequent_fn"]["coefficients"] = [0.0]
+        assert model.manifest == {"seed": 3, "config": {"num_sets": 3}}
+        assert model == two_rule_model(manifest={"seed": 3, "config": {"num_sets": 3}})
+        header = {"format": "hit2mtsk-model", "version": 1}
+        assert dumps(model_to_dict(model)) == dumps({**header, **asdict(model)})
 
     def test_integer_fou_scale_is_saved_as_a_float(self):
         p = build_partition(np.linspace(0.0, 1.0, 20), 3, fou_scale=1)
@@ -380,6 +466,34 @@ def truncate_list(doc, draw):
     return False  # e.g. one rule fewer is still a model
 
 
+def exponent_row(doc, draw):
+    # the golden rules' polynomials are constants, whose one row is empty
+    rows = draw(st.sampled_from(doc["rules"]))["consequent_fn"]["exponents"]
+    at = draw(st.integers(0, len(rows) - 1))
+    bad = draw(st.sampled_from([0, 1, -1, True, 1.0, "1", None, [], {}]))
+    if draw(st.booleans()):
+        rows[at].append(bad)  # an item too many, or of a wrong type
+    else:
+        rows[at] = draw(st.sampled_from([{}, {"a": 0}, "x", "", 0, None]))
+    return True
+
+
+def antecedent_row(doc, draw):
+    pairs = draw(st.sampled_from(doc["rules"]))["antecedent"]
+    at = draw(st.integers(0, len(pairs) - 1))
+    choice = draw(st.sampled_from(["item", "length", "row"]))
+    if choice == "item":
+        pairs[at][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([None, 0, 1.5, True, [], {}])
+        )
+    elif choice == "length":
+        pairs[at] = pairs[at][:1] if draw(st.booleans()) else [*pairs[at], "Low"]
+    else:
+        # an object or a string of two keys or characters is not a pair
+        pairs[at] = draw(st.sampled_from([dict([pairs[at]]), {"x": 1, "y": 2}, "xy"]))
+    return True
+
+
 def manifest_as_list(doc, draw):
     doc["manifest"] = draw(st.lists(st.integers(), max_size=3))
     return True
@@ -408,6 +522,8 @@ class TestFuzzedModelFiles:
                 add_key,
                 swap_type,
                 truncate_list,
+                exponent_row,
+                antecedent_row,
                 manifest_as_list,
                 non_finite_number,
             ]

@@ -435,6 +435,27 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="duplicate"):
             Polynomial(1, ("x",), ((1,), (1,)), (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "exponents, message",
+        [
+            (((1,), (1,)), "duplicate monomials"),
+            (((0,), (2,)), "term degree exceeds declared degree"),
+            (((0,), (1, 0)), "exponent arity does not match variables"),
+            (((0,), (-1,)), "negative exponent"),
+        ],
+    )
+    def test_a_bad_table_raises_on_every_construction(self, exponents, message):
+        # the table check is cached, but only for tables that pass it
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Polynomial(1, ("x",), exponents, (1.0, 2.0))
+        assert Polynomial(1, ("x",), ((0,), (1,)), (1.0, 2.0)).exponents == ((0,), (1,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Polynomial(1, ("x",), ((0,), (1,)), (1.0, bad))
+
 
 def bits(a):
     """The float64 bit patterns of ``a``: equal only if bitwise equal."""

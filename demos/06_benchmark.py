@@ -36,7 +36,7 @@ else:
     ds = Dataset(
         name="synthetic", feature_names=("x1", "x2"), X=X, target_name="y", y=y
     )
-    folds = make_folds(ds, k=5, seed=0)
+    folds = make_folds(ds, seed=0)
     dataset_name = "synthetic"
 
 config = TrainConfig(generation=GenerationConfig(degree=2), seed=0)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    CV_FOLDS,
     Dataset,
     ParseError,
     dataset_fingerprint,
@@ -186,13 +187,13 @@ def cmd_crossval(args) -> int:
         folds = load_keel_folds(Path(args.data), args.name)
     else:
         dataset = _load_dataset(args)
-        if dataset.n_rows < 5:
+        if dataset.n_rows < CV_FOLDS:
             raise CliError(
                 EXIT_DATA,
-                f"5-fold cross-validation needs at least 5 rows; {args.data} "
-                f"has {dataset.n_rows}",
+                f"{CV_FOLDS}-fold cross-validation needs at least {CV_FOLDS} rows; "
+                f"{args.data} has {dataset.n_rows}",
             )
-        folds = make_folds(dataset, k=5, seed=config.seed)
+        folds = make_folds(dataset, seed=config.seed)
 
     name = args.name or folds[0].train.name
     if args.name and not reference_for(args.name):

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .it2 import SENTINEL_MARGIN
+
 
 class ParseError(ValueError):
     """Malformed data file; message carries path and line number."""
@@ -32,6 +34,8 @@ MISSING_TOKENS = {"?", "<null>", "", "na", "nan"}
 # every target value is squared in an error: beyond this magnitude a sum
 # of squared errors over even a few rows overflows
 TARGET_LIMIT = 1e150
+# the paper's protocol: every cross-validation has this many folds
+CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class Dataset:
             raise ValueError("duplicate feature names")
         if self.target_name in names:
             raise ValueError("target duplicated among features")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        lo, hi = (X.min(), X.max()) if X.size else (0.0, 0.0)  # NaN propagates
+        if not np.isfinite([lo, hi]).all() or not np.all(np.isfinite(y)):
             raise ValueError("dataset contains non-finite values")
         if np.abs(y).max() > TARGET_LIMIT:
             i = int(np.argmax(np.abs(y) > TARGET_LIMIT))
@@ -71,6 +76,19 @@ class Dataset:
                 f"{i + 1}, beyond magnitude {TARGET_LIMIT:g}, where squared "
                 "errors overflow"
             )
+        # no partition breakpoint overflows below a quarter of the largest float
+        if max(hi, -lo) > np.finfo(float).max / 4:
+            lo, hi = X.min(axis=0), X.max(axis=0)
+            with np.errstate(over="ignore"):
+                reach = SENTINEL_MARGIN * (hi - lo)
+                wide = ~(np.isfinite(lo - reach) & np.isfinite(hi + reach))
+            if wide.any():
+                j = int(np.argmax(wide))
+                raise ValueError(
+                    f"feature {names[j]!r} spans {float(lo[j])!r} to "
+                    f"{float(hi[j])!r}, too wide a range for its partition's "
+                    "breakpoints to be finite"
+                )
 
     @property
     def n_rows(self) -> int:
@@ -315,13 +333,13 @@ def split_holdout(
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def make_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> list[FoldSplit]:
-    """k row-disjoint CV folds from a seeded shuffle."""
-    if k < 2 or k > dataset.n_rows:
-        raise ValueError("fold count must be in [2, n_rows]")
+def make_folds(dataset: Dataset, seed: int = 0) -> list[FoldSplit]:
+    """CV_FOLDS row-disjoint CV folds from a seeded shuffle."""
+    if dataset.n_rows < CV_FOLDS:
+        raise ValueError(f"{CV_FOLDS} folds need at least {CV_FOLDS} rows")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     perm = rng.permutation(dataset.n_rows)
-    chunks = np.array_split(perm, k)
+    chunks = np.array_split(perm, CV_FOLDS)
     folds = []
     for i, chunk in enumerate(chunks):
         test_idx = np.sort(chunk)
@@ -337,17 +355,17 @@ def make_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> list[FoldSplit]:
 
 
 def load_keel_folds(directory, name: str | None = None) -> list[FoldSplit]:
-    """Load pre-partitioned 5-fold KEEL files ``<name>-5-<i>tra/tst.dat``."""
+    """Load the pre-partitioned KEEL folds ``<name>-5-<i>tra/tst.dat``."""
     directory = Path(directory)
     if name is None:
-        tras = sorted(directory.glob("*-5-1tra.dat"))
+        tras = sorted(directory.glob(f"*-{CV_FOLDS}-1tra.dat"))
         if not tras:
-            raise FileNotFoundError(f"no *-5-1tra.dat under {directory}")
-        name = tras[0].name.replace("-5-1tra.dat", "")
+            raise FileNotFoundError(f"no *-{CV_FOLDS}-1tra.dat under {directory}")
+        name = tras[0].name.replace(f"-{CV_FOLDS}-1tra.dat", "")
     folds = []
-    for i in range(1, 6):
-        tra = directory / f"{name}-5-{i}tra.dat"
-        tst = directory / f"{name}-5-{i}tst.dat"
+    for i in range(1, CV_FOLDS + 1):
+        tra = directory / f"{name}-{CV_FOLDS}-{i}tra.dat"
+        tst = directory / f"{name}-{CV_FOLDS}-{i}tst.dat"
         if not tra.exists() or not tst.exists():
             raise FileNotFoundError(f"missing fold files {tra.name} / {tst.name}")
         folds.append(

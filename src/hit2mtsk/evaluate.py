@@ -105,37 +105,20 @@ class EvalReport:
 
 
 def explainability_block(
-    model: Model,
-    rows: Dataset,
-    seed: int = 0,
-    thresholds: Sequence[float] = ACTIVE_RULE_THRESHOLDS,
-    noise_levels: Sequence[float] = NOISE_LEVELS,
-    base: _Weighed | None = None,
+    model: Model, rows: Dataset, seed: int = 0, base: _Weighed | None = None
 ) -> Explainability:
     """The case-study metrics of ``model`` on ``rows``, all read from one
     inference pass but the noisy ones: ``base``, the `_weigh` pass of
     ``model`` on ``rows`` when given.
 
-    ``active_rules`` holds, per threshold, the mean count of rules whose
-    firing midpoint exceeds it; thresholds must be >= 0, so that a rule
-    that does not fire counts under none.  ``noise_deltas`` holds, per
-    level, the mean absolute prediction change as a percentage of the
-    mean target when each feature gets Gaussian noise of standard
-    deviation level * (that feature's training stddev), averaged over
-    NOISE_REPEATS draws.  The level at position i of ``noise_levels``
-    draws repeat r from stream ``(seed, i, r)``; the result is keyed by
-    level, so each level may appear only once.
+    ``active_rules`` holds, per threshold of ACTIVE_RULE_THRESHOLDS, the
+    mean count of rules whose firing midpoint exceeds it.  ``noise_deltas``
+    holds, per level of NOISE_LEVELS, the mean absolute prediction change
+    as a percentage of the mean target when each feature gets Gaussian
+    noise of standard deviation level * (that feature's training stddev),
+    averaged over NOISE_REPEATS draws.  The level at position i draws
+    repeat r from stream ``(seed, i, r)``.
     """
-    if not all(t >= 0.0 for t in thresholds):  # NaN fails this too
-        raise ValueError(
-            f"active-rule thresholds must be >= 0, got {list(thresholds)}"
-        )
-    levels = [float(lv) for lv in noise_levels]
-    if not all(np.isfinite(lv) and lv >= 0.0 for lv in levels):
-        raise ValueError(f"noise levels must be finite and >= 0, got {levels}")
-    again = [lv for i, lv in enumerate(levels) if lv in levels[:i]]
-    if again:
-        raise ValueError(f"noise level {again[0]} is repeated in {levels}")
     base = _weigh(model, rows) if base is None else base
     target_span = float(np.ptp(rows.y))
     if target_span == 0.0:
@@ -151,11 +134,11 @@ def explainability_block(
     mid = reduce_firing(base.cells.lo, base.cells.hi, "midpoint")
     n = rows.n_rows
     active = {
-        float(t): float(np.mean(np.bincount(base.cells.row[mid > t], minlength=n)))
-        for t in thresholds
+        t: float(np.mean(np.bincount(base.cells.row[mid > t], minlength=n)))
+        for t in ACTIVE_RULE_THRESHOLDS
     }
     noise = {}
-    for li, level in enumerate(levels):
+    for li, level in enumerate(NOISE_LEVELS):
         deltas = []
         for rep in range(NOISE_REPEATS if level else 0):
             rng = np.random.default_rng(np.random.SeedSequence([seed, li, rep]))

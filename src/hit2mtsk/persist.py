@@ -273,10 +273,8 @@ def load_universe(path) -> RuleUniverse:
     return decode(RuleUniverse, {**body, **m})
 
 
-def rules_text(
-    rules: Sequence[HybridRule], target_variable: str, precision: int = 6
-) -> str:
-    """Human-readable rule listing; dominance shown at 3 decimals."""
+def rules_text(rules: Sequence[HybridRule], target_variable: str) -> str:
+    """Human-readable rule listing; 6 significant digits, dominance 3 decimals."""
     blocks = []
     for i, rule in enumerate(rules, start=1):
         lo, hi = rule.clamp_bounds
@@ -287,8 +285,8 @@ def rules_text(
                     f"RULE {i}",
                     f"  IF {rule.antecedent_text()} THEN {target_variable} is "
                     f"{rule.consequent_set}",
-                    f"  {target_variable} = {rule.consequent_fn.render(precision)}",
-                    f"  clamp bounds: [{lo:.{precision}g}, {hi:.{precision}g}]",
+                    f"  {target_variable} = {rule.consequent_fn.render()}",
+                    f"  clamp bounds: [{lo:.6g}, {hi:.6g}]",
                     f"  fuzzy dominance: [{d_lo:.3f}, {d_hi:.3f}]",
                     f"  error dominance: {rule.error_dominance:.3f}",
                 ]

@@ -200,7 +200,7 @@ class Polynomial:
         coefficients = np.array(self.coefficients)
         return evaluate_terms(self.degree, self.exponents, coefficients, X.T)
 
-    def render(self, precision: int = 6) -> str:
+    def render(self) -> str:
         parts = []
         for e, w in zip(self.exponents, self.coefficients):
             names = [
@@ -209,7 +209,7 @@ class Polynomial:
                 if k
             ]
             mono = "*".join(names)
-            coef = f"{w:.{precision}g}"
+            coef = f"{w:.6g}"
             parts.append(coef if not mono else f"{coef}*{mono}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
@@ -266,22 +266,18 @@ class HybridRule:
         if not 0.0 < self.error_dominance <= 1.0:
             raise ValueError("error dominance must be in (0, 1]")
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.antecedent)
-
     def antecedent_text(self) -> str:
         """The IF part, ``x1 is A1 AND x2 is A2``."""
         return " AND ".join(f"{v} is {s}" for v, s in self.antecedent)
 
-    def describe(self, target_variable: str, precision: int = 6) -> str:
+    def describe(self, target_variable: str) -> str:
         """Human-readable IF/THEN text with the bounded polynomial."""
-        poly = self.consequent_fn.render(precision)
+        poly = self.consequent_fn.render()
         lo, hi = self.clamp_bounds
         return (
             f"IF {self.antecedent_text()} THEN {target_variable} is "
             f"{self.consequent_set} with {target_variable} = {poly}"
-            f" clamped to [{lo:.{precision}g}, {hi:.{precision}g}]"
+            f" clamped to [{lo:.6g}, {hi:.6g}]"
         )
 
 
@@ -307,10 +303,13 @@ def _solve_least_squares(
     Columns of ``M`` (no constant column) are z-scored before solving so
     the penalty is scale-free; the intercept is unpenalized.  The
     returned vector is (intercept, raw-unit coefficients) with exact
-    back-transform, zero-variance columns pinned to coefficient 0.
+    back-transform, zero-variance columns pinned to coefficient 0.  A
+    non-finite monomial (not an overflowing sd) makes every coefficient NaN.
     """
     n, m = M.shape
     mu, sd = _column_moments(M)
+    if not np.isfinite(sd).all() and not np.isfinite(M).all():
+        return np.full(m + 1, np.nan)
     keep = sd > 0
     Z = (M[:, keep] - mu[keep]) / sd[keep]
     A = np.hstack([np.ones((n, 1)), Z])

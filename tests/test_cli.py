@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hit2mtsk import Dataset, load_model, predict_values, split_holdout, write_xy_csv
+from hit2mtsk import (
+    Dataset,
+    load_model,
+    predict_values,
+    split_holdout,
+    train_model,
+    write_xy_csv,
+)
 from hit2mtsk.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -24,7 +31,7 @@ from hit2mtsk.cli import (
 from hit2mtsk.persist import loads
 from hit2mtsk.pipeline import derive_seed
 
-from conftest import candidate_model
+from conftest import candidate_model, small_train_config
 from test_aco import rows_cells, small_universe, with_cubic_rule, with_huge_row
 
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
@@ -392,6 +399,43 @@ class TestHugeTrainingValues:
         )
         assert not (tmp_path / "e").exists()
 
+    def test_feature_cubed_past_overflow_on_every_row_trains(self, ws, tmp_path):
+        # a^3 is inf on every row: each degree-3 fit over a degrades to a
+        # constant, in the library and through the command line alike
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(1e150, 1e151, 200), rng.uniform(0.0, 1.0, 200)
+        y = 3.0 * b + rng.normal(0.0, 0.1, 200)
+        ds = Dataset("big", ("a", "b"), np.column_stack([a, b]), "y", y)
+        model = train_model(ds, small_train_config(degree=3)).model
+        assert np.isfinite(predict_values(model, ds)[0]).all()
+        csv = tmp_path / "big.csv"
+        write_xy_csv(csv, ("a", "b", "y"), (a, b, y))
+        code = main(
+            [
+                "train", "--data", str(csv), "--target", "y", "--config", str(ws.cfg),
+                "--variant", "d3", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_OK
+
+    def test_feature_range_past_the_largest_float_is_a_data_error(
+        self, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(-1.0, 1.0, (2, 100))
+        a *= 1.7e308
+        csv = tmp_path / "wide.csv"
+        write_xy_csv(csv, ("a", "b", "y"), (a, b, 3.0 * b))
+        code = main(
+            ["train", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_DATA
+        lo, hi = float(a.min()), float(a.max())
+        assert capsys.readouterr().err == (
+            f"data error: {csv}: feature 'a' spans {lo!r} to {hi!r}, too wide a "
+            "range for its partition's breakpoints to be finite\n"
+        )
+
     def test_huge_target_is_a_data_error(self, ws, tmp_path, capsys):
         csv = huge_value_csv(tmp_path / "huge.csv", "y", 7, 1e308)
         code = main(
@@ -440,6 +484,27 @@ class TestCrossval:
         printed = capsys.readouterr().out
         assert "reference scores:" in printed
         assert "hybrid_d3" in printed
+
+    def test_failed_fold_is_warned_on_stderr(self, ws, capsys, monkeypatch):
+        real, calls = train_model, []
+
+        def second_fold_fails(train, config):
+            calls.append(train)
+            if len(calls) == 2:  # folds train in order
+                raise ValueError("cannot train this fold")
+            return real(train, config)
+
+        monkeypatch.setattr("hit2mtsk.evaluate.train_model", second_fold_fails)
+        out = ws.root / "cvfail"
+        code = main(
+            [
+                "crossval", "--data", str(ws.csv), "--target", "y",
+                "--config", str(ws.cfg), "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == "warning: 1 fold(s) failed to train\n"
+        assert json.loads((out / "report.json").read_text())["failed_folds"] == [1]
 
     def test_unknown_name_lists_known_ones(self, ws, capsys):
         out = ws.root / "cvunknown"
@@ -903,6 +968,16 @@ class TestExitCodes:
         assert code == EXIT_TRAIN
         assert capsys.readouterr().err.startswith("training error: ")
 
+    def test_baseline_holdout_out_of_range_is_a_config_error(self, ws, tmp_path, capsys):
+        code = main(
+            [
+                "baseline", "--data", str(ws.csv), "--target", "y",
+                "--holdout", "1.5", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: fraction must be in [0, 1)\n"
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -999,6 +1074,14 @@ class TestCorruptModel:
                 "--model", str(bad), "--out", str(tmp_path / "o"),
             ]
         )
+
+    def test_explain_a_model_without_rules_is_a_training_error(
+        self, ws, bundle, tmp_path, capsys
+    ):
+        code = self.explain(ws, bundle, tmp_path, lambda doc: doc.update(rules=[]))
+        assert code == EXIT_TRAIN
+        assert capsys.readouterr().err == "error: model has no rules to explain\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [None, [1, 2], "7", 2.5, True])
     def test_explain_rejects_a_seed_that_is_not_an_integer(

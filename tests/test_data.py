@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,9 @@ class TestKeelParsing:
         ds = load_keel(write(tmp_path, "toy.dat", text))
         assert ds.n_rows == 3
 
-    def test_blank_lines_ignored(self, tmp_path):
-        text = KEEL_SAMPLE.replace("@data\n", "@data\n\n")
+    @pytest.mark.parametrize("at", ["@data\n", "@outputs price\n"], ids=["data", "header"])
+    def test_blank_lines_ignored(self, tmp_path, at):
+        text = KEEL_SAMPLE.replace(at, at + "\n")
         assert load_keel(write(tmp_path, "toy.dat", text)).n_rows == 3
 
     @pytest.mark.parametrize(
@@ -80,6 +83,17 @@ class TestKeelParsing:
             (lambda t: t + "@what\n", "", None),
             (lambda t: t.replace("[0.0, 10.0]", "[0.0]"), "malformed range", 2),
             (lambda t: t.replace("[0.0, 10.0]", "[0.0, x]"), "malformed range", 2),
+            (lambda t: t.replace("x2 integer [0, 5]", "x2"), "malformed attribute", 3),
+            (
+                lambda t: t.replace("@inputs x1, x2", "@inputs x1, x9"),
+                "input 'x9' not declared",
+                7,
+            ),
+            (
+                lambda t: t.replace("@inputs x1, x2", "@inputs x1, price"),
+                "output 'price' listed as input",
+                7,
+            ),
         ],
     )
     def test_error_paths(self, tmp_path, mutate, needle, line):
@@ -210,8 +224,21 @@ class TestDatasetContainer:
             Dataset("d", ("a", "a"), np.zeros((2, 2)), "y", np.zeros(2))
         with pytest.raises(ValueError, match="target duplicated"):
             Dataset("d", ("y",), np.zeros((2, 1)), "y", np.zeros(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            Dataset("d", ("a",), np.array([[np.nan]]), "y", np.zeros(1))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset("d", ("a",), np.array([[1.0], [bad]]), "y", np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "column,shown",
+        [
+            ([-1.7e308, 1.7e308], "-1.7e+308 to 1.7e+308"),  # the range overflows
+            ([0.0, 1.7e308], "0.0 to 1.7e+308"),  # a tenth past it overflows
+        ],
+    )
+    def test_feature_too_wide_for_its_partition(self, column, shown):
+        X = np.column_stack([[1.0, 2.0], column])
+        with pytest.raises(ValueError, match=f"feature 'b' spans {re.escape(shown)}, "):
+            Dataset("d", ("a", "b"), X, "y", np.zeros(2))
 
     def test_column_lookup(self, toy_dataset):
         assert toy_dataset.column(toy_dataset.target_name) is toy_dataset.y
@@ -253,9 +280,11 @@ class TestSplits:
             split_holdout(toy_dataset, 1.0, seed=0)
         with pytest.raises(ValueError, match="empty test set"):
             split_holdout(toy_dataset, 0.0, seed=0)
+        with pytest.raises(ValueError, match="leaves no training rows"):
+            split_holdout(toy_dataset, 0.999, seed=0)
 
     def test_folds_partition_rows(self, toy_dataset):
-        folds = make_folds(toy_dataset, k=5, seed=1)
+        folds = make_folds(toy_dataset, seed=1)
         assert len(folds) == 5
         sizes = [f.test.n_rows for f in folds]
         assert sum(sizes) == toy_dataset.n_rows
@@ -264,14 +293,14 @@ class TestSplits:
             assert f.train.n_rows + f.test.n_rows == toy_dataset.n_rows
 
     def test_folds_deterministic(self, toy_dataset):
-        a = make_folds(toy_dataset, k=3, seed=9)
-        b = make_folds(toy_dataset, k=3, seed=9)
+        a = make_folds(toy_dataset, seed=9)
+        b = make_folds(toy_dataset, seed=9)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.test.y, fb.test.y)
 
-    def test_bad_fold_count(self, toy_dataset):
-        with pytest.raises(ValueError):
-            make_folds(toy_dataset, k=1)
+    def test_fewer_rows_than_folds_rejected(self, toy_dataset):
+        with pytest.raises(ValueError, match="5 folds need at least 5 rows"):
+            make_folds(toy_dataset.subset(range(4)))
 
 
 class TestFingerprints:

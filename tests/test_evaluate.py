@@ -55,18 +55,10 @@ class TestActiveRules:
         counts = hand_block([6.0, 6.0], [10.0, 20.0]).active_rules
         assert counts == {0.15: 2.0, 0.25: 2.0, 0.5: 1.0}
 
-    def test_threshold_above_one_counts_nothing(self):
-        block = hand_block([0.0, 6.0], [10.0, 20.0], thresholds=(1.01,))
-        assert block.active_rules == {1.01: 0.0}
-
-    def test_negative_threshold_rejected(self):
-        # a rule that does not fire has midpoint 0, which no count may include
-        with pytest.raises(ValueError, match="thresholds must be >= 0"):
-            hand_block([0.0, 9.0], [10.0, 20.0], thresholds=(-0.1,))
-
-    def test_nan_threshold_rejected(self):
-        with pytest.raises(ValueError, match="thresholds must be >= 0"):
-            hand_block([0.0, 9.0], [10.0, 20.0], thresholds=(float("nan"),))
+    def test_midpoint_at_or_below_every_threshold_counts_nothing(self):
+        # Low's midpoint is 0.125 at x=7.5 and 0 at x=9 (it does not fire)
+        block = hand_block([7.5, 9.0], [10.0, 20.0], rules=(RULE_LOW,))
+        assert block.active_rules == {0.15: 0.0, 0.25: 0.0, 0.5: 0.0}
 
     def test_counts_weakly_decrease_with_threshold(self, toy_block):
         counts = toy_block.active_rules
@@ -76,9 +68,8 @@ class TestActiveRules:
 
 
 class TestNoiseRobustness:
-    def test_zero_level_is_exactly_zero(self, trained, toy_dataset):
-        block = explainability_block(trained.model, toy_dataset, noise_levels=(0.0,))
-        assert block.noise_deltas == {0.0: 0.0}
+    def test_zero_level_is_exactly_zero(self, toy_block):
+        assert toy_block.noise_deltas[0.0] == 0.0
 
     def test_weakly_increasing_with_level(self, toy_block):
         out = toy_block.noise_deltas
@@ -93,8 +84,8 @@ class TestNoiseRobustness:
             rules=(RULE_LOW,), feature_stats=(("x", 2.0, 0.5),)
         )
         rows = xy_rows([2.0, 2.5, 3.0], [10.0, 10.0, 11.0])
-        out = explainability_block(model, rows, noise_levels=(0.01,)).noise_deltas
-        assert out[0.01] == 0.0
+        out = explainability_block(model, rows).noise_deltas
+        assert out == {level: 0.0 for level in NOISE_LEVELS}
 
     def test_zero_mean_target_rejected(self):
         with pytest.raises(ValueError, match="mean target"):
@@ -105,38 +96,25 @@ class TestNoiseRobustness:
         with pytest.raises(ValueError, match="no feature statistics for x"):
             explainability_block(two_rule_model(), rows)
 
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=(-0.1,))
-
-    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
-    def test_non_finite_level_rejected(self, level):
-        with pytest.raises(ValueError, match="noise levels must be finite"):
-            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=(0.01, level))
-
-    @pytest.mark.parametrize("levels", [(0.05, 0.05), (0.05, 0.01, 0.05)])
-    def test_repeated_level_rejected(self, levels):
-        with pytest.raises(ValueError, match="noise level 0.05 is repeated"):
-            hand_block([2.0, 3.0], [10.0, 12.0], noise_levels=levels)
-
     def test_overflow_on_a_noisy_copy_names_level_and_draw(self):
-        # rule 1 outputs x^2 - x^3, NaN at x ~ 1e300 where High fires: the
-        # rows are ordinary, but noise of 1e300 x std sends their copies there
+        # rule 1 outputs x^2 - x^3, NaN at x ~ 1e298 where High fires: the
+        # rows are ordinary, but noise of 1% of a std of 1e300 sends their
+        # copies there
         model = two_rule_model(
             rules=(RULE_LOW, replace(RULE_HIGH, consequent_fn=CUBIC)),
-            feature_stats=(("x", 4.0, 1.0),),
+            feature_stats=(("x", 4.0, 1e300),),
         )
         rows = xy_rows([0.0, 6.0], [10.0, 20.0])
         with pytest.raises(RuleUnfittableError) as caught:
-            explainability_block(model, rows, noise_levels=(1e300,))
+            explainability_block(model, rows)
         assert str(caught.value) == (
-            "noise level 1e+300, draw 0: rule 1 (IF x is High) outputs NaN on row 0, "
+            "noise level 0.01, draw 0: rule 1 (IF x is High) outputs NaN on row 0, "
             "where it fires: its polynomial overflows there (a row of a noisy copy)"
         )
 
     def test_seed_determinism(self, trained, toy_dataset):
         a, b = (
-            explainability_block(trained.model, toy_dataset, 3, noise_levels=(0.05,))
+            explainability_block(trained.model, toy_dataset, 3)
             for _ in range(2)
         )
         assert a == b
@@ -175,17 +153,11 @@ class TestExplainabilityBlock:
         assert d["rule_count"] == 2
         assert "0.5" in d["active_rules"]
 
-    @pytest.mark.parametrize(
-        "levels, passes",
-        [
-            (NOISE_LEVELS, 1 + 3 * NOISE_REPEATS),
-            ((0.0,), 1),
-            ((0.05,), 1 + NOISE_REPEATS),
-        ],
-    )
-    def test_one_inference_pass_besides_the_noisy_ones(
-        self, monkeypatch, levels, passes
-    ):
+    @pytest.mark.parametrize("given", [False, True], ids=["own pass", "base given"])
+    def test_one_inference_pass_besides_the_noisy_ones(self, monkeypatch, given):
+        model = two_rule_model(feature_stats=(("x", 4.0, 2.0),))
+        rows = xy_rows([0.0, 6.0, 9.0], [10.0, 15.0, 20.0])
+        base = inference._weigh(model, rows) if given else None
         calls = []
         real = inference.rule_matrices
 
@@ -194,8 +166,9 @@ class TestExplainabilityBlock:
             return real(*args)
 
         monkeypatch.setattr(inference, "rule_matrices", counted)
-        hand_block([0.0, 6.0, 9.0], [10.0, 15.0, 20.0], noise_levels=levels)
-        assert len(calls) == passes
+        explainability_block(model, rows, base=base)
+        # three nonzero levels of NOISE_REPEATS draws each
+        assert len(calls) == 3 * NOISE_REPEATS + (0 if given else 1)
 
     def test_digest_pinned(self):
         xs = np.linspace(0.0, 9.0, 31)
@@ -227,7 +200,7 @@ class TestReferenceLookup:
 
 @pytest.fixture(scope="module")
 def folds(toy_dataset):
-    return make_folds(toy_dataset, k=3, seed=2)
+    return make_folds(toy_dataset, seed=2)[:3]  # three of five keep the run short
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +232,7 @@ class TestRunCv:
         assert report.explainability.rule_count >= 1
 
     def test_failed_fold_is_reported_not_fatal(self, toy_dataset):
-        good = make_folds(toy_dataset, k=2, seed=0)
+        good = make_folds(toy_dataset, seed=0)
         bad_train = Dataset(
             "toy",
             toy_dataset.feature_names,
@@ -319,6 +292,11 @@ class TestMamdaniBaseline:
         # Small plateau [0, 12] -> 6; Big plateau [18, 30] -> 24
         assert base.rules[0].consequent_fn.coefficients == (6.0,)
         assert base.rules[1].consequent_fn.coefficients == (24.0,)
+
+    def test_rule_firing_on_no_training_row_keeps_its_error_dominance(self):
+        # High's foot is at x = 2: it fires on neither row
+        base = derive_mamdani(two_rule_model(), xy_rows([0.0, 1.0], [8.0, 9.0]))
+        assert base.rules[1].error_dominance == RULE_HIGH.error_dominance
 
     def test_error_dominance_recomputed_by_hand(self):
         model = two_rule_model()

@@ -254,6 +254,47 @@ class TestFitConsequent:
                     want, math.comb(v + want, want)
                 ), n
 
+    def test_singular_ridge_system_falls_back_to_lstsq(self, monkeypatch):
+        # two identical columns: a ridge of 1e-300 leaves the Gram singular
+        x = np.linspace(0.0, 1.0, 9)
+        X = np.column_stack([x, x])
+        calls = []
+        real = np.linalg.lstsq
+
+        def spied(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spied)
+        poly = fit_consequent(X, 1.0 + 4.0 * x, ["a", "b"], 1, ridge=1e-300)
+        assert calls == [1]
+        # the minimum-norm solution splits the slope between the twins
+        c = coeffs_by_exponent(poly)
+        assert c[(0, 0)] == pytest.approx(1.0, abs=1e-9)
+        assert c[(1, 0)] == pytest.approx(2.0) and c[(0, 1)] == pytest.approx(2.0)
+
+    def test_overflowed_monomial_degrades_the_fit_to_a_constant(self):
+        # a^3 is inf on every row: no coefficient can weigh it
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.uniform(1e150, 1e151, 40), rng.uniform(0, 1, 40)])
+        y = 3.0 * X[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = fit_consequent(X, y, ["a", "b"], 3)
+        assert poly.exponents == ((),)
+        assert poly.coefficients == (float(np.mean(y)),)
+
+    def test_finite_column_whose_sd_overflows_keeps_its_fit(self):
+        # a's squared deviations overflow, so its sd is inf, yet every
+        # design value is finite: the column is solved, and weighs nothing
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.uniform(0, 1e155, 40), rng.uniform(0, 1, 40)])
+        y = 1.0 + 3.0 * X[:, 1]
+        with np.errstate(over="ignore"):
+            poly = fit_consequent(X, y, ["a", "b"], 1)
+        c = coeffs_by_exponent(poly)
+        assert c[(1, 0)] == 0.0
+        assert c[(0, 1)] == pytest.approx(3.0, rel=1e-3)
+
     def test_design_must_match_rows_and_degree(self):
         X = np.random.default_rng(3).normal(size=(12, 2))
         y = X[:, 0]

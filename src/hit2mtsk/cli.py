@@ -31,6 +31,7 @@ from .data import (
 )
 from .evaluate import (
     REFERENCE_RMSE,
+    STREAM_EXPLAIN,
     TrainingFailedError,
     case_study,
     explainability_block,
@@ -234,11 +235,12 @@ def cmd_explain(args) -> int:
             f"cannot explain model: manifest seed {json.dumps(seed)} is not an "
             "integer >= 0",
         )
+    noise_seed = derive_seed(seed, STREAM_EXPLAIN)
     dataset = _load_dataset(args)
     # a data error here must leave no partial artifact set behind
     try:
         base = _weigh(model, dataset)
-        block = explainability_block(model, dataset, derive_seed(seed, 201), base=base)
+        block = explainability_block(model, dataset, noise_seed, base=base)
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))
     out = _outdir(args)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .it2 import SENTINEL_MARGIN
+from .it2 import outer_breakpoints
 
 
 class ParseError(ValueError):
@@ -76,12 +76,10 @@ class Dataset:
                 f"{i + 1}, beyond magnitude {TARGET_LIMIT:g}, where squared "
                 "errors overflow"
             )
-        # no partition breakpoint overflows below a quarter of the largest float
-        if max(hi, -lo) > np.finfo(float).max / 4:
+        # each column's breakpoints lie within those of the whole table's range
+        if not np.isfinite(outer_breakpoints(lo, hi)).all():
             lo, hi = X.min(axis=0), X.max(axis=0)
-            with np.errstate(over="ignore"):
-                reach = SENTINEL_MARGIN * (hi - lo)
-                wide = ~(np.isfinite(lo - reach) & np.isfinite(hi + reach))
+            wide = ~np.isfinite(outer_breakpoints(lo, hi)).all(axis=0)
             if wide.any():
                 j = int(np.argmax(wide))
                 raise ValueError(

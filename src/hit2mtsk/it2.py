@@ -187,14 +187,29 @@ class Partition:
         return stacked_memberships(stack_sets(self.sets), np.ravel(values))
 
 
-def _set_names(k: int) -> tuple[str, ...]:
-    if k == 2:
-        return ("Low", "High")
-    if k == 3:
-        return ("Low", "Medium", "High")
-    if k == 5:
-        return ("VeryLow", "Low", "Medium", "High", "VeryHigh")
-    return tuple(f"Set{i + 1}" for i in range(k))
+_SET_NAMES = {
+    2: ("Low", "High"),
+    3: ("Low", "Medium", "High"),
+    5: ("VeryLow", "Low", "Medium", "High", "VeryHigh"),
+}
+
+
+def check_partition_settings(num_sets: int, fou_width: float, fou_scale: float) -> None:
+    """Raise ValueError unless the settings describe a partition."""
+    if num_sets < 2:
+        raise ValueError("num_sets must be >= 2")
+    if not 0.0 < fou_width < 0.5:
+        raise ValueError("fou_width must be in (0, 0.5)")
+    if not 0.0 < fou_scale <= 1.0:
+        raise ValueError("fou_scale must be in (0, 1]")
+
+
+def outer_breakpoints(lo, hi):
+    """The shoulders' sentinel breakpoints for the range ``[lo, hi]``,
+    elementwise; a range too wide for them gets an infinite one, silently."""
+    with np.errstate(over="ignore"):
+        reach = SENTINEL_MARGIN * (hi - lo)
+        return lo - reach, hi + reach
 
 
 def build_partition(
@@ -223,64 +238,40 @@ def build_partition(
         raise ValueError("cannot partition an empty sample")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
-    if num_sets < 2:
-        raise ValueError("num_sets must be at least 2")
-    if not 0.0 < fou_width < 0.5:
-        raise ValueError("fou_width must be in (0, 0.5)")
-    if not 0.0 < fou_scale <= 1.0:
-        raise ValueError("fou_scale must be in (0, 1]")
+    check_partition_settings(num_sets, fou_width, fou_scale)
+    fou_width, fou_scale = float(fou_width), float(fou_scale)
 
-    lo = float(x.min())
-    hi = float(x.max())
-    width = hi - lo
-    if width <= 0.0:
-        raise DegeneratePartitionError(
-            f"variable {variable!r} is constant at {lo}"
-        )
+    lo, hi = float(x.min()), float(x.max())
+    if hi <= lo:
+        raise DegeneratePartitionError(f"variable {variable!r} is constant at {lo}")
 
     centers = np.quantile(x, np.linspace(0.0, 1.0, num_sets))
     # heavily tied samples can collapse quantiles; fall back to an even grid
-    if np.any(np.diff(centers) <= 1e-9 * width):
+    if np.any(np.diff(centers) <= 1e-9 * (hi - lo)):
         centers = np.linspace(lo, hi, num_sets)
 
-    mids = 0.5 * (centers[:-1] + centers[1:])
+    # halved before the sum, which then cannot pass the largest float
+    mids = 0.5 * centers[:-1] + 0.5 * centers[1:]
     eps = fou_width * np.diff(centers)
-    sent_lo = lo - SENTINEL_MARGIN * width
-    sent_hi = hi + SENTINEL_MARGIN * width
-    names = _set_names(num_sets)
+    # the upper trapezoids' feet, in order: set i reads feet[2i : 2i + 4]
+    sent_lo, sent_hi = outer_breakpoints(lo, hi)
+    inner = np.column_stack([mids - eps, mids + eps]).ravel().tolist()
+    feet = [sent_lo, sent_lo, *inner, sent_hi, sent_hi]
+    # set i's support is (edges[2i], edges[2i + 3]): a shoulder's ends at
+    # the data edge on its open side
+    edges = [lo, *feet[1:-1], hi]
+    shapes = ("left_shoulder", *["trapezoid"] * (num_sets - 2), "right_shoulder")
+    names = _SET_NAMES.get(num_sets) or tuple(f"Set{i + 1}" for i in range(num_sets))
 
     sets = []
     for i in range(num_sets):
-        if i == 0:
-            shape = "left_shoulder"
-            upper = (sent_lo, sent_lo, mids[0] - eps[0], mids[0] + eps[0])
-            support = (lo, upper[3])
-        elif i == num_sets - 1:
-            shape = "right_shoulder"
-            upper = (mids[-1] - eps[-1], mids[-1] + eps[-1], sent_hi, sent_hi)
-            support = (upper[0], hi)
-        else:
-            shape = "trapezoid"
-            upper = (
-                mids[i - 1] - eps[i - 1],
-                mids[i - 1] + eps[i - 1],
-                mids[i] - eps[i],
-                mids[i] + eps[i],
-            )
-            support = (upper[0], upper[3])
+        a, b, c, d = feet[2 * i : 2 * i + 4]
         # each foot moves inward proportionally to its own ramp length, so
         # the plateau is preserved and the lower curve never crosses the upper
-        a, b, c, d = upper
         lower = (a + fou_width * (b - a), b, c, d - fou_width * (d - c))
+        support = (edges[2 * i], edges[2 * i + 3])
         sets.append(
-            IT2Set(
-                name=names[i],
-                shape=shape,
-                upper_params=tuple(float(v) for v in upper),
-                lower_params=tuple(float(v) for v in lower),
-                fou_scale=float(fou_scale),
-                support=(float(support[0]), float(support[1])),
-            )
+            IT2Set(names[i], shapes[i], (a, b, c, d), lower, fou_scale, support)
         )
     return Partition(variable=variable, sets=tuple(sets), domain=(lo, hi))
 

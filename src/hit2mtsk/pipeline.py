@@ -18,7 +18,12 @@ import numpy as np
 from .aco import AcoConfig, select_rules
 from .data import Dataset, dataset_fingerprint, split_rows
 from .inference import FIRING_REDUCTIONS, Model
-from .it2 import DegeneratePartitionError, Partition, build_partition
+from .it2 import (
+    DegeneratePartitionError,
+    Partition,
+    build_partition,
+    check_partition_settings,
+)
 from .universe import GenerationConfig, RuleUniverse, generate_candidates
 
 # named substreams of the master seed; candidate generation draws no
@@ -48,12 +53,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_sets < 2:
-            raise ValueError("num_sets must be >= 2")
-        if not 0.0 < self.fou_width < 0.5:
-            raise ValueError("fou_width must be in (0, 0.5)")
-        if not 0.0 < self.fou_scale <= 1.0:
-            raise ValueError("fou_scale must be in (0, 1]")
+        check_partition_settings(self.num_sets, self.fou_width, self.fou_scale)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.firing_reduction not in FIRING_REDUCTIONS:

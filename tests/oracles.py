@@ -9,7 +9,8 @@ turn, and from `polynomial_values`, the per-rule, per-term loop that the
 grouped term-major kernel replaced.  `candidate_keys` is the tuple-at-a-time clause deletion that
 integer-coded enumeration replaced.  `subset_prediction` is the
 concatenate-and-`bincount` ACO scorer that per-rule accumulation into
-one complex row buffer replaced.
+one complex row buffer replaced.  `partition` is the per-shape,
+three-branch set construction that one breakpoint table replaced.
 """
 import itertools
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +43,64 @@ def trapezoid_membership(fuzzy_set: IT2Set, x: float) -> tuple[float, float]:
     lower = fuzzy_set.fou_scale * curve(fuzzy_set.lower_params)
     upper = curve(fuzzy_set.upper_params)
     return min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0)
+
+
+def partition(
+    values, num_sets: int, fou_width: float, fou_scale: float, variable: str = "x"
+) -> Partition:
+    """`build_partition` set by set, one branch per shape: a left
+    shoulder, trapezoids, a right shoulder on quantile centers (an even
+    grid when ties collapse them), each shoulder's sentinels a tenth of
+    the width past the data edge.  Midpoints are halved after the sum,
+    as they were before the breakpoint table: so this overflows where a
+    sum of two centers passes the largest float."""
+    x = np.asarray(values, dtype=float).ravel()
+    lo, hi = float(x.min()), float(x.max())
+    width = hi - lo
+    centers = np.quantile(x, np.linspace(0.0, 1.0, num_sets))
+    if np.any(np.diff(centers) <= 1e-9 * width):
+        centers = np.linspace(lo, hi, num_sets)
+    mids = 0.5 * (centers[:-1] + centers[1:])
+    eps = fou_width * np.diff(centers)
+    sent_lo = lo - 0.10 * width
+    sent_hi = hi + 0.10 * width
+    names = {
+        2: ("Low", "High"),
+        3: ("Low", "Medium", "High"),
+        5: ("VeryLow", "Low", "Medium", "High", "VeryHigh"),
+    }.get(num_sets, tuple(f"Set{i + 1}" for i in range(num_sets)))
+    sets = []
+    for i in range(num_sets):
+        if i == 0:
+            shape = "left_shoulder"
+            upper = (sent_lo, sent_lo, mids[0] - eps[0], mids[0] + eps[0])
+            support = (lo, upper[3])
+        elif i == num_sets - 1:
+            shape = "right_shoulder"
+            upper = (mids[-1] - eps[-1], mids[-1] + eps[-1], sent_hi, sent_hi)
+            support = (upper[0], hi)
+        else:
+            shape = "trapezoid"
+            upper = (
+                mids[i - 1] - eps[i - 1],
+                mids[i - 1] + eps[i - 1],
+                mids[i] - eps[i],
+                mids[i] + eps[i],
+            )
+            support = (upper[0], upper[3])
+        a, b, c, d = upper
+        lower = (a + fou_width * (b - a), b, c, d - fou_width * (d - c))
+        sets.append(
+            IT2Set(
+                name=names[i],
+                shape=shape,
+                upper_params=tuple(float(v) for v in upper),
+                lower_params=tuple(float(v) for v in lower),
+                fou_scale=float(fou_scale),
+                support=(float(support[0]), float(support[1])),
+            )
+        )
+    return Partition(variable=variable, sets=tuple(sets), domain=(lo, hi))
 
 
 def rule_matrices(

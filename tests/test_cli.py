@@ -28,6 +28,7 @@ from hit2mtsk.cli import (
     build_parser,
     main,
 )
+from hit2mtsk.evaluate import STREAM_HOLDOUT_SPLIT
 from hit2mtsk.persist import loads
 from hit2mtsk.pipeline import derive_seed
 
@@ -435,6 +436,22 @@ class TestHugeTrainingValues:
             f"data error: {csv}: feature 'a' spans {lo!r} to {hi!r}, too wide a "
             "range for its partition's breakpoints to be finite\n"
         )
+
+    def test_feature_values_near_the_largest_float_train(self, tmp_path, capsys):
+        # two adjacent set centers of column a sum past the largest float;
+        # the partition halves them first, so training neither warns nor fails
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(1.4e308, 1.5e308, 100), rng.uniform(0.0, 1.0, 100)
+        y = 3.0 * b + rng.normal(0.0, 0.1, 100)
+        ds = Dataset("near_max", ("a", "b"), np.column_stack([a, b]), "y", y)
+        assert train_model(ds, small_train_config()).model.rules
+        csv = tmp_path / "near_max.csv"
+        write_xy_csv(csv, ("a", "b", "y"), (a, b, y))
+        code = main(
+            ["train", "--data", str(csv), "--target", "y", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_huge_target_is_a_data_error(self, ws, tmp_path, capsys):
         csv = huge_value_csv(tmp_path / "huge.csv", "y", 7, 1e308)
@@ -893,7 +910,7 @@ class TestExitCodes:
         a, b = rng.uniform(0.0, 10.0, (2, 200))
         y = a**2 - 3.0 * b + rng.normal(0.0, 0.5, 200)
         ds = Dataset("d", ("a", "b"), np.column_stack([a, b]), "y", y)
-        _, test = split_holdout(ds, 0.2, derive_seed(0, 101))
+        _, test = split_holdout(ds, 0.2, derive_seed(0, STREAM_HOLDOUT_SPLIT))
         a[np.flatnonzero(a == test.X[0, 0])] = 1e300  # holdout row 0
         csv = tmp_path / "big.csv"
         write_xy_csv(csv, ("a", "b", "y"), (a, b, y))

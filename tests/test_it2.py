@@ -1,10 +1,12 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from hit2mtsk import Dataset, TrainConfig
 from hit2mtsk.it2 import (
     DegeneratePartitionError,
     IT2Set,
@@ -15,6 +17,7 @@ from hit2mtsk.it2 import (
     stacked_memberships,
 )
 
+import oracles
 from oracles import firing_strength, trapezoid_membership
 
 REF_SET = IT2Set(
@@ -167,6 +170,9 @@ class TestBuildPartition:
         values = np.array([0.0] * 98 + [1.0, 2.0])
         part = build_partition(values, num_sets=3)
         assert len(part.sets) == 3
+        assert np.quantile(values, [0.0, 0.5]).tolist() == [0.0, 0.0]
+        # grid centers 0, 1, 2: midpoints 0.5 and 1.5, widened by 0.15 of 1
+        assert part.sets[1].upper_params == pytest.approx((0.35, 0.65, 1.35, 1.65))
 
     @pytest.mark.parametrize("num_sets,names", [
         (2, ["Low", "High"]),
@@ -180,6 +186,185 @@ class TestBuildPartition:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_partition([])
+
+
+def partition_bits(part: Partition):
+    """Every field of ``part``, each float as its eight bytes: equal
+    only for partitions that agree bit for bit."""
+
+    def bits(values) -> bytes:
+        assert all(type(v) is float for v in values)
+        return struct.pack(f"<{len(values)}d", *values)
+
+    sets = tuple(
+        (
+            s.name,
+            s.shape,
+            bits(s.upper_params),
+            bits(s.lower_params),
+            bits((s.fou_scale,)),
+            bits(s.support),
+        )
+        for s in part.sets
+    )
+    return part.variable, bits(part.domain), sets
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+TINY = 2.0**-1074  # the smallest subnormal: one ulp below 2**-1021
+SAMPLES = {
+    "normal": np.random.default_rng(1).normal(0.0, 5.0, 60),
+    "skewed": np.random.default_rng(2).exponential(4.0, 200),
+    "tied": np.array([0.0] * 98 + [1.0, 2.0]),  # the even-grid fallback
+    "negative": np.random.default_rng(3).uniform(-1e4, -3e3, 80),
+    "offset": 1e6 + np.random.default_rng(4).uniform(0.0, 1e-3, 80),
+    "two_values": np.array([-2.5, 10.0]),
+}
+# (fou_width, fou_scale): the defaults and both ends of their ranges
+SETTINGS = [
+    (0.15, 0.9),
+    (5e-324, 5e-324),
+    (0.49, 1.0),
+]
+
+
+class TestBreakpointTable:
+    """`build_partition`'s one breakpoint table against the three-branch
+    construction it replaced (`oracles.partition`)."""
+
+    @pytest.mark.parametrize("num_sets", range(2, 8))
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_matches_the_three_branch_oracle_bitwise(self, sample, num_sets):
+        values = SAMPLES[sample]
+        for fou_width, fou_scale in SETTINGS:
+            got = build_partition(values, num_sets, fou_width, fou_scale, "v")
+            want = oracles.partition(values, num_sets, fou_width, fou_scale, "v")
+            assert partition_bits(got) == partition_bits(want)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 7),
+        st.floats(-200, 200),
+        st.floats(-1.0, 1.0),
+        st.floats(1e-6, 0.499),
+        st.floats(1e-6, 1.0),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_oracle_at_every_scale(
+        self, seed, num_sets, exponent, offset, fou_width, fou_scale, ties
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        values = scale * (offset + rng.standard_normal(40))
+        if ties:  # a few distinct values, many times over
+            values = scale * rng.integers(-2, 3, 40)
+        if np.ptp(values) == 0.0:
+            return
+        got = build_partition(values, num_sets, fou_width, fou_scale)
+        want = oracles.partition(values, num_sets, fou_width, fou_scale)
+        assert partition_bits(got) == partition_bits(want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_halving_first_is_exact_from_two_to_the_minus_1021(self, sign):
+        # centers with odd last bits, whose halves are normal floats
+        values = sign * (2.0**-1021 + TINY * 2 * np.array([1, 5, 9, 13, 17, 21]))
+        for num_sets in range(2, 7):
+            got = build_partition(values, num_sets)
+            want = oracles.partition(values, num_sets, 0.15, 0.9)
+            assert partition_bits(got) == partition_bits(want)
+
+    def test_below_two_to_the_minus_1021_a_midpoint_may_move_its_last_bit(self):
+        # 2**-1022 + 1 ulp and + 5 ulps: their halves round to even apart
+        # (down, and down by half an ulp), where their sum halves exactly
+        values = 2.0**-1022 + TINY * np.array([1.0, 5.0])
+        got = build_partition(values, 2, fou_width=0.15, fou_scale=0.9)
+        want = oracles.partition(values, 2, 0.15, 0.9)
+        got_mid = got.sets[0].upper_params[2:]
+        want_mid = want.sets[0].upper_params[2:]
+        assert np.subtract(want_mid, got_mid).tolist() == [TINY, TINY]
+        for g, w in zip(got.sets, want.sets):
+            assert np.abs(np.subtract(g.upper_params, w.upper_params)).max() <= TINY
+            assert np.abs(np.subtract(g.lower_params, w.lower_params)).max() <= TINY
+
+    def test_centers_near_the_largest_float(self):
+        # two adjacent centers sum past the largest float; the three-branch
+        # construction overflows there, the breakpoint table does not
+        values = np.random.default_rng(0).uniform(1.4e308, 1.5e308, 100)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            oracles.partition(values, 3, 0.15, 0.9)
+        part = build_partition(values, 3)
+        feet = [v for s in part.sets for v in s.upper_params + s.lower_params]
+        assert np.isfinite(feet).all()
+        q = np.quantile(values, [0.0, 0.5, 1.0])
+        c, d = part.sets[0].upper_params[2:]
+        assert part.sets[1].upper_params[:2] == (c, d)
+        assert c < 0.5 * q[0] + 0.5 * q[1] < d
+
+
+@st.composite
+def accepted_columns(draw):
+    """Columns of up to 30 values anywhere up to the largest float in
+    magnitude, drawn between two ends (most of which `Dataset` accepts)
+    or freely."""
+    floats = st.floats(-FLOAT_MAX, FLOAT_MAX)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(floats, min_size=2, max_size=30)))
+    lo, hi = sorted(draw(st.tuples(floats, floats)))
+    t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30)))
+    return np.clip(lo * (1.0 - t) + hi * t, lo, hi)
+
+
+class TestHugeColumns:
+    @given(
+        accepted_columns(),
+        st.integers(2, 7),
+        st.floats(5e-324, 0.499),
+        st.floats(5e-324, 1.0),
+    )
+    @example(np.random.default_rng(0).uniform(1.4e308, 1.5e308, 100), 3, 0.15, 0.9)
+    @example(np.array([-8e307, 8e307, 0.0]), 7, 0.49, 1.0)
+    @example(np.array([-FLOAT_MAX, -FLOAT_MAX / 2, -1.6e308]), 4, 0.2, 0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_column_gets_finite_ordered_breakpoints(
+        self, column, num_sets, fou_width, fou_scale
+    ):
+        try:
+            Dataset("d", ("a",), column[:, None], "y", np.zeros(column.size))
+        except ValueError as exc:
+            assert "too wide" in str(exc)
+            reject()
+        if np.ptp(column) == 0.0:
+            reject()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            part = build_partition(column, num_sets, fou_width, fou_scale)
+        for s in part.sets:  # `IT2Set` checks each trapezoid's order
+            assert np.isfinite(s.upper_params + s.lower_params + s.support).all()
+        # each set's rising feet are its left neighbour's falling ones
+        feet = [*part.sets[0].upper_params[:2]]
+        for s, right in zip(part.sets, part.sets[1:]):
+            assert s.upper_params[2:] == right.upper_params[:2]
+        feet += [p for s in part.sets for p in s.upper_params[2:]]
+        assert feet == sorted(feet)
+
+
+class TestPartitionSettings:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"num_sets": 1}, "num_sets must be >= 2"),
+            ({"fou_width": 0.0}, "fou_width must be in (0, 0.5)"),
+            ({"fou_width": 0.5}, "fou_width must be in (0, 0.5)"),
+            ({"fou_scale": 0.0}, "fou_scale must be in (0, 1]"),
+            ({"fou_scale": 1.5}, "fou_scale must be in (0, 1]"),
+        ],
+    )
+    def test_train_config_and_build_partition_refuse_alike(self, bad, message):
+        with pytest.raises(ValueError) as from_config:
+            TrainConfig(**bad)
+        with pytest.raises(ValueError) as from_partition:
+            build_partition([0.0, 1.0, 2.0], **bad)
+        assert str(from_config.value) == str(from_partition.value) == message
 
 
 def fire_at_zero(clause_sets, tnorm="minimum"):

@@ -39,7 +39,14 @@ from .evaluate import (
     reference_for,
     run_cv,
 )
-from .inference import Model, NotTrainedError, _itemize, _weigh, predict_values
+from .inference import (
+    Model,
+    NotTrainedError,
+    _feature_rows,
+    _itemize,
+    _weigh,
+    predict_values,
+)
 from .it2 import DegeneratePartitionError
 from .persist import (
     decode,
@@ -239,7 +246,7 @@ def cmd_explain(args) -> int:
     dataset = _load_dataset(args)
     # a data error here must leave no partial artifact set behind
     try:
-        base = _weigh(model, dataset)
+        base = _weigh(model, _feature_rows(model.feature_partitions, dataset))
         block = explainability_block(model, dataset, noise_seed, base=base)
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc))

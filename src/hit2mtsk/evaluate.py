@@ -124,7 +124,8 @@ def explainability_block(
     averaged over NOISE_REPEATS draws.  The level at position i draws
     repeat r from stream ``(seed, i, r)``.
     """
-    base = _weigh(model, rows) if base is None else base
+    if base is None:
+        base = _weigh(model, _feature_rows(model.feature_partitions, rows))
     target_span = float(np.ptp(rows.y))
     if target_span == 0.0:
         raise ValueError("constant targets; range fraction undefined")
@@ -152,7 +153,7 @@ def explainability_block(
                 for v in model.feature_names
             }
             try:
-                values = _weigh(model, noisy).values
+                values = predict_values(model, noisy)[0]
             except RuleUnfittableError as exc:
                 msg = f"noise level {level}, draw {rep}: {exc} (a row of a noisy copy)"
                 raise RuleUnfittableError(msg) from exc

@@ -6,6 +6,11 @@ the weighted mean.  Rows no rule fires on fall back to the training
 target mean with an explicit flag, never silently.  ACO selection scores
 through the same `rule_matrices` and `weigh`, so one check refuses a rule
 that overflows where it fires, in training and in prediction alike.
+
+`predict_values` weighs a batch one block of rows at a time, so its
+memory is bounded by one block's cells, whatever the batch's size.  The
+readers of cells still hold every cell of their rows at once: `predict`,
+`explain`'s base pass, ACO's table and `evaluate.derive_mamdani`.
 """
 from __future__ import annotations
 
@@ -23,7 +28,9 @@ FIRING_REDUCTIONS = ("midpoint", "lower", "upper")
 TINY = np.finfo(float).tiny  # the smallest normal float
 # rule_matrices fires rules over chunks of at most this many (rules or
 # sets) x rows cells, and evaluates and clips polynomials over blocks of
-# at most this many fired cells, so that their temporaries stay small.
+# at most this many fired cells, so that their temporaries stay small;
+# predict_values weighs one chunk of rows at a time, so a batch holds one
+# block of cells, not all of its own.
 # Within a block, an exponent-table group of at most `rules.TABLE_CELLS`
 # cells (every group of a single-row predict) and at least
 # `rules.TABLE_MIN_TERMS` terms is one term table; other groups run term
@@ -224,6 +231,11 @@ def evaluate_cells(
     return out
 
 
+def _chunk_rows(tables: RuleTables) -> int:
+    """Rows per `rule_matrices` chunk: BLOCK_CELLS over the rules or sets."""
+    return max(1, BLOCK_CELLS // max(tables.clauses.shape[1], tables.feature.size))
+
+
 def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     """Every cell where a rule fires, with its firing bounds and output.
 
@@ -242,7 +254,7 @@ def rule_matrices(tables: RuleTables, x: np.ndarray) -> FiredCells:
     """
     sets, clauses = tables.sets, tables.clauses
     m, n = clauses.shape[1], x.shape[1]
-    step = max(1, BLOCK_CELLS // max(m, tables.feature.size))
+    step = _chunk_rows(tables)
     chunks = []
     for start in range(0, max(n, 1), step):  # no rows make one empty chunk
         chunk = x[tables.feature, start : start + step]
@@ -353,9 +365,9 @@ class _Weighed(NamedTuple):
     fallback: np.ndarray
 
 
-def _weigh(model: Model, data: Dataset | Mapping[str, np.ndarray]) -> _Weighed:
-    """The prediction path every public predict function is a view of."""
-    x = _feature_rows(model.feature_partitions, data)
+def _weigh(model: Model, x: np.ndarray) -> _Weighed:
+    """The prediction path every public predict function is a view of,
+    over the (features, rows) table `_feature_rows` checked."""
     n = x.shape[1]
     cells = rule_matrices(model.tables, x)
     w, wy = weigh(model.rules, model.tables, cells, model.firing_reduction)
@@ -369,9 +381,26 @@ def predict_values(
     model: Model, data: Dataset | Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every row's prediction, fired-rule count and fallback flag, as
-    (values, fired_counts, fallback_mask) arrays."""
-    w = _weigh(model, data)
-    return w.values, w.fired_counts, w.fallback
+    (values, fired_counts, fallback_mask) arrays.
+
+    Rows are weighed one block at a time, a block being the rows of one
+    `rule_matrices` chunk, so one block's cells are alive at once; each
+    row adds its cells in rule order whatever its block, so every value
+    is that of one whole `_weigh` pass."""
+    x = _feature_rows(model.feature_partitions, data)
+    step, n = _chunk_rows(model.tables), x.shape[1]
+    out = np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
+    for start in range(0, n, step):
+        try:
+            block = _weigh(model, x[:, start : start + step])
+        except RuleUnfittableError:
+            # a later block may hold a lower rule's NaN cell: the whole
+            # pass names the first in rule order, on the caller's rows
+            _weigh(model, x)
+            raise
+        for a, b in zip(out, (block.values, block.fired_counts, block.fallback)):
+            a[start : start + step] = b
+    return out
 
 
 def _itemize(w: _Weighed, rows: int) -> list[Prediction]:
@@ -395,4 +424,4 @@ def predict(model: Model, x: Mapping[str, float]) -> Prediction:
         for p in model.feature_partitions
         if p.variable in x
     }
-    return _itemize(_weigh(model, row), 1)[0]
+    return _itemize(_weigh(model, _feature_rows(model.feature_partitions, row)), 1)[0]

@@ -255,8 +255,13 @@ def build_partition(
     eps = fou_width * np.diff(centers)
     # the upper trapezoids' feet, in order: set i reads feet[2i : 2i + 4]
     sent_lo, sent_hi = outer_breakpoints(lo, hi)
-    inner = np.column_stack([mids - eps, mids + eps]).ravel().tolist()
-    feet = [sent_lo, sent_lo, *inner, sent_hi, sent_hi]
+    inner = np.column_stack([mids - eps, mids + eps]).ravel()
+    feet = np.array([sent_lo, sent_lo, *inner, sent_hi, sent_hi])
+    # with fou_width just below 0.5, feet mid_i + eps_i and
+    # mid_{i+1} - eps_{i+1} can cross by rounding: a foot below one before
+    # it is raised to that one, and no other foot moves a bit
+    top = np.maximum.accumulate(feet)
+    feet = np.where(feet < top, top, feet).tolist()
     # set i's support is (edges[2i], edges[2i + 3]): a shoulder's ends at
     # the data edge on its open side
     edges = [lo, *feet[1:-1], hi]

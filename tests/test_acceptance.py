@@ -30,7 +30,7 @@ from hit2mtsk import (
 )
 from hit2mtsk.data import make_folds
 from hit2mtsk.evaluate import CALIFORNIA_EXPLAIN_REFERENCE, explainability_block
-from hit2mtsk.inference import _weigh, reduce_firing
+from hit2mtsk.inference import _feature_rows, _weigh, reduce_firing
 from hit2mtsk.persist import dumps, model_to_dict, universe_to_dict
 from hit2mtsk.rules import clamp, fit_consequent
 
@@ -226,8 +226,9 @@ def test_criterion_6_case_study_reproduction():
 
 
 def test_criterion_7_explainability_laws(trained, toy_dataset):
-    base = _weigh(trained.model, toy_dataset)
-    block = explainability_block(trained.model, toy_dataset, base=base)
+    model = trained.model
+    base = _weigh(model, _feature_rows(model.feature_partitions, toy_dataset))
+    block = explainability_block(model, toy_dataset, base=base)
     # two more thresholds, counted from the block's own pass as it counts
     mid = reduce_firing(base.cells.lo, base.cells.hi, "midpoint")
     counts = dict(block.active_rules)

@@ -147,6 +147,29 @@ class TestTrain:
         assert m["config"]["generation"]["degree"] == 1
         assert m["config"]["num_sets"] == 2
 
+    def test_fou_width_just_below_half_trains(self, tmp_path, capsys):
+        # column a's even-grid feet cross by rounding at this fou_width;
+        # the partition raises the lower one, so the accepted setting trains
+        rng = np.random.default_rng(0)
+        a, b = np.array([0.0] * 98 + [1.0, 2.0]), rng.uniform(0.0, 1.0, 100)
+        csv = tmp_path / "tied.csv"
+        write_xy_csv(csv, ("a", "b", "y"), (a, b, 3.0 * b + rng.normal(0.0, 0.1, 100)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({**CLI_CONFIG, "num_sets": 6, "fou_width": 0.49999999999999994})
+        )
+        code = main(
+            [
+                "train", "--data", str(csv), "--target", "y",
+                "--config", str(cfg), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert load_model(tmp_path / "o" / "model.json").manifest["config"][
+            "fou_width"
+        ] == 0.49999999999999994
+
     def test_retrain_is_byte_identical(self, ws, bundle):
         out = ws.root / "again"
         assert run_train(ws, out, "--save-universe") == EXIT_OK

@@ -157,7 +157,8 @@ class TestExplainabilityBlock:
     def test_one_inference_pass_besides_the_noisy_ones(self, monkeypatch, given):
         model = two_rule_model(feature_stats=(("x", 4.0, 2.0),))
         rows = xy_rows([0.0, 6.0, 9.0], [10.0, 15.0, 20.0])
-        base = inference._weigh(model, rows) if given else None
+        x = inference._feature_rows(model.feature_partitions, rows)
+        base = inference._weigh(model, x) if given else None
         calls = []
         real = inference.rule_matrices
 

@@ -27,6 +27,8 @@ from hit2mtsk.evaluate import derive_mamdani, explainability_block
 from hit2mtsk.inference import (
     FIRING_REDUCTIONS,
     FiredCells,
+    _feature_rows,
+    _weigh,
     compile_rules,
     predict_values,
     reduce_firing,
@@ -595,24 +597,132 @@ class TestRuleMatricesPeakMemory:
         assert peak <= 1.75 * sum(a.nbytes for a in cells)
 
 
+def traced_peak(fn, *args):
+    """The `tracemalloc` peak of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPredictPeakMemory:
-    def test_large_blocks_gather_one_term_of_coefficients_at_a_time(self):
-        # at the default BLOCK_CELLS, a block gathering a whole (terms,
-        # cells) coefficient table peaked at 2.47x the fired cells' bytes
-        # (39.5 MB); one term at a time, 1.85x (29.5 MB)
+    @staticmethod
+    def serve_rows():
+        """The serve bundle, 50000 rows across its domains, and the bytes
+        of every cell one whole pass over them fires."""
         model = load_model(FIXTURES / "serve_model.json")
         rng = np.random.default_rng(0)
         cols = {p.variable: rng.uniform(*p.domain, 50000) for p in model.feature_partitions}
         x = np.array([cols[v] for v in model.feature_names])
-        cell_bytes = sum(a.nbytes for a in rule_matrices(model.tables, x))
-        tracemalloc.start()
-        try:
-            predict_values(model, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return model, cols, sum(a.nbytes for a in rule_matrices(model.tables, x))
+
+    def test_large_blocks_gather_one_term_of_coefficients_at_a_time(self):
+        # at the default BLOCK_CELLS, a block gathering a whole (terms,
+        # cells) coefficient table peaked at 2.47x the fired cells' bytes
+        # (39.5 MB); one term at a time, 1.85x (29.5 MB).  `predict_values`
+        # builds no such block, so one whole pass is measured
+        model, cols, cell_bytes = self.serve_rows()
+        peak = traced_peak(
+            lambda: _weigh(model, _feature_rows(model.feature_partitions, cols))
+        )
         assert cell_bytes >= 10**7  # blocks of BLOCK_CELLS, past TABLE_CELLS
         assert peak <= 2.1 * cell_bytes
+
+    def test_batch_holds_one_row_block_of_cells_at_a_time(self):
+        # one block at a time peaked at 0.39x the whole pass's cell bytes
+        # (6.3 MB, most of it the checked feature table and the outputs);
+        # one whole pass, holding every cell of the batch, at 1.88x
+        model, cols, cell_bytes = self.serve_rows()
+        assert traced_peak(predict_values, model, cols) <= 0.5 * cell_bytes
+
+
+class TestBlockedPredictValues:
+    """`predict_values` weighs one `rule_matrices` chunk of rows at a
+    time; every row comes out as one whole `_weigh` pass gives it."""
+
+    @staticmethod
+    def whole_pass(model, cols):
+        w = _weigh(model, _feature_rows(model.feature_partitions, cols))
+        return w.values, w.fired_counts, w.fallback
+
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    @pytest.mark.parametrize("reduction", ["midpoint", "lower"])
+    @pytest.mark.parametrize("tnorm", TNORMS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_many_blocks_bitwise_equal_one_whole_pass(
+        self, seed, tnorm, reduction, cells, monkeypatch
+    ):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, tnorm, reduction)
+        cols = random_rows(rng, model, 500)
+        for v, x in hole_row(model).items():  # a second unfired row, mid-batch
+            cols[v][377] = x
+        want = self.whole_pass(model, cols)
+        monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", cells)
+        assert hit2mtsk.inference._chunk_rows(model.tables) < 250  # many blocks
+        got = predict_values(model, cols)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        for g, w in zip(got[1:], want[1:]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[1][[0, 377]].tolist() == [0, 0]
+        assert got[2][[0, 377]].all()
+
+    @staticmethod
+    def two_feature_model():
+        # rule 0 overflows where z is High, rule 1 where x is High
+        z = replace(X_PART, variable="z")
+        cubic_z = replace(CUBIC, variables=("z",))
+        rules = (
+            replace(RULE_HIGH, antecedent=(("z", "High"),), consequent_fn=cubic_z),
+            replace(RULE_HIGH, consequent_fn=CUBIC),
+        )
+        return two_rule_model(feature_partitions=(X_PART, z), rules=rules)
+
+    def test_refusal_names_the_first_nan_cell_in_rule_order_across_blocks(
+        self, monkeypatch
+    ):
+        # 2 rules and 5 sets: blocks of 10 rows.  Rule 1's NaN on row 13
+        # is in an earlier block than rule 0's on row 45, which comes first
+        # in rule order
+        model = self.two_feature_model()
+        cols = {"x": np.zeros(70), "z": np.zeros(70)}
+        cols["x"][13] = cols["z"][45] = 1e300
+        message = r"^rule 0 \(IF z is High\) outputs NaN on row 45, where it fires"
+        with pytest.raises(RuleUnfittableError, match=message):
+            self.whole_pass(model, cols)
+        monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", 50)
+        assert hit2mtsk.inference._chunk_rows(model.tables) == 10
+        with pytest.raises(RuleUnfittableError, match=message):
+            predict_values(model, cols)
+
+    def test_refusal_numbers_the_callers_rows(self):
+        # at the default BLOCK_CELLS a block holds a few thousand rows
+        model = self.two_feature_model()
+        cols = {"x": np.zeros(70000), "z": np.zeros(70000)}
+        cols["x"][69000] = 1e300
+        assert hit2mtsk.inference._chunk_rows(model.tables) < 69000
+        with pytest.raises(RuleUnfittableError, match=" outputs NaN on row 69000,"):
+            predict_values(model, cols)
+
+    def test_no_rows_give_empty_arrays_of_the_whole_pass_types(self):
+        model = two_rule_model()
+        got = predict_values(model, {"x": np.empty(0)})
+        for g, w in zip(got, self.whole_pass(model, {"x": np.empty(0)})):
+            assert g.shape == (0,) and g.dtype == w.dtype
+
+    @pytest.mark.parametrize("n", [0, 70])
+    def test_a_model_without_rules_is_refused(self, n):
+        with pytest.raises(NotTrainedError):
+            predict_values(two_rule_model(rules=()), {"x": np.zeros(n)})
+
+    def test_non_finite_input_in_a_late_block_is_refused(self, monkeypatch):
+        monkeypatch.setattr(hit2mtsk.inference, "BLOCK_CELLS", 50)
+        cols = {"x": np.zeros(70)}
+        cols["x"][65] = float("nan")
+        with pytest.raises(ValueError, match="^input for 'x' is non-finite"):
+            predict_values(two_rule_model(), cols)
 
 
 def masked_weigh(tables, cells, reduction):

@@ -287,6 +287,33 @@ class TestBreakpointTable:
             assert np.abs(np.subtract(g.upper_params, w.upper_params)).max() <= TINY
             assert np.abs(np.subtract(g.lower_params, w.lower_params)).max() <= TINY
 
+    def test_feet_crossed_by_rounding_are_raised_into_order(self):
+        # at fou_width just below 0.5 the even grid's feet 0.8 (set 2's
+        # last) and 0.7999999999999999 (set 3's second) cross by rounding;
+        # the three-branch construction refuses them
+        values, width = SAMPLES["tied"], 0.49999999999999994
+        with pytest.raises(ValueError, match="breakpoints not ordered"):
+            oracles.partition(values, 6, width, 0.9)
+        part = build_partition(values, num_sets=6, fou_width=width)
+        assert part.sets[2].upper_params == (0.40000000000000013, 0.8, 0.8, 1.2)
+        feet = [s.upper_params[2:] for s in part.sets[:-1]]
+        assert [s.upper_params[:2] for s in part.sets[1:]] == feet
+
+    @pytest.mark.parametrize("num_sets", range(2, 8))
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_feet_are_ordered_just_below_half(self, sample, num_sets):
+        # where no feet cross, not a bit moves from the oracle's
+        width = float(np.nextafter(0.5, 0.0))
+        part = build_partition(SAMPLES[sample], num_sets, width)
+        feet = [part.sets[0].upper_params[0]]
+        feet += [v for s in part.sets for v in s.upper_params[1:]]
+        assert np.all(np.diff(feet) >= 0.0)
+        try:
+            want = oracles.partition(SAMPLES[sample], num_sets, width, 0.9)
+        except ValueError:
+            return
+        assert partition_bits(part) == partition_bits(want)
+
     def test_centers_near_the_largest_float(self):
         # two adjacent centers sum past the largest float; the three-branch
         # construction overflows there, the breakpoint table does not

@@ -128,7 +128,8 @@ def sample_subset(
 ) -> np.ndarray:
     """Draw ``size`` distinct indices, each step normalized over the rest.
 
-    One keyed draw (Efraimidis & Spirakis 2006): each index gets the key
+    One keyed draw (Efraimidis & Spirakis 2006; Kool et al. 2019), one
+    vector pass: each index gets the key
     ``log(w) - log(-log u)`` from its own uniform ``u`` of ``rng``, which
     orders the indices as ``u ** (1 / w)`` does but stays finite for every
     positive weight, and the ``size`` largest keys win.  That is the law
@@ -213,7 +214,9 @@ def select_rules(
     def cost_of(sel: np.ndarray) -> float:
         # a rule's rows are distinct and sel is sorted, so every row adds
         # its rules once each, in index order, from +0.0: the additions a
-        # bincount over the subset's cells makes, real and imaginary apart
+        # bincount over the subset's cells makes, real and imaginary apart.
+        # np.add.at's fast indexed loops arrived in numpy 1.25; an older
+        # numpy adds the same bits, much more slowly
         buf.fill(0.0)
         for r in sel:
             np.add.at(buf, rows_of[r], sums_of[r])

@@ -7,6 +7,11 @@ jobs.  Fuzzy dominance only prunes and orders candidates during
 generation (the `dominance_threshold` filter, the `max_candidates` cap
 and the coverage rescue).  Error dominance alone multiplies into the
 inference weights and is the ant-colony heuristic.
+
+The fuzzy grades sum over the rows a rule fires on, and only there, as
+fixed-order numpy sums, not BLAS dots, so a grade's bits do not depend
+on rows where the rule does not fire, on memory layout or on the BLAS
+build.
 """
 from __future__ import annotations
 

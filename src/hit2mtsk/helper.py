@@ -3,7 +3,10 @@
 The helper runs a stage's own function on the arrays it inherited, on
 each list of items this process sends it.  If it cannot be forked, dies,
 or raises or warns, this process runs that function on its items itself,
-so an error or warning reaches the caller as in a one-process run.
+so an error or warning reaches the caller as in a one-process run.  The
+helper ignores SIGINT and exits when this process closes its connection;
+`Helper.close` reaps it, and each stage closes its helper on every exit
+path.
 """
 from __future__ import annotations
 

@@ -325,7 +325,8 @@ def cell_weights(
     a nonzero output whose weighted output ``|w * y|`` is below it (zero
     included): a subnormal ``w`` or ``w * y`` loses the bits that would
     let ``w * y / w`` give ``y`` back, so it would move a prediction off
-    its clamp bounds.  A cell of weight 0 has weighted output +0.0, even
+    its clamp bounds (an output clamped to [1.3, 2.0] came back as 1.0 at
+    a weight of 5e-324).  A cell of weight 0 has weighted output +0.0, even
     where its output is NaN, so it adds nothing to its row's sums."""
     w = reduce_firing(lo, hi, reduction) * dominance
     wy = w * y

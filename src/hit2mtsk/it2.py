@@ -206,7 +206,10 @@ def check_partition_settings(num_sets: int, fou_width: float, fou_scale: float) 
 
 def outer_breakpoints(lo, hi):
     """The shoulders' sentinel breakpoints for the range ``[lo, hi]``,
-    elementwise; a range too wide for them gets an infinite one, silently."""
+    elementwise; a range too wide for them gets an infinite one, silently.
+    `Dataset` refuses a feature whose breakpoints are infinite here, and
+    `build_partition` reads them here too, so every accepted feature gets
+    finite ones."""
     with np.errstate(over="ignore"):
         reach = SENTINEL_MARGIN * (hi - lo)
         return lo - reach, hi + reach

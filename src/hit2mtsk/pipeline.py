@@ -101,7 +101,8 @@ def build_partitions(
 
 def _moments(col: np.ndarray) -> tuple[float, float]:
     """Mean and standard deviation of a finite column, both finite: a
-    column whose squares overflow is scaled into [-1, 1] first."""
+    column whose squares overflow is scaled into [-1, 1] first; any other
+    keeps the bits of its plain ``mean()`` and ``std()``."""
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(col.mean() + col.std()):

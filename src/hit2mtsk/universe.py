@@ -216,6 +216,9 @@ def generate_candidates(
     for ant, cons_list in by_ant.items():
         f_lo, f_hi = fire(lower, upper, [offset[j] + s for j, s in ant], config.tnorm)
         rows = np.flatnonzero(f_hi > 0.0)
+        # every value is at least 0.5 in some set, so an antecedent fires
+        # on its seed row; a product over more than 1074 clauses could
+        # still underflow to 0 there
         if rows.size == 0:
             continue
         f_lo, f_hi = f_lo[rows], f_hi[rows]

@@ -1,14 +1,19 @@
 """The package exports exactly the names README's Library API table lists,
 and none of the names its "Removed names" table retires; its
-"Configuration defaults" table names every config field once.  Serving
+"Configuration defaults" table names every config field once, and every
+module attribute, `BENCH_*.json` file and test it names exists.  Serving
 a saved model imports no `multiprocessing`."""
+import ast
 import dataclasses
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import types
 from collections import Counter
+from functools import reduce
+from importlib import import_module
 from pathlib import Path
 
 import hit2mtsk
@@ -78,6 +83,63 @@ def test_configuration_table_names_every_field_once():
         if f.name not in ("generation", "aco")  # the nested configs themselves
     )
     assert named == fields
+
+
+def outside_removed_names() -> str:
+    """README's prose without its "Removed names" section, whose names
+    are gone, and without its fenced code blocks."""
+    head, rest = README.read_text().split("### Removed names", 1)
+    return re.sub(r"```.*?```", "", head + rest[rest.index("\n#") :], flags=re.S)
+
+
+# a file name such as `rules.txt` or `universe.json` is no attribute
+FILE_NAME = re.compile(r"\.(txt|json|csv)$")
+
+
+def test_named_module_attributes_resolve():
+    modules = {m.name for m in pkgutil.iter_modules(hit2mtsk.__path__)}
+    dotted = re.compile(r"(?<![\w.])(?:hit2mtsk\.)?([a-z_0-9]+)((?:\.[A-Za-z_]\w*)+)")
+    checked, missing = set(), []
+    for span in re.findall(r"`([^`]+)`", outside_removed_names()):
+        for m in dotted.finditer(span):
+            module, attrs = m.groups()
+            if module not in modules or FILE_NAME.search(m.group(0)):
+                continue
+            checked.add(m.group(0))
+            try:
+                found = import_module(f"hit2mtsk.{module}")
+                reduce(getattr, attrs[1:].split("."), found)
+            except AttributeError:
+                missing.append(m.group(0))
+    assert checked  # the pattern still finds README's references
+    assert missing == []
+
+
+def test_named_benchmark_records_exist():
+    named = set(re.findall(r"BENCH_\d+\.json", README.read_text()))
+    assert named
+    assert sorted(n for n in named if not (ROOT / n).is_file()) == []
+
+
+def defines(body: list, path: list[str]) -> bool:
+    """Whether the statements ``body`` define the class or function
+    ``path[0]``, and within it ``path[1:]``."""
+    for node in body:
+        kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and node.name == path[0]:
+            return len(path) == 1 or defines(node.body, path[1:])
+    return False
+
+
+def test_named_tests_are_defined():
+    named = set(re.findall(r"tests/(\w+\.py)::([\w:]+)", README.read_text()))
+    assert named
+    undefined = []
+    for file, name in sorted(named):
+        tree = ast.parse((ROOT / "tests" / file).read_text())
+        if not defines(tree.body, name.split("::")):
+            undefined.append(f"{file}::{name}")
+    assert undefined == []
 
 
 SERVE_ONE_ROW = """

@@ -682,6 +682,19 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"bad.dat:{line}: " in capsys.readouterr().err
 
+    def test_keel_without_attributes(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text("@relation r\n@data\n1,2\n")
+        code = main(
+            [
+                "train", "--data", str(bad), "--format", "keel",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}:2: no attributes declared\n"
+
     def test_non_finite_csv_value(self, ws, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,y\n1,2\n3,1e400\n")
@@ -1157,6 +1170,62 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert "no feature statistics for x1, x2" in err
         assert "Traceback" not in err
+
+
+GOLDEN_MODEL = Path(__file__).with_name("golden") / "two_rule_model.json"
+
+
+def first_rule(edit):
+    return lambda doc: edit(doc["rules"][0])
+
+
+def first_set(edit):
+    return lambda doc: edit(doc["feature_partitions"][0]["sets"][0])
+
+
+# each edit of the golden model, and the check of its record that refuses it
+RECORD_REFUSALS = [
+    (
+        first_rule(lambda r: r["antecedent"].append(["x", "High"])),
+        "antecedent repeats a variable",
+    ),
+    (first_rule(lambda r: r.update(clamp_bounds=[30.0, 0.0])), "clamp bounds inverted"),
+    (
+        first_rule(lambda r: r.update(fuzzy_dominance=[0.5, 1.5])),
+        "fuzzy dominance must be an interval inside [0, 1]",
+    ),
+    (
+        first_rule(lambda r: r["consequent_fn"].update(exponents=[], coefficients=[])),
+        "polynomial needs at least one term",
+    ),
+    (first_set(lambda s: s.update(fou_scale=0.0)), "fou_scale must be in (0, 1]"),
+    (first_set(lambda s: s.update(support=[8.0, -1.0])), "support interval inverted"),
+]
+
+
+class TestModelRecordChecks:
+    """A model file is built through each record's constructor, so its
+    range checks refuse a file that breaks them."""
+
+    @pytest.mark.parametrize("edit,message", RECORD_REFUSALS)
+    def test_predict_refuses_the_file(self, tmp_path, capsys, edit, message):
+        doc = json.loads(GOLDEN_MODEL.read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        data = tmp_path / "rows.csv"
+        data.write_text("x\n1.0\n")
+        code = main(
+            [
+                "predict", "--data", str(data), "--model", str(model),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: cannot load model: ValueError: {message}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 FUZZ_HEADERS = {

@@ -220,6 +220,12 @@ class TestDatasetContainer:
     def test_validation(self):
         with pytest.raises(ValueError, match="row counts"):
             Dataset("d", ("a",), np.zeros((3, 1)), "y", np.zeros(2))
+        with pytest.raises(ValueError, match="X must be 2-d"):
+            Dataset("d", ("a",), np.zeros(2), "y", np.zeros(2))
+        with pytest.raises(ValueError, match="dataset has no rows"):
+            Dataset("d", ("a",), np.zeros((0, 1)), "y", np.zeros(0))
+        with pytest.raises(ValueError, match="feature_names do not match X columns"):
+            Dataset("d", ("a", "b"), np.zeros((2, 1)), "y", np.zeros(2))
         with pytest.raises(ValueError, match="duplicate"):
             Dataset("d", ("a", "a"), np.zeros((2, 2)), "y", np.zeros(2))
         with pytest.raises(ValueError, match="target duplicated"):

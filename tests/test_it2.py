@@ -133,6 +133,32 @@ class TestBuildPartition:
         _, upper = part.membership_matrix(grid)
         assert np.all(upper.max(axis=0) > 0.0)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 7),
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        st.sampled_from(["normal", "skewed", "tied", "two_level"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_value_is_at_least_half_in_some_set(
+        self, seed, num_sets, fou_width, shape
+    ):
+        # adjacent upper trapezoids share their ramp feet, so their ramps
+        # sum to 1 there, and plateaus cover the rest: every antecedent
+        # that generation enumerates fires on its own seed row
+        rng = np.random.default_rng(seed)
+        values = {
+            "normal": lambda: rng.normal(0.0, 5.0, 80),
+            "skewed": lambda: rng.exponential(4.0, 80),
+            "tied": lambda: rng.integers(-2, 3, 80).astype(float),
+            "two_level": lambda: rng.choice(rng.normal(0.0, 5.0, 2), 80),
+        }[shape]()
+        if np.ptp(values) == 0.0:
+            return
+        part = build_partition(values, num_sets, fou_width)
+        _, upper = part.membership_matrix(values)
+        assert upper.max(axis=0).min() >= 0.5
+
     def test_adjacent_supports_overlap(self):
         values = np.random.default_rng(4).normal(50.0, 10.0, 400)
         part = build_partition(values, num_sets=5)
